@@ -16,7 +16,6 @@ from .fiveg import (
     NumerologyConfig,
     TruncNormal,
     Uniform,
-    sample,
     symbol_bandwidth_khz,
     symbol_duration_scaling,
 )
@@ -26,11 +25,11 @@ from .iolw import (
     generate_hop_plan,
     next_subcycle_start,
     residual_error_prob,
-    transfer_latency,
+    transfer_latencies,
     validate_cell,
 )
-from .kernel import Simulator, rng_stream
-from .plc import PlcConfig, align_to_task_cycle, next_poll, poll_schedule
+from .kernel import rng_stream
+from .plc import PlcConfig, align_to_task_cycle, next_poll
 from .scenario import RunResult, Scenario, SegmentSpec, SignalSource, run, sweep
 from .stats import (
     LatencyStats,
@@ -55,7 +54,6 @@ __all__ = [
     "ScenarioError",
     "SegmentSpec",
     "SignalSource",
-    "Simulator",
     "TruncNormal",
     "Uniform",
     "align_to_task_cycle",
@@ -64,16 +62,14 @@ __all__ = [
     "load_scenario_file",
     "next_poll",
     "next_subcycle_start",
-    "poll_schedule",
     "residual_error_prob",
     "rng_stream",
     "run",
     "safety_distance",
-    "sample",
     "sweep",
     "symbol_bandwidth_khz",
     "symbol_duration_scaling",
-    "transfer_latency",
+    "transfer_latencies",
     "validate_cell",
     "worst_case_sfrt",
 ]

@@ -8,14 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from .config import ScenarioError, load_scenario
+from .config import ScenarioError, decode_scenario, load_scenario
 from .report import build_report, write_report
-from .scenario import run as run_scenario
+from .scenario import run as run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -40,7 +38,7 @@ def _read_config(path: str) -> bytes:
 
 def _load(path: str):
     config_bytes = _read_config(path)
-    scenario = load_scenario(config_bytes.decode("utf-8"))
+    scenario = load_scenario(decode_scenario(config_bytes))
     return scenario, config_bytes
 
 
@@ -86,15 +84,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"{args.config}:{d}", file=sys.stderr)
         return EXIT_INVALID
     seeds = [args.seed + i for i in range(args.seeds)]
-    if args.parallel > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            per_seed = list(pool.map(partial(run_scenario, scenario), seeds))
-    else:
-        per_seed = [run_scenario(scenario, s) for s in seeds]
-    per_seed.sort(key=lambda r: r.seeds)
-    merged = per_seed[0]
-    for r in per_seed[1:]:
-        merged = merged.merge(r)
+    merged = sweep(scenario, seeds, args.parallel)
     out_dir = Path(args.out)
     report = build_report(merged, scenario, config_bytes, deterministic=args.deterministic)
     write_report(report, merged, out_dir, fmt=args.format)
@@ -104,7 +94,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "losses": r.losses,
             "mean_us": r.end_to_end.mean_us if r.end_to_end.count else None,
         }
-        for r in per_seed
+        for r in merged.per_seed
     }
     (out_dir / "per_seed.json").write_text(
         json.dumps(per_seed_summary, sort_keys=True, indent=2) + "\n"

@@ -474,6 +474,19 @@ def load_scenario(text: str) -> Scenario:
     )
 
 
+def decode_scenario(data: bytes) -> str:
+    """UTF-8 text of a scenario file; a bad byte raises ScenarioError at its line:col."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = len(data[line_start:exc.start].decode("utf-8")) + 1
+        raise ScenarioError(
+            [Diagnostic(line, col, f"invalid UTF-8 byte 0x{data[exc.start]:02x}")]
+        ) from None
+
+
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    with open(path, "rb") as fh:
+        return load_scenario(decode_scenario(fh.read()))

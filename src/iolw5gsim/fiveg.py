@@ -1,7 +1,8 @@
 """Latency models for wired/cellular link segments plus 5G numerology arithmetic.
 
-Every link segment (Ethernet, 5G, wired IO-Link stub) samples its delay from
-a LatencyModel. All durations are integer microseconds. Numerology helpers
+Every link segment (Ethernet, 5G, wired IO-Link stub) samples its delays from
+a LatencyModel, one batch per path step. All durations are integer
+microseconds. Numerology helpers
 cover the subcarrier-spacing to OFDM-symbol relations; absolute 3GPP slot
 tables are out of scope.
 """
@@ -78,8 +79,8 @@ class Constant:
     def upper_bound_us(self) -> Duration:
         return self.value_us
 
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return self.value_us
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.value_us, dtype=np.int64)
 
 
 @dataclass
@@ -101,16 +102,17 @@ class Uniform:
     def upper_bound_us(self) -> Duration:
         return self.high_us
 
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return int(rng.integers(self.low_us, self.high_us, endpoint=True))
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.low_us, self.high_us, size=n, endpoint=True, dtype=np.int64)
 
 
 @dataclass
 class TruncNormal:
     """Normal distribution truncated to [low, high] by redraw.
 
-    After TRUNCNORM_MAX_REJECTS consecutive rejections the draw is clamped
-    to the nearest bound and clamp_events is incremented.
+    Each element is redrawn until it lands in [low, high], at most
+    TRUNCNORM_MAX_REJECTS times; an element rejected that often gets one
+    fresh draw clamped to the nearest bound and counts in clamp_events.
     """
 
     mean_target_us: float
@@ -144,14 +146,19 @@ class TruncNormal:
     def upper_bound_us(self) -> Duration:
         return self.high_us
 
-    def sample(self, rng: np.random.Generator) -> Duration:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        x = np.empty(n)
+        pending = np.arange(n)
         for _ in range(TRUNCNORM_MAX_REJECTS):
-            x = rng.normal(self.mean_target_us, self.stddev_us)
-            if self.low_us <= x <= self.high_us:
-                return int(round(x))
-        self.clamp_events += 1
-        x = rng.normal(self.mean_target_us, self.stddev_us)
-        return int(min(max(x, self.low_us), self.high_us))
+            x[pending] = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
+            pending = pending[(x[pending] < self.low_us) | (x[pending] > self.high_us)]
+            if not pending.size:
+                break
+        if pending.size:
+            self.clamp_events += int(pending.size)
+            fresh = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
+            x[pending] = np.clip(fresh, self.low_us, self.high_us)
+        return np.rint(x).astype(np.int64)
 
 
 @dataclass
@@ -185,14 +192,10 @@ class Empirical:
     def upper_bound_us(self) -> Duration:
         return max(d for d, w in self.bins if w > 0)
 
-    def sample(self, rng: np.random.Generator) -> Duration:
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return int(self._values[min(i, len(self._values) - 1)])
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        i = np.searchsorted(self._cum, rng.random(n), side="right")
+        return self._values[np.minimum(i, len(self._values) - 1)]
 
 
+# Every model's sample(rng, n) returns n int64 delays within its support.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical
-
-
-def sample(model: LatencyModel, rng: np.random.Generator) -> Duration:
-    """Draw one delay from the model; never violates its support bounds."""
-    return model.sample(rng)

@@ -2,11 +2,11 @@
 
 Capacity validation, cycle/sub-cycle timing, frequency-hop plan generation
 with channel block listing, and the per-transfer latency / retransmission
-model. A W-Master cell runs a fixed cycle (default 5 ms) containing three
-1.664 ms sub-cycles placed contiguously from the cycle start; a process-data
-change is transmitted with the next sub-cycle and retried on subsequent
-sub-cycle boundaries (continuing across the cycle boundary) up to
-max_attempts times.
+model, computed on arrays of transfer start times. A W-Master cell runs a
+fixed cycle (default 5 ms) containing three 1.664 ms sub-cycles placed
+contiguously from the cycle start; a process-data change is transmitted with
+the next sub-cycle and retried on subsequent sub-cycle boundaries
+(continuing across the cycle boundary) up to max_attempts times.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Duration, SimTime
+from .kernel import Duration
 
 MAX_MASTERS = 3
 MAX_TRACKS_PER_MASTER = 5
@@ -105,21 +105,19 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
     return v
 
 
-def next_subcycle_start(t: SimTime, config: IolwCellConfig) -> SimTime:
-    """Earliest sub-cycle boundary >= t.
+def next_subcycle_start(t: np.ndarray, config: IolwCellConfig) -> np.ndarray:
+    """Earliest sub-cycle boundary >= t, element-wise.
 
     Boundaries sit at k*cycle + j*subcycle for j in 0..subcycles_per_cycle-1.
-    If t is itself a boundary it is returned unchanged.
+    A t that is itself a boundary is returned unchanged.
     """
-    if t < 0:
+    if np.any(np.less(t, 0)):
         raise ValueError("time must be non-negative")
-    cycle_index, offset = divmod(t, config.cycle_us)
-    j, rem = divmod(offset, config.subcycle_us)
-    if rem == 0 and j < config.subcycles_per_cycle:
-        return t
-    if j + 1 < config.subcycles_per_cycle:
-        return cycle_index * config.cycle_us + (j + 1) * config.subcycle_us
-    return (cycle_index + 1) * config.cycle_us
+    offset = t % config.cycle_us
+    j = -(-offset // config.subcycle_us)  # first sub-cycle starting at or after t
+    return t - offset + np.where(
+        j < config.subcycles_per_cycle, j * config.subcycle_us, config.cycle_us
+    )
 
 
 @dataclass
@@ -151,26 +149,27 @@ class IolwTransferModel:
         return v
 
 
-def transfer_latency(
-    t_change: SimTime,
+def transfer_latencies(
+    t_change: np.ndarray,
     model: IolwTransferModel,
     cell: IolwCellConfig,
     rng: np.random.Generator,
-) -> Duration | None:
-    """Latency of one transfer starting at t_change, or None on loss.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Latencies of transfers starting at t_change, and which were lost.
 
     Attempt k (1-based) rides the k-th sub-cycle boundary at or after
-    t_change; on success the latency is boundary - t_change plus the
-    completion offset. Returns None after max_attempts failed attempts.
+    t_change and fails with per_subcycle_error_prob, drawn as one
+    (n, max_attempts) failure matrix. On success the latency is boundary -
+    t_change plus the completion offset; a transfer whose every attempt
+    failed is lost, and its latency is that of its last attempt.
     """
-    p = model.per_subcycle_error_prob
-    boundary = next_subcycle_start(t_change, cell)
-    for attempt in range(model.max_attempts):
-        if attempt > 0:
-            boundary = next_subcycle_start(boundary + 1, cell)
-        if p <= 0.0 or rng.random() >= p:
-            return boundary - t_change + model.completion_offset_us
-    return None
+    fails = rng.random((len(t_change), model.max_attempts)) < model.per_subcycle_error_prob
+    lost = fails.all(axis=1)
+    retries = np.where(lost, model.max_attempts - 1, fails.argmin(axis=1))
+    cycle_index, offset = np.divmod(next_subcycle_start(t_change, cell), cell.cycle_us)
+    k, j = np.divmod(offset // cell.subcycle_us + retries, cell.subcycles_per_cycle)
+    boundary = (cycle_index + k) * cell.cycle_us + j * cell.subcycle_us
+    return boundary - t_change + model.completion_offset_us, lost
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:
@@ -180,18 +179,6 @@ def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> fl
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     return per_subcycle_error_prob**max_attempts
-
-
-def mean_boundary_wait_us(cell: IolwCellConfig) -> float:
-    """Exact mean wait-to-next-sub-cycle-boundary for uniform integer arrivals.
-
-    Brute-force enumeration over one full cycle at 1 us resolution; serves
-    as the calibration oracle for completion_offset.
-    """
-    total = 0
-    for t in range(cell.cycle_us):
-        total += next_subcycle_start(t, cell) - t
-    return total / cell.cycle_us
 
 
 @dataclass(frozen=True)

@@ -1,80 +1,26 @@
-"""Deterministic discrete-event simulation kernel.
+"""Time base and random streams shared by every model.
 
 All simulation time is kept as integer microseconds. Floating-point time is
 deliberately not supported here: every protocol quantity in this project
 (1664 us sub-cycles, 5 ms cycles, 100 us histogram bins) is an exact integer
-multiple of 1 us, and integer ticks make replay traces bit-identical.
+multiple of 1 us, and integer ticks make replays bit-identical.
+
+There is no event queue: toggles never interact, so a run pushes the whole
+int64 array of toggle times through one path step at a time (see
+``scenario.run``), and each model draws its samples for that step in one
+batch from its own stream.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable
-
 import numpy as np
 
-# SimTime / Duration are plain ints (microseconds). Kept as aliases for
+# Durations are plain ints (microseconds); the alias is kept for
 # readability in signatures.
-SimTime = int
 Duration = int
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
-
-
-class SchedulingInPastError(RuntimeError):
-    """An event was scheduled before the current simulation clock.
-
-    This is always a model bug, never a recoverable condition.
-    """
-
-
-class Simulator:
-    """Event queue with a monotonic integer-microsecond clock.
-
-    Events with equal due time dispatch in insertion order (FIFO tie-break
-    via a monotonically increasing sequence number). The kernel knows
-    nothing about protocols; models schedule callables.
-    """
-
-    def __init__(self) -> None:
-        self._queue: list[tuple[SimTime, int, Callable[[SimTime], None]]] = []
-        self._seq = 0
-        self.now: SimTime = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def schedule(self, due: SimTime, action: Callable[[SimTime], None]) -> None:
-        if due < self.now:
-            raise SchedulingInPastError(
-                f"event due at {due} us but clock is already {self.now} us"
-            )
-        heapq.heappush(self._queue, (int(due), self._seq, action))
-        self._seq += 1
-
-    def next_due(self) -> SimTime | None:
-        return self._queue[0][0] if self._queue else None
-
-    def run_until(self, t_end: SimTime) -> int:
-        """Dispatch every event with due <= t_end; clock ends at t_end.
-
-        Returns the number of events dispatched. Actions may schedule
-        further events; those are honoured within the same call when due
-        in range.
-        """
-        if t_end < self.now:
-            raise SchedulingInPastError(
-                f"run_until({t_end}) but clock is already {self.now} us"
-            )
-        dispatched = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            due, _seq, action = heapq.heappop(self._queue)
-            self.now = due
-            action(due)
-            dispatched += 1
-        self.now = t_end
-        return dispatched
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -4,7 +4,8 @@ The PLC executes its program every task_cycle (default 5 ms) and polls the
 W-Master process image every query_cycle (default 10 ms, an integer multiple
 of the task cycle). Inputs are sampled at cycle start: a value arriving
 mid-cycle is processed in the following cycle, and outputs publish at the
-end of the processing cycle.
+end of the processing cycle. Both timing rules map arrays of arrival times
+element-wise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fiveg import Constant, LatencyModel
-from .kernel import SimTime
 
 DEFAULT_TASK_CYCLE_US = 5000
 DEFAULT_QUERY_CYCLE_US = 10000
@@ -44,42 +44,30 @@ class PlcConfig:
             )
         if self.phase_us < 0:
             v.append("phase must be >= 0")
+        v += [f"jitter: {msg}" for msg in self.jitter.validate()]
         return v
 
 
 def align_to_task_cycle(
-    arrival: SimTime, cfg: PlcConfig, rng: np.random.Generator | None = None
-) -> SimTime:
-    """Output publication time for an input arriving at `arrival`.
+    arrival: np.ndarray, cfg: PlcConfig, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Output publication times for inputs arriving at `arrival`.
 
     An arrival exactly on a cycle start is processed in that cycle and
     publishes one task cycle later; any later arrival waits for the next
     cycle start and publishes at its end (two task cycles after the
-    preceding start). Adds a jitter draw when an RNG is supplied.
+    preceding start). Adds one jitter draw per arrival when an RNG is
+    supplied.
     """
     task = cfg.task_cycle_us
-    start = cfg.phase_us + ((arrival - cfg.phase_us) // task) * task
-    if arrival == start:
-        completion = start + task
-    else:
-        completion = start + 2 * task
+    start = arrival - (arrival - cfg.phase_us) % task
+    completion = start + task + (arrival != start) * task
     if rng is not None:
-        completion += cfg.jitter.sample(rng)
+        completion = completion + cfg.jitter.sample(rng, len(arrival))
     return completion
 
 
-def next_poll(t: SimTime, cfg: PlcConfig) -> SimTime:
+def next_poll(t: np.ndarray, cfg: PlcConfig) -> np.ndarray:
     """First poll time >= t; polls occur at phase + k*query_cycle, k >= 0."""
-    if t <= cfg.phase_us:
-        return cfg.phase_us
-    query = cfg.query_cycle_us
-    k = -((cfg.phase_us - t) // query)
-    return cfg.phase_us + k * query
-
-
-def poll_schedule(cfg: PlcConfig, t_end: SimTime) -> list[SimTime]:
-    """All poll times up to and including t_end."""
-    if t_end < cfg.phase_us:
-        return []
-    n = (t_end - cfg.phase_us) // cfg.query_cycle_us
-    return [cfg.phase_us + k * cfg.query_cycle_us for k in range(n + 1)]
+    k = np.maximum(-((cfg.phase_us - t) // cfg.query_cycle_us), 0)
+    return cfg.phase_us + k * cfg.query_cycle_us

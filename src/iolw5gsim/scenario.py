@@ -1,26 +1,29 @@
 """Scenario composition and execution.
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
-return path (PLC -> actuator). A boolean signal source toggles periodically;
-each toggle is traced through the chain and its per-segment and end-to-end
-latencies are recorded. The poll wait is inserted immediately before the
-first network segment of the forward path (the point where the process-image
-change sits at the W-Master waiting to be queried).
+return path (PLC -> actuator). A boolean signal source toggles periodically.
+Toggles never interact (no queue, no shared medium), so a run is one
+column-wise pass: the int64 array of toggle times advances through the
+chain one component at a time, each component drawing or computing its
+durations for all toggles at once, and the per-segment and end-to-end
+latencies are recorded in batches at the end. The poll wait is inserted
+immediately before the first network segment of the forward path (the point
+where the process-image change sits at the W-Master waiting to be queried).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
 from . import plc as plcmod
 from .fiveg import LatencyModel, LinkBudgetMeta
-from .iolw import IolwCellConfig, IolwTransferModel, transfer_latency
-from .kernel import Duration, SimTime, Simulator, rng_stream
+from .iolw import IolwCellConfig, IolwTransferModel, transfer_latencies
+from .kernel import Duration, rng_stream
 from .plc import PlcConfig
 from .stats import LatencyStats, SafetyParams
 
@@ -65,13 +68,11 @@ class SignalSource:
             v.append("dither must lie in [0, toggle_period)")
         return v
 
-    def toggle_times(self) -> list[SimTime]:
+    def toggle_times(self) -> np.ndarray:
         per_seq = self.sequence_length_us // self.toggle_period_us
-        return [
-            s * self.sequence_length_us + i * self.toggle_period_us
-            for s in range(self.sequences)
-            for i in range(per_seq)
-        ]
+        starts = np.arange(self.sequences, dtype=np.int64) * self.sequence_length_us
+        offsets = np.arange(per_seq, dtype=np.int64) * self.toggle_period_us
+        return (starts[:, None] + offsets).ravel()
 
 
 @dataclass
@@ -107,6 +108,9 @@ class RunResult:
     segment_stats: dict[str, LatencyStats]
     end_to_end: LatencyStats
     components: tuple[str, ...]
+    # the per-seed results a sweep merged, in seed order; not compared, so
+    # a sweep equals the run of its merged seeds
+    per_seed: tuple["RunResult", ...] = field(default=(), compare=False, repr=False)
 
     def merge(self, other: "RunResult") -> "RunResult":
         if self.components != other.components:
@@ -141,62 +145,52 @@ def _segment_rngs(scenario: Scenario, seed: int) -> dict[str, np.random.Generato
     }
 
 
-def _trace_toggle(
-    t0: SimTime,
+def _trace(
     scenario: Scenario,
+    t0: np.ndarray,
     plc_cfg: PlcConfig,
     iolw_phase: int,
     rngs: dict[str, np.random.Generator],
-) -> tuple[list[tuple[str, Duration]], str | None]:
-    """Walk one toggle through both paths.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push every toggle through every component, one column-wise step each.
 
-    Returns (parts, lost_at): parts are (component, duration) pairs summing
-    exactly to the end-to-end latency; lost_at names the segment where the
-    transfer was lost, or None on success.
+    Returns (parts, lost_at): parts[i] holds component i's durations, and
+    the columns of parts sum exactly to the end-to-end latencies; lost_at
+    is the index of the component where a toggle was lost, or -1. A lost
+    toggle keeps moving so the arrays stay aligned, but only its loss counts.
     """
     cell = scenario.cell
-    parts: list[tuple[str, Duration]] = []
+    components = scenario.components()
+    parts = np.empty((len(components), len(t0)), dtype=np.int32)
+    lost_at = np.full(len(t0), -1, dtype=np.int64)
     t = t0
-    polled = False
-
-    def step(sid: str, in_forward: bool) -> bool:
-        nonlocal t, polled
-        seg = scenario.segments[sid]
-        if in_forward and not polled and seg.kind in NETWORK_KINDS:
-            poll = plcmod.next_poll(t, plc_cfg)
-            parts.append((POLL_WAIT, poll - t))
-            t = poll
-            polled = True
-        if seg.kind == "plc":
-            done = plcmod.align_to_task_cycle(t, plc_cfg, rngs[sid])
-            parts.append((sid, done - t))
-            t = done
+    for i, name in enumerate(components):
+        seg = scenario.segments.get(name)  # None for the poll wait
+        if name == POLL_WAIT:
+            done = plcmod.next_poll(t, plc_cfg)
+        elif seg.kind == "plc":
+            done = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name])
         elif seg.kind == "iolw-air":
             # shift into the cell's cycle grid; +cycle keeps the argument
             # non-negative for phases larger than t
-            rel = t - iolw_phase + cell.cycle_us
-            d = transfer_latency(rel, seg.transfer, cell, rngs[sid])
-            if d is None:
-                return False
-            parts.append((sid, d))
-            t += d
+            d, lost = transfer_latencies(
+                t - iolw_phase + cell.cycle_us, seg.transfer, cell, rngs[name]
+            )
+            lost_at[lost & (lost_at < 0)] = i
+            done = t + d
         else:
-            d = seg.model.sample(rngs[sid])
-            parts.append((sid, d))
-            t += d
-        return True
-
-    for sid in scenario.forward:
-        if not step(sid, in_forward=True):
-            return parts, sid
-    for sid in scenario.ret:
-        if not step(sid, in_forward=False):
-            return parts, sid
-    return parts, None
+            done = t + seg.model.sample(rngs[name], len(t))
+        parts[i] = done - t
+        t = done
+    # int32 halves the matrix, the peak memory of a run; a duration past
+    # 2**31 us (35 min) would wrap and break the exact sum
+    if (parts.sum(axis=0) != t - t0).any():
+        raise OverflowError("a component duration exceeds 2**31 us")
+    return parts, lost_at
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
-    """Execute every source sequence on a fresh kernel; fully deterministic."""
+    """Trace every toggle of every source sequence; fully deterministic."""
     phase_rng = rng_stream(seed, _PHASE_STREAM)
     if scenario.randomize_phases:
         iolw_phase = int(phase_rng.integers(0, scenario.cell.cycle_us))
@@ -205,44 +199,27 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         iolw_phase = 0
         plc_phase = scenario.plc.phase_us
     plc_cfg = dataclasses.replace(scenario.plc, phase_us=plc_phase)
-    rngs = _segment_rngs(scenario, seed)
+
+    t0 = scenario.source.toggle_times()
+    dither = scenario.source.dither_us
+    if scenario.randomize_phases and dither > 0:
+        t0 = t0 + phase_rng.integers(0, dither, size=len(t0))
+    parts, lost_at = _trace(scenario, t0, plc_cfg, iolw_phase, _segment_rngs(scenario, seed))
 
     components = tuple(scenario.components())
     seg_stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
     e2e = LatencyStats(scenario.bin_width_us)
-    losses = 0
-
-    sim = Simulator()
-    toggle_times = scenario.source.toggle_times()
-    dither = scenario.source.dither_us
-    if scenario.randomize_phases and dither > 0:
-        offsets = phase_rng.integers(0, dither, size=len(toggle_times))
-        toggle_times = [t + int(o) for t, o in zip(toggle_times, offsets)]
-
-    def on_toggle(t: SimTime) -> None:
-        parts, lost_at = _trace_toggle(t, scenario, plc_cfg, iolw_phase, rngs)
-
-        def record(_t: SimTime) -> None:
-            nonlocal losses
-            if lost_at is not None:
-                losses += 1
-                seg_stats[lost_at].add_loss()
-                e2e.add_loss()
-                return
-            for name, dur in parts:
-                seg_stats[name].add(dur)
-            e2e.add(sum(dur for _, dur in parts))
-
-        sim.schedule(t + sum(dur for _, dur in parts), record)
-
-    for t in toggle_times:
-        sim.schedule(t, on_toggle)
-    while (due := sim.next_due()) is not None:
-        sim.run_until(due)
-
+    delivered = lost_at < 0
+    lost_per_step = np.bincount(lost_at + 1, minlength=len(components) + 1)[1:]
+    for name, durations, lost in zip(components, parts, lost_per_step.tolist()):
+        seg_stats[name].add(durations[delivered])
+        seg_stats[name].add_loss(lost)
+    e2e.add(parts.sum(axis=0)[delivered])
+    losses = len(t0) - int(delivered.sum())
+    e2e.add_loss(losses)
     return RunResult(
         seeds=(seed,),
-        toggles=len(toggle_times),
+        toggles=len(t0),
         losses=losses,
         segment_stats=seg_stats,
         end_to_end=e2e,
@@ -251,7 +228,11 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 
 
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
-    """Run once per seed and merge; the merge is order-independent."""
+    """Run once per seed and merge; the merge is order-independent.
+
+    The merged result carries the per-seed results, sorted by seed, in
+    its per_seed field.
+    """
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     if parallel > 1 and len(seeds) > 1:
@@ -260,7 +241,5 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
     else:
         results = [run(scenario, s) for s in seeds]
     results.sort(key=lambda r: r.seeds)
-    merged = results[0]
-    for r in results[1:]:
-        merged = merged.merge(r)
-    return merged
+    merged = reduce(RunResult.merge, results)
+    return dataclasses.replace(merged, per_seed=tuple(results))

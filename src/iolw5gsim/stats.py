@@ -1,6 +1,6 @@
 """Streaming latency statistics and the safety calculus.
 
-LatencyStats accumulates integer-microsecond samples into fixed-width
+LatencyStats accumulates arrays of integer-microsecond samples into fixed-width
 histogram bins (default 100 us, mirroring a 10 kS/s capture). The mean is
 kept as an exact integer sum plus count so that merging partial results is
 exact, associative and commutative. Percentiles are conservative: they
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .kernel import Duration
 
@@ -31,20 +33,24 @@ class LatencyStats:
     bins: dict[int, int] = field(default_factory=dict)
     losses: int = 0
 
-    def add(self, value_us: Duration) -> None:
-        if value_us < 0:
+    def add(self, values_us: np.ndarray) -> None:
+        """Record a batch of samples; every field stays a Python int."""
+        values_us = np.asarray(values_us, dtype=np.int64)
+        if not values_us.size:
+            return
+        lo, hi = int(values_us.min()), int(values_us.max())
+        if lo < 0:
             raise ValueError("latency samples must be >= 0")
-        self.count += 1
-        self.total_us += value_us
-        if self.min_us is None or value_us < self.min_us:
-            self.min_us = value_us
-        if self.max_us is None or value_us > self.max_us:
-            self.max_us = value_us
-        idx = value_us // self.bin_width_us
-        self.bins[idx] = self.bins.get(idx, 0) + 1
+        self.count += values_us.size
+        self.total_us += int(values_us.sum())
+        self.min_us = lo if self.min_us is None else min(self.min_us, lo)
+        self.max_us = hi if self.max_us is None else max(self.max_us, hi)
+        idx, counts = np.unique(values_us // self.bin_width_us, return_counts=True)
+        for i, n in zip(idx.tolist(), counts.tolist()):
+            self.bins[i] = self.bins.get(i, 0) + n
 
-    def add_loss(self) -> None:
-        self.losses += 1
+    def add_loss(self, n: int = 1) -> None:
+        self.losses += n
 
     @property
     def mean_us(self) -> float:

@@ -1,0 +1,119 @@
+"""Scalar, one-toggle-at-a-time reference forms of the column-wise models.
+
+The package computes every model on arrays of toggle times. These are the
+per-toggle loop versions the array code replaced, kept here only as test
+oracles: alignment arithmetic must match them exactly, sampled
+distributions must match them statistically.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from iolw5gsim.fiveg import TRUNCNORM_MAX_REJECTS, Constant, Empirical, TruncNormal, Uniform
+from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT
+
+
+def next_subcycle_start(t, config):
+    """Earliest sub-cycle boundary >= t."""
+    cycle_index, offset = divmod(t, config.cycle_us)
+    j, rem = divmod(offset, config.subcycle_us)
+    if rem == 0 and j < config.subcycles_per_cycle:
+        return t
+    if j + 1 < config.subcycles_per_cycle:
+        return cycle_index * config.cycle_us + (j + 1) * config.subcycle_us
+    return (cycle_index + 1) * config.cycle_us
+
+
+def mean_boundary_wait_us(cell):
+    """Exact mean wait to the next sub-cycle boundary for uniform integer
+    arrivals, by enumerating one full cycle at 1 us resolution."""
+    total = 0
+    for t in range(cell.cycle_us):
+        total += next_subcycle_start(t, cell) - t
+    return total / cell.cycle_us
+
+
+def transfer_latency(t_change, model, cell, rng):
+    """Latency of one transfer starting at t_change, or None on loss."""
+    p = model.per_subcycle_error_prob
+    boundary = next_subcycle_start(t_change, cell)
+    for attempt in range(model.max_attempts):
+        if attempt > 0:
+            boundary = next_subcycle_start(boundary + 1, cell)
+        if p <= 0.0 or rng.random() >= p:
+            return boundary - t_change + model.completion_offset_us
+    return None
+
+
+def next_poll(t, cfg):
+    """First poll time >= t on the grid phase + k*query_cycle, k >= 0."""
+    if t <= cfg.phase_us:
+        return cfg.phase_us
+    k = -((cfg.phase_us - t) // cfg.query_cycle_us)
+    return cfg.phase_us + k * cfg.query_cycle_us
+
+
+def align_to_task_cycle(arrival, cfg, rng=None):
+    """Output publication time for one input arriving at `arrival`."""
+    task = cfg.task_cycle_us
+    start = cfg.phase_us + ((arrival - cfg.phase_us) // task) * task
+    completion = start + task if arrival == start else start + 2 * task
+    if rng is not None:
+        completion += sample_one(cfg.jitter, rng)
+    return completion
+
+
+def sample_one(model, rng):
+    """One delay drawn from a latency model."""
+    if isinstance(model, Constant):
+        return model.value_us
+    if isinstance(model, Uniform):
+        return int(rng.integers(model.low_us, model.high_us, endpoint=True))
+    if isinstance(model, TruncNormal):
+        for _ in range(TRUNCNORM_MAX_REJECTS):
+            x = rng.normal(model.mean_target_us, model.stddev_us)
+            if model.low_us <= x <= model.high_us:
+                return int(round(x))
+        model.clamp_events += 1
+        x = rng.normal(model.mean_target_us, model.stddev_us)
+        return int(min(max(x, model.low_us), model.high_us))
+    if isinstance(model, Empirical):
+        weights = np.array([w for _, w in model.bins], dtype=np.float64)
+        cum = np.cumsum(weights / weights.sum())
+        i = int(np.searchsorted(cum, rng.random(), side="right"))
+        return model.bins[min(i, len(model.bins) - 1)][0]
+    raise TypeError(f"unknown model {model!r}")
+
+
+def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
+    """Walk one toggle through both paths.
+
+    Returns (parts, lost_at): parts are (component, duration) pairs summing
+    exactly to the end-to-end latency; lost_at names the segment where the
+    transfer was lost, or None on success.
+    """
+    cell = scenario.cell
+    parts = []
+    t = t0
+    polled = False
+    for in_forward, path in ((True, scenario.forward), (False, scenario.ret)):
+        for sid in path:
+            seg = scenario.segments[sid]
+            if in_forward and not polled and seg.kind in NETWORK_KINDS:
+                poll = next_poll(t, plc_cfg)
+                parts.append((POLL_WAIT, poll - t))
+                t = poll
+                polled = True
+            if seg.kind == "plc":
+                d = align_to_task_cycle(t, plc_cfg, rngs[sid]) - t
+            elif seg.kind == "iolw-air":
+                rel = t - iolw_phase + cell.cycle_us
+                d = transfer_latency(rel, seg.transfer, cell, rngs[sid])
+                if d is None:
+                    return parts, sid
+            else:
+                d = sample_one(seg.model, rngs[sid])
+            parts.append((sid, d))
+            t += d
+    return parts, None

@@ -112,3 +112,16 @@ def test_report_config_hash_matches_input_bytes(small_config, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     expected = hashlib.sha256(small_config.read_bytes()).hexdigest()
     assert report["run"]["config_sha256"] == expected
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--out", "o"]])
+def test_non_utf8_config_exits_2_with_location(argv, tmp_path, monkeypatch, capsys):
+    # a Latin-1 micro sign (0xb5) after a two-byte UTF-8 character: the
+    # column counts characters, so the bad byte is in column 21, not byte 22
+    bad = tmp_path / "latin1.scenario"
+    good, rest = MINIMAL.split("value = 700 us", 1)
+    bad.write_bytes(good.encode() + "value = 700 us # é, ".encode() + b"\xb5" + rest.encode())
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(bad), *argv[1:]]) == EXIT_INVALID
+    line = good.count("\n") + 1
+    assert f"{bad}:{line}:21: invalid UTF-8 byte 0xb5" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import pytest
 
+from iolw5gsim.cli import EXIT_INVALID, main
 from iolw5gsim.config import ScenarioError, load_scenario
 
 MINIMAL = """
@@ -146,3 +147,12 @@ def test_infeasible_hop_config_rejected():
 def test_role_restricts_path_membership():
     bad = patch(MINIMAL, "kind = iol-wire", "kind = iol-wire\nrole = forward")
     assert any("role" in d.message for d in diagnostics_of(bad))
+
+
+def test_negative_plc_jitter_rejected(tmp_path, capsys):
+    bad = patch(MINIMAL, "query_cycle = 10 ms", "query_cycle = 10 ms\njitter = -9 ms")
+    assert any("jitter" in d.message for d in diagnostics_of(bad))
+    path = tmp_path / "bad.scenario"
+    path.write_text(bad)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert "jitter" in capsys.readouterr().err

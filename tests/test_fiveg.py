@@ -10,7 +10,6 @@ from iolw5gsim.fiveg import (
     NumerologyError,
     TruncNormal,
     Uniform,
-    sample,
     symbol_bandwidth_khz,
     symbol_duration_scaling,
 )
@@ -47,23 +46,24 @@ class TestSampling:
     def test_constant_always_same(self):
         rng = rng_stream(1, 0)
         model = Constant(1200)
-        assert all(sample(model, rng) == 1200 for _ in range(100))
+        assert (model.sample(rng, 100) == 1200).all()
 
     def test_single_bin_empirical_is_degenerate(self):
         rng = rng_stream(1, 0)
         model = Empirical(((10_200, 1.0),))
-        assert all(sample(model, rng) == 10_200 for _ in range(100))
+        assert (model.sample(rng, 100) == 10_200).all()
 
     def test_uniform_support(self):
         rng = rng_stream(2, 0)
         model = Uniform(100, 200)
-        draws = [sample(model, rng) for _ in range(10_000)]
-        assert min(draws) >= 100 and max(draws) <= 200
+        draws = model.sample(rng, 10_000)
+        # both endpoints are in the support, and 10 000 draws reach them
+        assert draws.min() == 100 and draws.max() == 200
 
     def test_truncnorm_support_and_mean_against_analytic_oracle(self):
         rng = rng_stream(3, 0)
         model = TruncNormal(10_200.0, 2000.0, 5000, 40_000)
-        draws = np.array([sample(model, rng) for _ in range(100_000)])
+        draws = model.sample(rng, 100_000)
         assert draws.min() >= 5000 and draws.max() <= 40_000
         a = (5000 - 10_200) / 2000
         b = (40_000 - 10_200) / 2000
@@ -76,15 +76,15 @@ class TestSampling:
         rng = rng_stream(4, 0)
         # support far in the tail: rejection cannot realistically succeed
         model = TruncNormal(0.0, 1.0, 1000, 1001)
-        v = sample(model, rng)
-        assert 1000 <= v <= 1001
-        assert model.clamp_events == 1
+        v = model.sample(rng, 3)
+        assert ((v >= 1000) & (v <= 1001)).all()
+        assert model.clamp_events == 3
 
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)
         model = Empirical(((100, 1.0), (200, 2.0), (300, 1.0)))
-        draws = [sample(model, rng) for _ in range(100_000)]
-        observed = [draws.count(v) for v in (100, 200, 300)]
+        draws = model.sample(rng, 100_000)
+        observed = [int((draws == v).sum()) for v in (100, 200, 300)]
         expected = [25_000, 50_000, 25_000]
         chi2 = sps.chisquare(observed, expected)
         assert chi2.pvalue > 1e-4
@@ -101,9 +101,8 @@ class TestSampling:
     def test_no_model_violates_support(self, model):
         rng = rng_stream(6, 0)
         lo, hi = 0, model.upper_bound_us()
-        for _ in range(100_000):
-            v = sample(model, rng)
-            assert lo <= v <= hi
+        v = model.sample(rng, 100_000)
+        assert lo <= v.min() and v.max() <= hi
 
     def test_validation_catches_bad_parameters(self):
         assert Uniform(20, 10).validate()

@@ -1,84 +1,4 @@
-import pytest
-
-from iolw5gsim.kernel import SchedulingInPastError, Simulator, rng_stream
-
-
-def test_event_at_current_time_dispatches_first():
-    sim = Simulator()
-    log = []
-    sim.schedule(0, lambda t: log.append(("a", t)))
-    sim.schedule(5, lambda t: log.append(("b", t)))
-    sim.run_until(10)
-    assert log == [("a", 0), ("b", 5)]
-
-
-def test_fifo_tie_break_at_equal_due():
-    sim = Simulator()
-    log = []
-    sim.schedule(10, lambda t: log.append("A"))
-    sim.schedule(10, lambda t: log.append("B"))
-    sim.run_until(10)
-    assert log == ["A", "B"]
-
-
-def test_scheduling_in_the_past_is_an_error():
-    sim = Simulator()
-    sim.schedule(6, lambda t: None)
-    sim.run_until(6)
-    with pytest.raises(SchedulingInPastError):
-        sim.schedule(5, lambda t: None)
-
-
-def test_run_until_empty_queue_advances_clock():
-    sim = Simulator()
-    assert sim.run_until(1000) == 0
-    assert sim.now == 1000
-
-
-def test_run_until_dispatches_only_due_events():
-    sim = Simulator()
-    log = []
-    for t in (1, 2, 3):
-        sim.schedule(t, lambda t: log.append(t))
-    assert sim.run_until(2) == 2
-    assert log == [1, 2]
-    assert len(sim) == 1
-
-
-def test_actions_may_schedule_followups_within_run():
-    sim = Simulator()
-    log = []
-
-    def first(t):
-        log.append(("first", t))
-        sim.schedule(t + 5, lambda t2: log.append(("second", t2)))
-
-    sim.schedule(1, first)
-    sim.run_until(100)
-    assert log == [("first", 1), ("second", 6)]
-
-
-def test_dispatch_times_are_non_decreasing():
-    sim = Simulator()
-    times = []
-    for t in (30, 10, 20, 10, 40):
-        sim.schedule(t, lambda t: times.append(t))
-    sim.run_until(100)
-    assert times == sorted(times)
-
-
-def test_identical_schedule_gives_identical_trace():
-    def build():
-        sim = Simulator()
-        trace = []
-        rng = rng_stream(seed=99, stream_id=0)
-        for i in range(200):
-            due = int(rng.integers(0, 1000))
-            sim.schedule(due, lambda t, i=i: trace.append((t, i)))
-        sim.run_until(1000)
-        return trace
-
-    assert build() == build()
+from iolw5gsim.kernel import rng_stream
 
 
 def test_rng_stream_reproducible_and_independent():

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from iolw5gsim.config import load_scenario
@@ -12,7 +13,7 @@ from iolw5gsim.scenario import (
     Scenario,
     SegmentSpec,
     SignalSource,
-    _trace_toggle,
+    _trace,
     run,
     sweep,
 )
@@ -106,16 +107,22 @@ class TestRun:
     def test_removing_plc_reduces_every_sample_by_a_task_cycle(self):
         sc = small_scenario()
         plc_cfg = dataclasses.replace(sc.plc, phase_us=1700)
-        rngs_a = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
-        rngs_b = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
         diagnostic = dataclasses.replace(sc, forward=[s for s in sc.forward if s != "plc"])
-        for t in range(0, 1_000_000, 37_003):
-            parts_full, lost_full = _trace_toggle(t, sc, plc_cfg, 1234, rngs_a)
-            parts_diag, lost_diag = _trace_toggle(t, diagnostic, plc_cfg, 1234, rngs_b)
-            assert lost_full is None and lost_diag is None
-            full = sum(d for _, d in parts_full)
-            diag = sum(d for _, d in parts_diag)
-            assert full - diag >= sc.plc.task_cycle_us
+        t0 = np.arange(0, 1_000_000, 37_003, dtype=np.int64)
+        totals = []
+        for scenario in (sc, diagnostic):
+            rngs = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
+            parts, lost_at = _trace(scenario, t0, plc_cfg, 1234, rngs)
+            assert (lost_at < 0).all()
+            totals.append(parts.sum(axis=0))
+        full, diag = totals
+        assert (full - diag >= sc.plc.task_cycle_us).all()
+
+    def test_duration_past_int32_range_is_an_error(self):
+        sc = small_scenario()
+        sc.segments["eth"].model = Constant(2**31 + 5)
+        with pytest.raises(OverflowError):
+            run(sc, seed=1)
 
     def test_loss_increments_segment_counter(self):
         sc = small_scenario()
@@ -132,6 +139,11 @@ class TestSweep:
     def test_single_seed_sweep_equals_run(self):
         sc = small_scenario(sequences=2)
         assert sweep(sc, [7]) == run(sc, 7)
+
+    def test_per_seed_results_come_sorted_by_seed(self):
+        sc = small_scenario(sequences=2)
+        merged = sweep(sc, [3, 1, 2], parallel=2)
+        assert merged.per_seed == (run(sc, 1), run(sc, 2), run(sc, 3))
 
     def test_order_independent(self):
         sc = small_scenario(sequences=2)
