@@ -32,34 +32,20 @@ def default_scenario_path() -> Path:
     return Path(str(resources.files("iolw5gsim").joinpath("data/default.scenario")))
 
 
-def _read_config(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _load(path: str):
-    config_bytes = _read_config(path)
-    scenario = load_scenario(decode_scenario(config_bytes))
-    return scenario, config_bytes
+    """Scenario and raw bytes of a config file; main prints its diagnostics."""
+    config_bytes = Path(path).read_bytes()
+    return load_scenario(decode_scenario(config_bytes)), config_bytes
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        _load(args.config)
-    except ScenarioError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.config}:{d}", file=sys.stderr)
-        return EXIT_INVALID
+    _load(args.config)
     print(f"{args.config}: ok")
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario, config_bytes = _load(args.config)
-    except ScenarioError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.config}:{d}", file=sys.stderr)
-        return EXIT_INVALID
+    scenario, config_bytes = _load(args.config)
     result = run_scenario(scenario, args.seed)
     report = build_report(result, scenario, config_bytes, deterministic=args.deterministic)
     written = write_report(report, result, Path(args.out), fmt=args.format)
@@ -77,12 +63,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("sweep: --seeds must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        scenario, config_bytes = _load(args.config)
-    except ScenarioError as exc:
-        for d in exc.diagnostics:
-            print(f"{args.config}:{d}", file=sys.stderr)
-        return EXIT_INVALID
+    scenario, config_bytes = _load(args.config)
     seeds = [args.seed + i for i in range(args.seeds)]
     merged = sweep(scenario, seeds, args.parallel)
     out_dir = Path(args.out)
@@ -136,6 +117,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        for d in exc.diagnostics:
+            print(f"{args.config}:{d}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as exc:
         print(f"iolw5gsim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,7 +16,8 @@ Sections: [cell], [segment.<id>], [path], [source], [plc], [safety].
 Durations accept `us`, `ms` and `s` suffixes (bare numbers are microseconds)
 and must resolve to whole microseconds. Unknown keys are rejected so typos
 cannot silently fall back to defaults. All problems in a file are reported
-together, each with its line and column.
+together, each with its line and column; a problem with a whole section
+points at its [header], or at 1:1 if the section is missing.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .fiveg import Constant, Empirical, LatencyModel, LinkBudgetMeta, TruncNormal, Uniform
-from .iolw import HopPlanError, IolwCellConfig, IolwTransferModel, generate_hop_plan, validate_cell
+from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
+from .iolw import IolwCellConfig, IolwTransferModel, usable_channels, validate_cell
 from .plc import PlcConfig
-from .scenario import Scenario, SegmentSpec, SignalSource
+from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource
 from .stats import SafetyParams
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
@@ -35,21 +36,6 @@ _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
 _DURATION_RE = re.compile(r"^(?P<num>-?\d+(\.\d+)?)\s*(?P<unit>us|ms|s)?$")
 
 _DURATION_SCALE = {"us": 1, "ms": 1000, "s": 1_000_000, None: 1}
-
-_CELL_KEYS = {
-    "masters", "tracks", "slots_per_track", "devices", "cycle",
-    "subcycles", "subcycle", "channels", "blocklist", "min_hop_distance",
-}
-_SOURCE_KEYS = {"toggle_period", "sequences", "sequence_length", "dither"}
-_PLC_KEYS = {"task_cycle", "query_cycle", "jitter"}
-_SEGMENT_COMMON_KEYS = {"kind", "role"}
-_MODEL_KEYS = {
-    "constant": {"value"},
-    "uniform": {"low", "high"},
-    "truncnorm": {"mean", "stddev", "low", "high"},
-    "empirical": {"bins"},
-}
-_FIVEG_META_KEYS = {"downlink_mbps", "uplink_mbps", "rssi_dbm"}
 
 
 @dataclass(frozen=True)
@@ -77,9 +63,20 @@ class _Raw:
     col: int
 
 
-def _parse_sections(text: str, diags: list[Diagnostic]) -> dict[str, dict[str, _Raw]]:
-    sections: dict[str, dict[str, _Raw]] = {}
-    current: dict[str, _Raw] | None = None
+class _Section(dict):
+    """Keys of one section; line is that of its [header], 1 for a missing one."""
+
+    def __init__(self, line: int = 1):
+        super().__init__()
+        self.line = line
+
+    def at(self, message: str) -> Diagnostic:
+        return Diagnostic(self.line, 1, message)
+
+
+def _parse_sections(text: str, diags: list[Diagnostic]) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -89,7 +86,7 @@ def _parse_sections(text: str, diags: list[Diagnostic]) -> dict[str, dict[str, _
             name = m.group("name")
             if name in sections:
                 diags.append(Diagnostic(lineno, 1, f"duplicate section [{name}]"))
-            current = sections.setdefault(name, {})
+            current = sections.setdefault(name, _Section(lineno))
             continue
         m = _KEY_RE.match(line.strip())
         if not m:
@@ -136,120 +133,133 @@ def _float(raw: _Raw, diags: list[Diagnostic]) -> float | None:
         return None
 
 
-def _check_keys(
-    name: str,
-    raw: dict[str, _Raw],
-    allowed: set[str],
-    diags: list[Diagnostic],
-) -> None:
-    for key, r in raw.items():
-        if key not in allowed:
-            diags.append(
-                Diagnostic(r.line, r.col, f"unknown key {key!r} in section [{name}]")
-            )
+def _constant(raw: _Raw, diags: list[Diagnostic]) -> Constant | None:
+    us = _duration_us(raw, diags)
+    return None if us is None else Constant(us)
 
 
-def _build_cell(raw: dict[str, _Raw], diags: list[Diagnostic]) -> IolwCellConfig:
-    _check_keys("cell", raw, _CELL_KEYS, diags)
-    kw: dict = {}
-    if "masters" in raw:
-        kw["masters"] = _int(raw["masters"], diags)
-    if "tracks" in raw:
-        kw["tracks_per_master"] = _int(raw["tracks"], diags)
-    if "slots_per_track" in raw:
-        kw["slots_per_track"] = _int(raw["slots_per_track"], diags)
-    if "devices" in raw:
-        kw["devices"] = _int(raw["devices"], diags)
-    if "cycle" in raw:
-        kw["cycle_us"] = _duration_us(raw["cycle"], diags)
-    if "subcycles" in raw:
-        kw["subcycles_per_cycle"] = _int(raw["subcycles"], diags)
-    if "subcycle" in raw:
-        kw["subcycle_us"] = _duration_us(raw["subcycle"], diags)
-    if "channels" in raw:
-        kw["channel_count"] = _int(raw["channels"], diags)
-    if "min_hop_distance" in raw:
-        kw["min_hop_distance"] = _int(raw["min_hop_distance"], diags)
-    if "blocklist" in raw and raw["blocklist"].value:
-        try:
-            kw["blocklist"] = frozenset(
-                int(tok) for tok in raw["blocklist"].value.split(",") if tok.strip()
-            )
-        except ValueError:
-            r = raw["blocklist"]
-            diags.append(Diagnostic(r.line, r.col, f"invalid blocklist {r.value!r}"))
-    if any(v is None for v in kw.values()):
-        return IolwCellConfig()
-    return IolwCellConfig(**kw)
-
-
-def _build_model(
-    sid: str, raw: dict[str, _Raw], diags: list[Diagnostic]
-) -> LatencyModel | None:
-    kind_raw = raw.get("model")
-    if kind_raw is None:
-        diags.append(Diagnostic(0, 0, f"segment {sid!r} is missing a latency model"))
+def _blocklist(raw: _Raw, diags: list[Diagnostic]) -> frozenset[int] | None:
+    try:
+        return frozenset(int(tok) for tok in raw.value.split(",") if tok.strip())
+    except ValueError:
+        diags.append(Diagnostic(raw.line, raw.col, f"invalid blocklist {raw.value!r}"))
         return None
-    kind = kind_raw.value
-    if kind not in _MODEL_KEYS:
-        diags.append(
-            Diagnostic(kind_raw.line, kind_raw.col, f"unknown model kind {kind!r}")
-        )
-        return None
-    needed = _MODEL_KEYS[kind]
-    missing = [k for k in sorted(needed) if k not in raw]
-    if missing:
-        diags.append(
-            Diagnostic(
-                kind_raw.line, kind_raw.col,
-                f"segment {sid!r}: model {kind!r} is missing keys {missing}",
-            )
-        )
-        return None
-    if kind == "constant":
-        v = _duration_us(raw["value"], diags)
-        return Constant(v) if v is not None else None
-    if kind == "uniform":
-        lo = _duration_us(raw["low"], diags)
-        hi = _duration_us(raw["high"], diags)
-        return Uniform(lo, hi) if lo is not None and hi is not None else None
-    if kind == "truncnorm":
-        mean = _duration_us(raw["mean"], diags)
-        sd = _duration_us(raw["stddev"], diags)
-        lo = _duration_us(raw["low"], diags)
-        hi = _duration_us(raw["high"], diags)
-        if None in (mean, sd, lo, hi):
-            return None
-        return TruncNormal(float(mean), float(sd), lo, hi)
-    # empirical: "value:weight, value:weight, ..."
-    r = raw["bins"]
+
+
+def _ids(raw: _Raw, diags: list[Diagnostic]) -> list[str]:
+    return [tok.strip() for tok in raw.value.split(",") if tok.strip()]
+
+
+def _bins(raw: _Raw, diags: list[Diagnostic]) -> tuple[tuple[int, float], ...] | None:
+    """Empirical bins: "duration:weight, duration:weight, ..."."""
     bins = []
-    for tok in r.value.split(","):
+    for tok in raw.value.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if ":" not in tok:
-            diags.append(Diagnostic(r.line, r.col, f"invalid empirical bin {tok!r}"))
+            diags.append(Diagnostic(raw.line, raw.col, f"invalid empirical bin {tok!r}"))
             return None
         dur_s, weight_s = tok.split(":", 1)
-        d = _duration_us(_Raw(dur_s.strip(), r.line, r.col), diags)
-        try:
-            w = float(weight_s)
-        except ValueError:
-            diags.append(Diagnostic(r.line, r.col, f"invalid bin weight {weight_s!r}"))
-            return None
-        if d is None:
+        d = _duration_us(_Raw(dur_s.strip(), raw.line, raw.col), diags)
+        w = _float(_Raw(weight_s, raw.line, raw.col), diags)
+        if d is None or w is None:
             return None
         bins.append((d, w))
-    return Empirical(tuple(bins))
+    return tuple(bins)
+
+
+# Each section's vocabulary: key -> (constructor keyword, parser).
+_CELL_FIELDS = {
+    "masters": ("masters", _int),
+    "tracks": ("tracks_per_master", _int),
+    "slots_per_track": ("slots_per_track", _int),
+    "devices": ("devices", _int),
+    "cycle": ("cycle_us", _duration_us),
+    "subcycles": ("subcycles_per_cycle", _int),
+    "subcycle": ("subcycle_us", _duration_us),
+    "channels": ("channel_count", _int),
+    "blocklist": ("blocklist", _blocklist),
+    "min_hop_distance": ("min_hop_distance", _int),
+}
+_SOURCE_FIELDS = {
+    "toggle_period": ("toggle_period_us", _duration_us),
+    "sequences": ("sequences", _int),
+    "sequence_length": ("sequence_length_us", _duration_us),
+    "dither": ("dither_us", _duration_us),
+}
+_PLC_FIELDS = {
+    "task_cycle": ("task_cycle_us", _duration_us),
+    "query_cycle": ("query_cycle_us", _duration_us),
+    "jitter": ("jitter", _constant),
+}
+_SAFETY_FIELDS = {"approach_speed": ("approach_speed_mps", _float)}  # + budget.<name>
+_PATH_FIELDS = {"forward": ("forward", _ids), "return": ("return", _ids)}
+_IOLW_AIR_FIELDS = {
+    "completion_offset": ("completion_offset_us", _duration_us),
+    "error_prob": ("per_subcycle_error_prob", _float),
+    "max_attempts": ("max_attempts", _int),
+}
+# Link models: model kind -> (class, keys in constructor order); every key
+# is a duration except the empirical bins.
+_MODELS = {
+    "constant": (Constant, ("value",)),
+    "uniform": (Uniform, ("low", "high")),
+    "truncnorm": (TruncNormal, ("mean", "stddev", "low", "high")),
+    "empirical": (Empirical, ("bins",)),
+}
+_LINK_KINDS = ("iol-wire", "ethernet", "fiveg")
+_SEGMENT_KEYS = ("kind", "role")
+
+
+def _fields(
+    name: str, raw: dict[str, _Raw], table: dict, diags: list[Diagnostic]
+) -> dict | None:
+    """Constructor kwargs of the keys present in raw; None if one failed to parse."""
+    kw = {}
+    for key, r in raw.items():
+        if key not in table:
+            diags.append(Diagnostic(r.line, r.col, f"unknown key {key!r} in section [{name}]"))
+            continue
+        keyword, parse = table[key]
+        kw[keyword] = parse(r, diags)
+    return None if any(v is None for v in kw.values()) else kw
+
+
+def _build_model(
+    sid: str, raw: _Section, diags: list[Diagnostic]
+) -> LatencyModel | None:
+    kind_raw = raw.get("model")
+    if kind_raw is None:
+        diags.append(raw.at(f"segment {sid!r} is missing a latency model"))
+        return None
+    if kind_raw.value not in _MODELS:
+        diags.append(
+            Diagnostic(kind_raw.line, kind_raw.col, f"unknown model kind {kind_raw.value!r}")
+        )
+        return None
+    cls, keys = _MODELS[kind_raw.value]
+    table = {k: (k, _bins if k == "bins" else _duration_us) for k in keys}
+    body = {k: r for k, r in raw.items() if k not in (*_SEGMENT_KEYS, "model")}
+    kw = _fields(f"segment.{sid}", body, table, diags)
+    missing = [k for k in sorted(keys) if k not in raw]
+    if missing:
+        diags.append(
+            Diagnostic(
+                kind_raw.line, kind_raw.col,
+                f"segment {sid!r}: model {kind_raw.value!r} is missing keys {missing}",
+            )
+        )
+        return None
+    return None if kw is None else cls(*(kw[k] for k in keys))
 
 
 def _build_segment(
-    sid: str, raw: dict[str, _Raw], cell: IolwCellConfig, diags: list[Diagnostic]
+    sid: str, raw: _Section, cell: IolwCellConfig, diags: list[Diagnostic]
 ) -> SegmentSpec | None:
     kind_raw = raw.get("kind")
     if kind_raw is None:
-        diags.append(Diagnostic(0, 0, f"segment {sid!r} has no kind"))
+        diags.append(raw.at(f"segment {sid!r} has no kind"))
         return None
     kind = kind_raw.value
     role = "both"
@@ -259,54 +269,26 @@ def _build_segment(
             r = raw["role"]
             diags.append(Diagnostic(r.line, r.col, f"invalid role {role!r}"))
             role = "both"
-    n = len(diags)
-    if kind in ("iol-wire", "ethernet", "fiveg"):
-        allowed = _SEGMENT_COMMON_KEYS | {"model"} | set().union(*_MODEL_KEYS.values())
-        if kind == "fiveg":
-            allowed |= _FIVEG_META_KEYS
-        _check_keys(f"segment.{sid}", raw, allowed, diags)
+    if kind in _LINK_KINDS:
         model = _build_model(sid, raw, diags)
-        meta = None
-        if kind == "fiveg" and any(k in raw for k in _FIVEG_META_KEYS):
-            meta = LinkBudgetMeta(
-                downlink_mbps=_float(raw["downlink_mbps"], diags) or 0.0
-                if "downlink_mbps" in raw else 0.0,
-                uplink_mbps=_float(raw["uplink_mbps"], diags) or 0.0
-                if "uplink_mbps" in raw else 0.0,
-                rssi_dbm=_float(raw["rssi_dbm"], diags) if "rssi_dbm" in raw else None,
-            )
-        if model is None or len(diags) > n:
+        if model is None:
             return None
         for msg in model.validate():
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(id=sid, kind=kind, model=model, role=role, link_meta=meta)
+        return SegmentSpec(id=sid, kind=kind, model=model, role=role)
+    body = {k: r for k, r in raw.items() if k not in _SEGMENT_KEYS}
     if kind == "iolw-air":
-        _check_keys(
-            f"segment.{sid}", raw,
-            _SEGMENT_COMMON_KEYS | {"completion_offset", "error_prob", "max_attempts"},
-            diags,
-        )
-        offset = (
-            _duration_us(raw["completion_offset"], diags)
-            if "completion_offset" in raw else 0
-        )
-        prob = _float(raw["error_prob"], diags) if "error_prob" in raw else 0.0
-        attempts = (
-            _int(raw["max_attempts"], diags)
-            if "max_attempts" in raw else cell.subcycles_per_cycle
-        )
-        if len(diags) > n or offset is None or prob is None or attempts is None:
+        kw = _fields(f"segment.{sid}", body, _IOLW_AIR_FIELDS, diags)
+        if kw is None:
             return None
         transfer = IolwTransferModel(
-            completion_offset_us=offset,
-            per_subcycle_error_prob=prob,
-            max_attempts=attempts,
+            **{"completion_offset_us": 0, "max_attempts": cell.subcycles_per_cycle, **kw}
         )
         for msg in transfer.validate(cell):
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
         return SegmentSpec(id=sid, kind=kind, transfer=transfer, role=role)
     if kind == "plc":
-        _check_keys(f"segment.{sid}", raw, _SEGMENT_COMMON_KEYS, diags)
+        _fields(f"segment.{sid}", body, {}, diags)
         return SegmentSpec(id=sid, kind=kind, role=role)
     diags.append(
         Diagnostic(kind_raw.line, kind_raw.col, f"unknown segment kind {kind!r}")
@@ -315,18 +297,17 @@ def _build_segment(
 
 
 def _build_paths(
-    raw: dict[str, _Raw],
+    raw: _Section,
     segments: dict[str, SegmentSpec],
     diags: list[Diagnostic],
 ) -> tuple[list[str], list[str]]:
-    _check_keys("path", raw, {"forward", "return"}, diags)
+    paths = _fields("path", raw, _PATH_FIELDS, diags)
 
     def resolve(key: str, direction: str) -> list[str]:
-        r = raw.get(key)
-        if r is None:
-            diags.append(Diagnostic(0, 0, f"[path] is missing {key!r}"))
+        if key not in paths:
+            diags.append(raw.at(f"[path] is missing {key!r}"))
             return []
-        ids = [tok.strip() for tok in r.value.split(",") if tok.strip()]
+        r, ids = raw[key], paths[key]
         for sid in ids:
             seg = segments.get(sid)
             if seg is None:
@@ -359,84 +340,52 @@ def _build_paths(
     return forward, ret
 
 
-def _build_source(raw: dict[str, _Raw], diags: list[Diagnostic]) -> SignalSource:
-    _check_keys("source", raw, _SOURCE_KEYS, diags)
-    kw: dict = {}
-    if "toggle_period" in raw:
-        kw["toggle_period_us"] = _duration_us(raw["toggle_period"], diags)
-    if "sequences" in raw:
-        kw["sequences"] = _int(raw["sequences"], diags)
-    if "sequence_length" in raw:
-        kw["sequence_length_us"] = _duration_us(raw["sequence_length"], diags)
-    if "dither" in raw:
-        kw["dither_us"] = _duration_us(raw["dither"], diags)
-    if any(v is None for v in kw.values()):
-        return SignalSource()
-    return SignalSource(**kw)
-
-
-def _build_plc(raw: dict[str, _Raw], diags: list[Diagnostic]) -> PlcConfig:
-    _check_keys("plc", raw, _PLC_KEYS, diags)
-    kw: dict = {}
-    if "task_cycle" in raw:
-        kw["task_cycle_us"] = _duration_us(raw["task_cycle"], diags)
-    if "query_cycle" in raw:
-        kw["query_cycle_us"] = _duration_us(raw["query_cycle"], diags)
-    if "jitter" in raw:
-        j = _duration_us(raw["jitter"], diags)
-        if j is not None:
-            kw["jitter"] = Constant(j)
-    if any(v is None for v in kw.values()):
-        return PlcConfig()
-    return PlcConfig(**kw)
-
-
-def _build_safety(raw: dict[str, _Raw], diags: list[Diagnostic]) -> SafetyParams:
-    speed = 2.0
+def _build_safety(
+    raw: _Section, components: set[str], diags: list[Diagnostic]
+) -> SafetyParams:
+    budgets = {k: r for k, r in raw.items() if k.startswith("budget.")}
+    rest = {k: r for k, r in raw.items() if k not in budgets}
+    kw = _fields("safety", rest, _SAFETY_FIELDS, diags) or {}
     maxima: list[tuple[str, int]] = []
-    for key, r in raw.items():
-        if key == "approach_speed":
-            v = _float(r, diags)
-            if v is not None:
-                speed = v
-        elif key.startswith("budget."):
-            d = _duration_us(r, diags)
-            if d is not None:
-                maxima.append((key[len("budget."):], d))
-        else:
+    for key, r in budgets.items():
+        name = key[len("budget."):]
+        if name not in components:
             diags.append(
-                Diagnostic(r.line, r.col, f"unknown key {key!r} in section [safety]")
+                Diagnostic(
+                    r.line, r.col,
+                    f"budget {name!r} is neither a segment of the paths nor {POLL_WAIT!r}",
+                )
             )
-    return SafetyParams(approach_speed_mps=speed, segment_maxima=tuple(maxima))
+            continue
+        d = _duration_us(r, diags)
+        if d is not None:
+            maxima.append((name, d))
+    return SafetyParams(**kw, segment_maxima=tuple(maxima))
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; raises ScenarioError with all problems."""
     diags: list[Diagnostic] = []
     sections = _parse_sections(text, diags)
-
-    known_plain = {"cell", "path", "source", "plc", "safety"}
-    for name in sections:
+    known_plain = ("cell", "path", "source", "plc", "safety")
+    for name, raw in sections.items():
         if name not in known_plain and not name.startswith("segment."):
-            diags.append(Diagnostic(0, 0, f"unknown section [{name}]"))
+            diags.append(raw.at(f"unknown section [{name}]"))
+    for name in known_plain:
+        sections.setdefault(name, _Section())
 
-    cell = _build_cell(sections.get("cell", {}), diags)
-    for msg in validate_cell(cell):
-        diags.append(Diagnostic(0, 0, f"[cell]: {msg}"))
-    if not validate_cell(cell):
-        try:
-            # hop-plan feasibility is a configuration property; the plan
-            # itself is regenerated per run
-            generate_hop_plan(
-                length=8,
-                channel_count=cell.channel_count,
-                blocklist=cell.blocklist,
-                min_hop_distance=cell.min_hop_distance,
-                seed=0,
-                track_id=0,
-            )
-        except HopPlanError as exc:
-            diags.append(Diagnostic(0, 0, f"[cell]: {exc}"))
+    kw = _fields("cell", sections["cell"], _CELL_FIELDS, diags)
+    cell = IolwCellConfig() if kw is None else IolwCellConfig(**kw)
+    cell_msgs = validate_cell(cell)
+    # hop-plan feasibility is a configuration property; the plan itself is
+    # generated per track
+    if len(usable_channels(cell.channel_count, cell.blocklist, cell.min_hop_distance)) < 2:
+        cell_msgs.append(
+            f"no valid hop pair among {cell.channel_count} channels with min hop "
+            f"distance {cell.min_hop_distance}"
+        )
+    for msg in cell_msgs:
+        diags.append(sections["cell"].at(f"[cell]: {msg}"))
 
     segments: dict[str, SegmentSpec] = {}
     for name, raw in sections.items():
@@ -444,22 +393,24 @@ def load_scenario(text: str) -> Scenario:
             continue
         sid = name[len("segment."):]
         if not sid:
-            diags.append(Diagnostic(0, 0, "segment section with empty id"))
+            diags.append(raw.at("segment section with empty id"))
             continue
         seg = _build_segment(sid, raw, cell, diags)
         if seg is not None:
             segments[sid] = seg
 
-    forward, ret = _build_paths(sections.get("path", {}), segments, diags)
-    source = _build_source(sections.get("source", {}), diags)
+    forward, ret = _build_paths(sections["path"], segments, diags)
+    kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
+    source = SignalSource() if kw is None else SignalSource(**kw)
     for msg in source.validate():
-        diags.append(Diagnostic(0, 0, f"[source]: {msg}"))
-    plc_cfg = _build_plc(sections.get("plc", {}), diags)
+        diags.append(sections["source"].at(f"[source]: {msg}"))
+    kw = _fields("plc", sections["plc"], _PLC_FIELDS, diags)
+    plc_cfg = PlcConfig() if kw is None else PlcConfig(**kw)
     for msg in plc_cfg.validate():
-        diags.append(Diagnostic(0, 0, f"[plc]: {msg}"))
-    safety = _build_safety(sections.get("safety", {}), diags)
+        diags.append(sections["plc"].at(f"[plc]: {msg}"))
+    safety = _build_safety(sections["safety"], {*forward, *ret, POLL_WAIT}, diags)
     for msg in safety.validate():
-        diags.append(Diagnostic(0, 0, f"[safety]: {msg}"))
+        diags.append(sections["safety"].at(f"[safety]: {msg}"))
 
     if diags:
         raise ScenarioError(diags)

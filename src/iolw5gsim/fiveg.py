@@ -49,23 +49,6 @@ def symbol_duration_scaling(n1: NumerologyConfig, n2: NumerologyConfig) -> float
     return n1.scs_khz / n2.scs_khz
 
 
-@dataclass(frozen=True)
-class LinkBudgetMeta:
-    """Descriptive throughput/RSSI metadata carried into reports, not simulated."""
-
-    downlink_mbps: float = 0.0
-    uplink_mbps: float = 0.0
-    rssi_dbm: float | None = None
-
-    def validate(self) -> list[str]:
-        v = []
-        if self.downlink_mbps < 0:
-            v.append("downlink throughput must be >= 0")
-        if self.uplink_mbps < 0:
-            v.append("uplink throughput must be >= 0")
-        return v
-
-
 @dataclass
 class Constant:
     value_us: Duration

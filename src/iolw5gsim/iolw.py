@@ -198,6 +198,23 @@ class HopPlan:
         return v
 
 
+def usable_channels(
+    channel_count: int, blocklist: frozenset[int] | set[int], min_hop_distance: int
+) -> list[int]:
+    """Channels a hop plan may use; a plan exists iff there are at least two.
+
+    A channel is usable if it is not block-listed and some other allowed
+    channel lies at least min_hop_distance away; restricting a plan to
+    those prevents dead-ends during generation.
+    """
+    allowed = [c for c in range(channel_count) if c not in blocklist]
+    return [
+        c
+        for c in allowed
+        if any(c2 != c and abs(c2 - c) >= min_hop_distance for c2 in allowed)
+    ]
+
+
 def generate_hop_plan(
     length: int,
     channel_count: int,
@@ -213,17 +230,10 @@ def generate_hop_plan(
     (seed, track_id).
     """
     blocklist = frozenset(blocklist)
-    allowed = [c for c in range(channel_count) if c not in blocklist]
-    # A channel is usable only if some other allowed channel is far enough
-    # away; restricting to those prevents dead-ends during generation.
-    usable = [
-        c
-        for c in allowed
-        if any(c2 != c and abs(c2 - c) >= min_hop_distance for c2 in allowed)
-    ]
+    usable = usable_channels(channel_count, blocklist, min_hop_distance)
     if len(usable) < 2:
         raise HopPlanError(
-            f"no valid hop pair among {len(allowed)} allowed channels with "
+            f"no valid hop pair among {channel_count} channels with "
             f"min hop distance {min_hop_distance}"
         )
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_HOP_STREAM_SALT, track_id))

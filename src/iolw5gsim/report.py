@@ -75,6 +75,11 @@ def build_report(
     return report
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
 def write_report(
     report: dict, result: RunResult, out_dir: Path, fmt: str = "json"
 ) -> list[Path]:
@@ -93,24 +98,15 @@ def write_report(
     path = out_dir / "summary.json"
     path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     written.append(path)
-    for name in sorted(result.segment_stats):
-        stats = result.segment_stats[name]
-        if not stats.count:
-            continue
-        path = out_dir / f"hist_{name}.csv"
-        rows = ["time_us,frequency"]
-        rows += [f"{edge},{freq}" for edge, freq in stats.histogram()]
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
+    panels = [(name, result.segment_stats[name]) for name in sorted(result.segment_stats)]
+    panels.append(("end_to_end", result.end_to_end))
+    for name, stats in panels:
+        if stats.count:
+            rows = (f"{edge},{freq}" for edge, freq in stats.histogram())
+            written.append(_write_csv(out_dir / f"hist_{name}.csv", "time_us,frequency", rows))
     if result.end_to_end.count:
-        path = out_dir / "hist_end_to_end.csv"
-        rows = ["time_us,frequency"]
-        rows += [f"{edge},{freq}" for edge, freq in result.end_to_end.histogram()]
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
-        path = out_dir / "cdf_end_to_end.csv"
-        rows = ["time_us,cumulative_fraction"]
-        rows += [f"{edge},{frac:.9f}" for edge, frac in result.end_to_end.cdf()]
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
+        rows = (f"{edge},{frac:.9f}" for edge, frac in result.end_to_end.cdf())
+        written.append(
+            _write_csv(out_dir / "cdf_end_to_end.csv", "time_us,cumulative_fraction", rows)
+        )
     return written

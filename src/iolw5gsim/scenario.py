@@ -21,7 +21,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import plc as plcmod
-from .fiveg import LatencyModel, LinkBudgetMeta
+from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, transfer_latencies
 from .kernel import Duration, rng_stream
 from .plc import PlcConfig
@@ -42,7 +42,6 @@ class SegmentSpec:
     model: LatencyModel | None = None  # iol-wire / ethernet / fiveg
     transfer: IolwTransferModel | None = None  # iolw-air
     role: str = "both"  # forward | return | both
-    link_meta: LinkBudgetMeta | None = None
 
 
 @dataclass

@@ -90,10 +90,41 @@ def test_capacity_violation_surfaced():
 
 
 def test_unknown_key_rejected_with_location():
-    bad = patch(MINIMAL, "toggle_period = 200 ms", "togle_period = 200 ms")
-    diags = diagnostics_of(bad)
-    d = next(d for d in diags if "togle_period" in d.message)
-    assert d.line > 0 and d.col > 0
+    for old, new, key in [
+        ("toggle_period = 200 ms", "togle_period = 200 ms", "togle_period"),
+        # a budget must name a component of the paths
+        ("budget.wire = 2 ms", "budget.wire = 2 ms\nbudget.nr_upp = 2 ms", "nr_upp"),
+        # link throughput and RSSI are not part of the model
+        ("kind = ethernet", "kind = fiveg\ndownlink_mbps = 912", "downlink_mbps"),
+    ]:
+        bad = patch(MINIMAL, old, new)
+        d = next(d for d in diagnostics_of(bad) if key in d.message)
+        line = next(i for i, text in enumerate(bad.splitlines(), 1) if key in text)
+        assert (d.line, d.col) == (line, 1)
+
+
+NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("masters = 1", "masters = 9", id="cell-capacity"),
+        pytest.param(NO_PATH, "", id="missing-path"),
+        pytest.param("return = eth, air, wire\n", "", id="missing-return"),
+        pytest.param("kind = ethernet\n", "", id="segment-without-kind"),
+        pytest.param("model = constant\nvalue = 1200 us\n", "", id="segment-without-model"),
+        pytest.param("[segment.plc]", "[segment.]\n[segment.plc]", id="empty-segment-id"),
+        pytest.param("[safety]", "[bogus]\n[safety]", id="unknown-section"),
+        pytest.param("query_cycle = 10 ms", "jitter = -9 ms", id="negative-plc-jitter"),
+        pytest.param("sequences = 1", "sequences = 0", id="bad-source"),
+        pytest.param("approach_speed = 2.0", "approach_speed = -1", id="bad-safety"),
+        pytest.param("[cell]", "[cell]\nchannels = 10\nmin_hop_distance = 15", id="hop-plan"),
+    ],
+)
+def test_every_diagnostic_has_a_location(old, new):
+    diags = diagnostics_of(patch(MINIMAL, old, new))
+    assert all(d.line >= 1 and d.col >= 1 for d in diags), diags
 
 
 def test_unknown_segment_kind_rejected():
