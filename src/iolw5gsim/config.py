@@ -299,8 +299,11 @@ def _build_segment(
 def _build_paths(
     raw: _Section,
     segments: dict[str, SegmentSpec],
+    declared: set[str],
     diags: list[Diagnostic],
 ) -> tuple[list[str], list[str]]:
+    """Forward and return ids; a declared segment that failed to build has
+    its own diagnostic, so only ids without a [segment.<id>] are unresolved."""
     paths = _fields("path", raw, _PATH_FIELDS, diags)
 
     def resolve(key: str, direction: str) -> list[str]:
@@ -310,9 +313,9 @@ def _build_paths(
         r, ids = raw[key], paths[key]
         for sid in ids:
             seg = segments.get(sid)
-            if seg is None:
+            if sid not in declared:
                 diags.append(Diagnostic(r.line, r.col, f"unresolved segment id {sid!r}"))
-            elif seg.role not in ("both", direction):
+            elif seg is not None and seg.role not in ("both", direction):
                 diags.append(
                     Diagnostic(
                         r.line, r.col,
@@ -388,6 +391,7 @@ def load_scenario(text: str) -> Scenario:
         diags.append(sections["cell"].at(f"[cell]: {msg}"))
 
     segments: dict[str, SegmentSpec] = {}
+    declared = {name[len("segment."):] for name in sections if name.startswith("segment.")}
     for name, raw in sections.items():
         if not name.startswith("segment."):
             continue
@@ -399,7 +403,7 @@ def load_scenario(text: str) -> Scenario:
         if seg is not None:
             segments[sid] = seg
 
-    forward, ret = _build_paths(sections["path"], segments, diags)
+    forward, ret = _build_paths(sections["path"], segments, declared, diags)
     kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
     source = SignalSource() if kw is None else SignalSource(**kw)
     for msg in source.validate():

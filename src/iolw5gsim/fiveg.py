@@ -10,6 +10,7 @@ tables are out of scope.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ SUBCARRIERS_PER_SYMBOL = 12
 # Rejection sampling for the truncated normal gives up after this many
 # redraws and clamps instead, so pathological configs still terminate.
 TRUNCNORM_MAX_REJECTS = 1000
+_CLAMP_LOCK = threading.Lock()
 
 
 class NumerologyError(ValueError):
@@ -130,17 +132,19 @@ class TruncNormal:
         return self.high_us
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = np.empty(n)
-        pending = np.arange(n)
-        for _ in range(TRUNCNORM_MAX_REJECTS):
-            x[pending] = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
-            pending = pending[(x[pending] < self.low_us) | (x[pending] > self.high_us)]
+        x = rng.normal(self.mean_target_us, self.stddev_us, size=n)
+        pending = np.flatnonzero((x < self.low_us) | (x > self.high_us))
+        for _ in range(TRUNCNORM_MAX_REJECTS - 1):
             if not pending.size:
                 break
+            x[pending] = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
+            pending = pending[(x[pending] < self.low_us) | (x[pending] > self.high_us)]
         if pending.size:
-            self.clamp_events += int(pending.size)
             fresh = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
             x[pending] = np.clip(fresh, self.low_us, self.high_us)
+            # the seeds of a parallel sweep sample the same model at once
+            with _CLAMP_LOCK:
+                self.clamp_events += int(pending.size)
         return np.rint(x).astype(np.int64)
 
 

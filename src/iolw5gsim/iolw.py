@@ -163,13 +163,21 @@ def transfer_latencies(
     t_change plus the completion offset; a transfer whose every attempt
     failed is lost, and its latency is that of its last attempt.
     """
+    if np.any(np.less(t_change, 0)):
+        raise ValueError("time must be non-negative")
     fails = rng.random((len(t_change), model.max_attempts)) < model.per_subcycle_error_prob
-    lost = fails.all(axis=1)
-    retries = np.where(lost, model.max_attempts - 1, fails.argmin(axis=1))
-    cycle_index, offset = np.divmod(next_subcycle_start(t_change, cell), cell.cycle_us)
-    k, j = np.divmod(offset // cell.subcycle_us + retries, cell.subcycles_per_cycle)
-    boundary = (cycle_index + k) * cell.cycle_us + j * cell.subcycle_us
-    return boundary - t_change + model.completion_offset_us, lost
+    retries = fails.argmin(axis=1)  # 0 also when every attempt failed
+    lost = (retries == 0) & fails[:, 0]
+    retries[lost] = model.max_attempts - 1
+    # slot s is the s-th sub-cycle boundary from the start of t_change's
+    # cycle (slot subcycles_per_cycle is slot 0 of the next cycle); the first
+    # attempt rides the first slot at or after t_change, each retry the next
+    per_cycle = cell.subcycles_per_cycle
+    s = np.arange(per_cycle + model.max_attempts)
+    slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
+    offset = t_change % cell.cycle_us
+    first = np.minimum(-(-offset // cell.subcycle_us), per_cycle)
+    return slot_start[first + retries] - offset + model.completion_offset_us, lost
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:

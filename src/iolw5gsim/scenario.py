@@ -14,7 +14,7 @@ where the process-image change sits at the W-Master waiting to be queried).
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -33,6 +33,9 @@ POLL_WAIT = "poll_wait"
 
 _PHASE_STREAM = 0
 _SEGMENT_STREAM_BASE = 1
+
+# parts is int32, which halves the duration matrix, the peak memory of a run
+_MAX_DURATION_US = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -166,9 +169,9 @@ def _trace(
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)  # None for the poll wait
         if name == POLL_WAIT:
-            done = plcmod.next_poll(t, plc_cfg)
+            d = plcmod.next_poll(t, plc_cfg) - t
         elif seg.kind == "plc":
-            done = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name])
+            d = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
         elif seg.kind == "iolw-air":
             # shift into the cell's cycle grid; +cycle keeps the argument
             # non-negative for phases larger than t
@@ -176,15 +179,14 @@ def _trace(
                 t - iolw_phase + cell.cycle_us, seg.transfer, cell, rngs[name]
             )
             lost_at[lost & (lost_at < 0)] = i
-            done = t + d
         else:
-            done = t + seg.model.sample(rngs[name], len(t))
-        parts[i] = done - t
-        t = done
-    # int32 halves the matrix, the peak memory of a run; a duration past
-    # 2**31 us (35 min) would wrap and break the exact sum
-    if (parts.sum(axis=0) != t - t0).any():
-        raise OverflowError("a component duration exceeds 2**31 us")
+            d = seg.model.sample(rngs[name], len(t))
+        # durations are non-negative; one past 2**31 us (35 min) would wrap
+        # in int32 and break the exact sum
+        if d.size and d.max() > _MAX_DURATION_US:
+            raise OverflowError(f"a {name!r} duration exceeds 2**31 us")
+        parts[i] = d
+        t = t + d
     return parts, lost_at
 
 
@@ -208,13 +210,16 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     components = tuple(scenario.components())
     seg_stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
     e2e = LatencyStats(scenario.bin_width_us)
+    e2e_us = parts.sum(axis=0)
     delivered = lost_at < 0
+    losses = len(t0) - int(np.count_nonzero(delivered))
+    if losses:
+        parts, e2e_us = parts[:, delivered], e2e_us[delivered]
     lost_per_step = np.bincount(lost_at + 1, minlength=len(components) + 1)[1:]
     for name, durations, lost in zip(components, parts, lost_per_step.tolist()):
-        seg_stats[name].add(durations[delivered])
+        seg_stats[name].add(durations)
         seg_stats[name].add_loss(lost)
-    e2e.add(parts.sum(axis=0)[delivered])
-    losses = len(t0) - int(delivered.sum())
+    e2e.add(e2e_us)
     e2e.add_loss(losses)
     return RunResult(
         seeds=(seed,),
@@ -229,14 +234,20 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
     """Run once per seed and merge; the merge is order-independent.
 
-    The merged result carries the per-seed results, sorted by seed, in
-    its per_seed field.
+    Up to `parallel` seeds run at once, on threads sharing the scenario:
+    the numpy work that dominates a run releases the GIL, and every seed
+    draws from its own streams. The merged result carries the per-seed
+    results, sorted by seed, in its per_seed field.
     """
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     if parallel > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(partial(run, scenario), seeds))
+        # the calling thread runs every parallel-th seed itself: one thread
+        # fewer, and one allocator arena fewer holding a run's arrays
+        with ThreadPoolExecutor(max_workers=parallel - 1) as pool:
+            theirs = [s for i, s in enumerate(seeds) if i % parallel]
+            pending = pool.map(partial(run, scenario), theirs)
+            results = [run(scenario, s) for s in seeds[::parallel]] + list(pending)
     else:
         results = [run(scenario, s) for s in seeds]
     results.sort(key=lambda r: r.seeds)

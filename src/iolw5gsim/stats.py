@@ -35,17 +35,28 @@ class LatencyStats:
 
     def add(self, values_us: np.ndarray) -> None:
         """Record a batch of samples; every field stays a Python int."""
-        values_us = np.asarray(values_us, dtype=np.int64)
+        values_us = np.asarray(values_us).ravel()
+        if values_us.dtype.kind != "i":
+            values_us = values_us.astype(np.int64)
         if not values_us.size:
             return
         lo, hi = int(values_us.min()), int(values_us.max())
         if lo < 0:
             raise ValueError("latency samples must be >= 0")
         self.count += values_us.size
-        self.total_us += int(values_us.sum())
+        self.total_us += int(values_us.sum(dtype=np.int64))
         self.min_us = lo if self.min_us is None else min(self.min_us, lo)
         self.max_us = hi if self.max_us is None else max(self.max_us, hi)
-        idx, counts = np.unique(values_us // self.bin_width_us, return_counts=True)
+        w = self.bin_width_us
+        first = lo // w
+        if hi // w - first < values_us.size:
+            # the occupied bins span no more than the batch: count densely
+            counts = np.bincount(values_us // w - first)
+            idx = np.flatnonzero(counts)
+            counts = counts[idx]
+            idx += first
+        else:  # sparse: memory stays O(batch)
+            idx, counts = np.unique(values_us // w, return_counts=True)
         for i, n in zip(idx.tolist(), counts.tolist()):
             self.bins[i] = self.bins.get(i, 0) + n
 

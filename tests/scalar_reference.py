@@ -3,15 +3,46 @@
 The package computes every model on arrays of toggle times. These are the
 per-toggle loop versions the array code replaced, kept here only as test
 oracles: alignment arithmetic must match them exactly, sampled
-distributions must match them statistically.
+distributions must match them statistically. The earlier, plainer array
+forms of the truncated-normal sampler and of the iolw-air retry arithmetic
+are kept too; the current ones must match them draw for draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from iolw5gsim import iolw
 from iolw5gsim.fiveg import TRUNCNORM_MAX_REJECTS, Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT
+
+
+def truncnorm_sample_gather(model, rng, n):
+    """TruncNormal.sample as a gather loop over the pending indices."""
+    x = np.empty(n)
+    pending = np.arange(n)
+    for _ in range(TRUNCNORM_MAX_REJECTS):
+        x[pending] = rng.normal(model.mean_target_us, model.stddev_us, size=pending.size)
+        pending = pending[(x[pending] < model.low_us) | (x[pending] > model.high_us)]
+        if not pending.size:
+            break
+    if pending.size:
+        model.clamp_events += int(pending.size)
+        fresh = rng.normal(model.mean_target_us, model.stddev_us, size=pending.size)
+        x[pending] = np.clip(fresh, model.low_us, model.high_us)
+    return np.rint(x).astype(np.int64)
+
+
+def transfer_latencies_via_boundary(t_change, model, cell, rng):
+    """transfer_latencies through the array next_subcycle_start, with the
+    loss test as all() over the failure matrix."""
+    fails = rng.random((len(t_change), model.max_attempts)) < model.per_subcycle_error_prob
+    lost = fails.all(axis=1)
+    retries = np.where(lost, model.max_attempts - 1, fails.argmin(axis=1))
+    cycle_index, offset = np.divmod(iolw.next_subcycle_start(t_change, cell), cell.cycle_us)
+    k, j = np.divmod(offset // cell.subcycle_us + retries, cell.subcycles_per_cycle)
+    boundary = (cycle_index + k) * cell.cycle_us + j * cell.subcycle_us
+    return boundary - t_change + model.completion_offset_us, lost
 
 
 def next_subcycle_start(t, config):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iolw5gsim
 from iolw5gsim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -125,3 +130,14 @@ def test_non_utf8_config_exits_2_with_location(argv, tmp_path, monkeypatch, caps
     assert main([argv[0], str(bad), *argv[1:]]) == EXIT_INVALID
     line = good.count("\n") + 1
     assert f"{bad}:{line}:21: invalid UTF-8 byte 0xb5" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # sweeps run on threads, so no command pays for the process pool's imports
+    code = "import sys, iolw5gsim.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(iolw5gsim.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -83,6 +83,16 @@ def test_unresolved_segment_id_reported():
     assert any("ether9" in d.message for d in diags)
 
 
+def test_bad_segment_gives_one_diagnostic():
+    # eth sits on both paths; its bad bin weight must not make it unresolved there
+    bad = patch(MINIMAL, "model = constant\nvalue = 1200 us", "model = empirical\nbins = 1 ms:x")
+    diags = diagnostics_of(bad)
+    lines = enumerate(bad.splitlines(), 1)
+    path_lines = {i for i, text in lines if text.startswith(("forward", "return"))}
+    assert not [d for d in diags if d.line in path_lines]
+    assert len(diags) == 1 and "invalid number" in diags[0].message
+
+
 def test_capacity_violation_surfaced():
     bad = patch(MINIMAL, "tracks = 2", "tracks = 6")
     diags = diagnostics_of(bad)

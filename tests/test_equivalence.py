@@ -111,6 +111,64 @@ def test_retries_ride_the_same_boundaries_as_scalar(cell, attempts, seed):
             assert latency[i] == expected
 
 
+truncnorms = st.one_of(
+    st.builds(
+        lambda mean, sd, low, width: TruncNormal(float(mean), float(sd), low, low + width),
+        st.integers(0, 20_000), st.integers(0, 4000), st.integers(0, 20_000), st.integers(0, 8000),
+    ),
+    # heavy rejection: a support half a stddev wide, one to three stddevs out,
+    # so some elements need hundreds of redraws and a few reach the cap
+    st.builds(
+        lambda mean, sd, z: TruncNormal(
+            float(mean), float(sd), mean + z * sd, mean + z * sd + sd // 2
+        ),
+        st.integers(0, 20_000), st.integers(2, 2000), st.integers(1, 3),
+    ),
+    st.builds(lambda: TruncNormal(0.0, 1.0, 1000, 1001)),  # every element clamps
+)
+
+
+@given(truncnorms, st.integers(0, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_truncnorm_sample_matches_gather_loop(model, n, seed):
+    oracle = dataclasses.replace(model)
+    expected = ref.truncnorm_sample_gather(oracle, rng_stream(seed, 0), n)
+    assert model.sample(rng_stream(seed, 0), n).tolist() == expected.tolist()
+    assert model.clamp_events == oracle.clamp_events
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["no-gap", "gap"])
+@given(
+    st.integers(1, 4), st.integers(1, 700), st.integers(1, 800),
+    st.integers(1, 8), st.sampled_from([0.0, 0.3, 1.0]), periods_in, st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_transfer_latencies_match_boundary_form(
+    gap, subcycles, subcycle, spare, attempts, p, k, seed
+):
+    cell = IolwCellConfig(
+        subcycles_per_cycle=subcycles, subcycle_us=subcycle,
+        cycle_us=subcycles * subcycle + (spare if gap else 0),
+    )
+    model = IolwTransferModel(
+        completion_offset_us=subcycle // 3, per_subcycle_error_prob=p, max_attempts=attempts
+    )
+    t = window(0, cell.cycle_us, k)
+    latency, lost = transfer_latencies(t, model, cell, rng_stream(seed, 0))
+    expected, expected_lost = ref.transfer_latencies_via_boundary(
+        t, model, cell, rng_stream(seed, 0)
+    )
+    assert latency.tolist() == expected.tolist()
+    assert lost.tolist() == expected_lost.tolist()
+
+
+def test_transfer_latencies_reject_negative_times():
+    with pytest.raises(ValueError):
+        transfer_latencies(
+            np.array([5, -1]), IolwTransferModel(0), IolwCellConfig(), rng_stream(1, 0)
+        )
+
+
 @pytest.mark.parametrize(
     "model",
     [

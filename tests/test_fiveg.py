@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from iolw5gsim import fiveg
 from iolw5gsim.fiveg import (
     ALLOWED_SCS_KHZ,
     Constant,
@@ -79,6 +83,27 @@ class TestSampling:
         v = model.sample(rng, 3)
         assert ((v >= 1000) & (v <= 1001)).all()
         assert model.clamp_events == 3
+
+    def test_truncnorm_clamp_count_survives_thread_switches(self, monkeypatch):
+        # the seeds of a parallel sweep share the model; a cap of one redraw
+        # makes every call a clamp, so lost updates would show
+        monkeypatch.setattr(fiveg, "TRUNCNORM_MAX_REJECTS", 1)
+        model = TruncNormal(0.0, 1.0, 1000, 1001)
+        calls = 500
+
+        def draw(seed):
+            rng = rng_stream(seed, 0)
+            for _ in range(calls):
+                model.sample(rng, 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                list(pool.map(draw, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert model.clamp_events == 8 * calls
 
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)

@@ -165,6 +165,21 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         sc = small_scenario(sequences=2)
         assert sweep(sc, [1, 2], parallel=2) == sweep(sc, [1, 2], parallel=1)
+        # the calling thread's share and the pool's, for several pool sizes
+        serial = sweep(sc, [1, 2, 3, 4, 5], parallel=1)
+        for parallel in (2, 3, 8):
+            merged = sweep(sc, [1, 2, 3, 4, 5], parallel=parallel)
+            assert merged == serial and merged.per_seed == serial.per_seed
+
+    def test_parallel_sweep_counts_every_clamp_event(self):
+        counts = []
+        for parallel in (1, 2):
+            sc = small_scenario()
+            sc.segments["eth"].model = TruncNormal(0.0, 1.0, 1000, 1001)
+            sweep(sc, [1, 2], parallel=parallel)
+            counts.append(sc.segments["eth"].model.clamp_events)
+        # 5 toggles a seed cross eth twice, and this far in the tail every draw clamps
+        assert counts == [20, 20]
 
 
 class TestDominance:

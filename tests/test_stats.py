@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,34 @@ class TestAccumulation:
     def test_mean_on_empty_raises(self):
         with pytest.raises(EmptyStatsError):
             LatencyStats().mean_us
+
+    # narrow batches take the dense bincount path, wide ones np.unique
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 3000), max_size=300),
+            st.lists(st.integers(0, 2**31 - 1), max_size=300),
+        ),
+        st.sampled_from([1, 7, 100]),
+        st.sampled_from(["int64", "int32", "0-d"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_add_counts_bins_like_counter(self, values, width, form):
+        s = LatencyStats(bin_width_us=width)
+        if form == "0-d":
+            for v in values:
+                s.add(np.int32(v))
+        else:
+            s.add(np.array(values, dtype=form))
+        assert s.bins == Counter(v // width for v in values)
+        assert s.count == len(values) and s.total_us == sum(values)
+        fields = [s.count, s.total_us, *s.bins, *s.bins.values()]
+        if values:
+            fields += [s.min_us, s.max_us]
+        assert all(type(f) is int for f in fields)
+
+    def test_negative_sample_rejected(self):
+        with pytest.raises(ValueError):
+            LatencyStats().add(np.array([5, -1], dtype=np.int32))
 
 
 class TestMerge:
