@@ -22,6 +22,7 @@ points at its [header], or at 1:1 if the section is missing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -109,6 +110,9 @@ def _duration_us(raw: _Raw, diags: list[Diagnostic]) -> int | None:
         diags.append(Diagnostic(raw.line, raw.col, f"invalid duration {raw.value!r}"))
         return None
     us = float(m.group("num")) * _DURATION_SCALE[m.group("unit")]
+    if not math.isfinite(us):  # hundreds of digits overflow to inf
+        diags.append(Diagnostic(raw.line, raw.col, f"duration {raw.value!r} is out of range"))
+        return None
     if abs(us - round(us)) > 1e-6:
         diags.append(
             Diagnostic(raw.line, raw.col, f"duration {raw.value!r} is not a whole microsecond")
@@ -127,10 +131,14 @@ def _int(raw: _Raw, diags: list[Diagnostic]) -> int | None:
 
 def _float(raw: _Raw, diags: list[Diagnostic]) -> float | None:
     try:
-        return float(raw.value)
+        x = float(raw.value)
     except ValueError:
         diags.append(Diagnostic(raw.line, raw.col, f"invalid number {raw.value!r}"))
         return None
+    if not math.isfinite(x):  # nan, inf, or a literal past the float range
+        diags.append(Diagnostic(raw.line, raw.col, f"number {raw.value!r} is not finite"))
+        return None
+    return x
 
 
 def _constant(raw: _Raw, diags: list[Diagnostic]) -> Constant | None:

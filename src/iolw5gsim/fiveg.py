@@ -25,6 +25,10 @@ SUBCARRIERS_PER_SYMBOL = 12
 TRUNCNORM_MAX_REJECTS = 1000
 _CLAMP_LOCK = threading.Lock()
 
+# Empirical guide tables get about this many cells per bin, as a power of
+# two between 2**10 and 2**16 cells (at most 256 KB of int32).
+_GUIDE_CELLS_PER_BIN = 128
+
 
 class NumerologyError(ValueError):
     """Subcarrier spacing outside the allowed 5G set."""
@@ -150,24 +154,51 @@ class TruncNormal:
 
 @dataclass
 class Empirical:
-    """Histogram distribution: (duration_us, weight) bins."""
+    """Histogram distribution: (duration_us, weight) bins.
+
+    A draw maps a uniform u in [0, 1) to bin searchsorted(cum, u, "right"),
+    capped at the last bin, where cum holds the normalised cumulative
+    weights. The bin is found by indexed search (Chen & Asau, 1974): the
+    guide table splits [0, 1) into G = 2**m equal cells, and cell j holds
+    the one bin that every u in [j/G, (j+1)/G) maps to, or -1 if a cum
+    value lies inside the cell. A draw reads guide[floor(u*G)] and falls
+    back to the binary search only on -1, about K/G of the draws for K
+    bins. This is exact, not an approximation: u*G is exact for a power of
+    two G, the search is monotone in u, and a cell whose two edges give
+    the same bin (searchsorted(cum, j/G, "right") ==
+    searchsorted(cum, (j+1)/G, "left")) gives it for every u inside.
+    """
 
     bins: tuple[tuple[Duration, float], ...]
 
     def __post_init__(self) -> None:
         self._values = np.array([b[0] for b in self.bins], dtype=np.int64)
         weights = np.array([b[1] for b in self.bins], dtype=np.float64)
-        total = weights.sum()
-        self._cum = np.cumsum(weights / total) if total > 0 else weights
+        # a table validate() rejects (non-finite, overflowing or zero sum)
+        # gets an all-zero cum, built without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._total = weights.sum()
+        ok = 0 < self._total < math.inf  # False for nan too
+        self._cum = np.cumsum(weights / self._total) if ok else np.zeros_like(weights)
+        k = len(self._values)
+        g = 1 << min(max((_GUIDE_CELLS_PER_BIN * k - 1).bit_length(), 10), 16)
+        edges = np.arange(g + 1) / g
+        lo = np.searchsorted(self._cum, edges[:-1], side="right")
+        hi = np.searchsorted(self._cum, edges[1:], side="left")
+        self._guide = np.where(lo == hi, np.minimum(lo, k - 1), -1).astype(np.int32)
 
     def validate(self) -> list[str]:
         v = []
         if not self.bins:
             v.append("empirical model needs at least one bin")
-        if any(w < 0 for _, w in self.bins):
+        if not all(math.isfinite(w) for _, w in self.bins):
+            v.append("empirical weights must be finite")
+        elif any(w < 0 for _, w in self.bins):
             v.append("empirical weights must be >= 0")
-        elif self.bins and sum(w for _, w in self.bins) <= 0:
+        elif self.bins and not self._total > 0:
             v.append("empirical weights must have a positive sum")
+        elif self._total == math.inf:
+            v.append("empirical weights must have a finite sum")
         if any(d < 0 for d, _ in self.bins):
             v.append("empirical durations must be >= 0")
         return v
@@ -180,8 +211,13 @@ class Empirical:
         return max(d for d, w in self.bins if w > 0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        i = np.searchsorted(self._cum, rng.random(n), side="right")
-        return self._values[np.minimum(i, len(self._values) - 1)]
+        u = rng.random(n)
+        i = self._guide[(u * len(self._guide)).astype(np.intp)]
+        miss = np.flatnonzero(i < 0)
+        if miss.size:
+            found = np.searchsorted(self._cum, u[miss], side="right")
+            i[miss] = np.minimum(found, len(self._values) - 1)
+        return self._values[i]
 
 
 # Every model's sample(rng, n) returns n int64 delays within its support.

@@ -214,7 +214,9 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     delivered = lost_at < 0
     losses = len(t0) - int(np.count_nonzero(delivered))
     if losses:
-        parts, e2e_us = parts[:, delivered], e2e_us[delivered]
+        # compress keeps the rows contiguous; parts[:, delivered] comes out
+        # column-major, and each stats.add would copy a strided row
+        parts, e2e_us = parts.compress(delivered, axis=1), e2e_us[delivered]
     lost_per_step = np.bincount(lost_at + 1, minlength=len(components) + 1)[1:]
     for name, durations, lost in zip(components, parts, lost_per_step.tolist()):
         seg_stats[name].add(durations)

@@ -4,8 +4,9 @@ The package computes every model on arrays of toggle times. These are the
 per-toggle loop versions the array code replaced, kept here only as test
 oracles: alignment arithmetic must match them exactly, sampled
 distributions must match them statistically. The earlier, plainer array
-forms of the truncated-normal sampler and of the iolw-air retry arithmetic
-are kept too; the current ones must match them draw for draw.
+forms of the truncated-normal and empirical samplers and of the iolw-air
+retry arithmetic are kept too; the current ones must match them draw for
+draw.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ def truncnorm_sample_gather(model, rng, n):
         fresh = rng.normal(model.mean_target_us, model.stddev_us, size=pending.size)
         x[pending] = np.clip(fresh, model.low_us, model.high_us)
     return np.rint(x).astype(np.int64)
+
+
+def empirical_sample_searchsorted(model, u):
+    """Empirical.sample for the uniforms u, as a binary search of each."""
+    weights = np.array([w for _, w in model.bins], dtype=np.float64)
+    values = np.array([d for d, _ in model.bins], dtype=np.int64)
+    cum = np.cumsum(weights / weights.sum())
+    return values[np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)]
 
 
 def transfer_latencies_via_boundary(t_change, model, cell, rng):
@@ -110,10 +119,7 @@ def sample_one(model, rng):
         x = rng.normal(model.mean_target_us, model.stddev_us)
         return int(min(max(x, model.low_us), model.high_us))
     if isinstance(model, Empirical):
-        weights = np.array([w for _, w in model.bins], dtype=np.float64)
-        cum = np.cumsum(weights / weights.sum())
-        i = int(np.searchsorted(cum, rng.random(), side="right"))
-        return model.bins[min(i, len(model.bins) - 1)][0]
+        return int(empirical_sample_searchsorted(model, rng.random()))
     raise TypeError(f"unknown model {model!r}")
 
 

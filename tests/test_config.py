@@ -137,6 +137,41 @@ def test_every_diagnostic_has_a_location(old, new):
     assert all(d.line >= 1 and d.col >= 1 for d in diags), diags
 
 
+EMPIRICAL_ETH = "model = empirical\nbins = 1 ms:1, 2 ms:3"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("approach_speed = 2.0", "approach_speed = nan"),
+        ("approach_speed = 2.0", "approach_speed = inf"),
+        ("approach_speed = 2.0", "approach_speed = -Infinity"),
+        ("approach_speed = 2.0", "approach_speed = 1e999"),
+        ("completion_offset = 667 us", "completion_offset = 667 us\nerror_prob = nan"),
+        ("model = constant\nvalue = 1200 us", EMPIRICAL_ETH.replace("1 ms:1", "1 ms:nan")),
+        ("model = constant\nvalue = 1200 us", EMPIRICAL_ETH.replace("1 ms:1", "1 ms:inf")),
+        ("value = 1200 us", "value = " + "9" * 400 + " us"),
+    ],
+    ids=["speed-nan", "speed-inf", "speed-minus-infinity", "speed-1e999", "error-prob-nan",
+         "bin-weight-nan", "bin-weight-inf", "duration-400-digits"],
+)
+def test_non_finite_number_rejected_at_its_location(old, new, tmp_path, capsys):
+    bad = patch(MINIMAL, old, new)
+    line = bad.splitlines().index(new.splitlines()[-1]) + 1
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col) for d in diags] == [(line, 1)], diags
+    path = tmp_path / "bad.scenario"
+    path.write_text(bad)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert f"{path}:{line}:1:" in capsys.readouterr().err
+
+
+def test_empirical_weight_sum_must_not_overflow():
+    huge = EMPIRICAL_ETH.replace(":1,", ":1e308,").replace(":3", ":1e308")
+    bad = patch(MINIMAL, "model = constant\nvalue = 1200 us", huge)
+    assert any("finite sum" in d.message for d in diagnostics_of(bad))
+
+
 def test_unknown_segment_kind_rejected():
     bad = patch(MINIMAL, "kind = ethernet", "kind = tokenring")
     assert any("tokenring" in d.message for d in diagnostics_of(bad))

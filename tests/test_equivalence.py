@@ -19,7 +19,9 @@ from iolw5gsim.fiveg import Empirical, TruncNormal, Uniform
 from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel, next_subcycle_start, transfer_latencies
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig, align_to_task_cycle, next_poll
+from iolw5gsim import scenario as scenario_module
 from iolw5gsim.scenario import _trace, run
+from iolw5gsim.stats import LatencyStats
 from tests import scalar_reference as ref
 from tests.test_scenario import random_scenario
 
@@ -135,6 +137,72 @@ def test_truncnorm_sample_matches_gather_loop(model, n, seed):
     expected = ref.truncnorm_sample_gather(oracle, rng_stream(seed, 0), n)
     assert model.sample(rng_stream(seed, 0), n).tolist() == expected.tolist()
     assert model.clamp_events == oracle.clamp_events
+
+
+def weight_table(k, seed, kind):
+    """k exponential weights; "zeros" and "tails" set about half of them to
+    0 or 1e-12, keeping the first positive."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(size=k)
+    if kind != "plain":
+        w[1:][rng.random(k - 1) < 0.5] = 0.0 if kind == "zeros" else 1e-12
+    return w.tolist()
+
+
+empirical_weights = st.one_of(
+    st.builds(weight_table, st.integers(1, 2000), st.integers(0, 2**32 - 1),
+              st.sampled_from(["plain", "zeros", "tails"])),
+    st.lists(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0]), min_size=1, max_size=40).filter(any),
+)
+# every cell edge of the finest guide table, 2**16 cells, is also an edge
+# of the coarser ones
+GUIDE_EDGES = np.arange(2**16) / 2**16
+
+
+@given(empirical_weights, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_empirical_sample_matches_searchsorted(weights, seed):
+    model = Empirical(tuple((10 * i + 5, w) for i, w in enumerate(weights)))
+    w = np.array(weights)
+    cum = np.cumsum(w / w.sum())
+    u = np.concatenate([
+        np.random.default_rng(seed).random(5000),
+        cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
+        GUIDE_EDGES, np.nextafter(GUIDE_EDGES, 0),
+    ])
+    u = u[(u >= 0) & (u < 1)]
+    expected = ref.empirical_sample_searchsorted(model, u)
+    assert model.sample(ScriptedRng(u), len(u)).tolist() == expected.tolist()
+
+
+def test_run_drops_lost_toggles_like_boolean_index(monkeypatch):
+    sc = random_scenario(random.Random(7))
+    sc.source = dataclasses.replace(sc.source, sequences=100)
+    sc.segments["air"].transfer.per_subcycle_error_prob = 0.4
+    sc.segments["nr"].model = Empirical(
+        tuple((5000 + 200 * i, 1.0 + (i % 7)) for i in range(120))
+    )
+    traced = []
+
+    def recording_trace(*args):
+        traced.append(_trace(*args))
+        return traced[-1]
+
+    monkeypatch.setattr(scenario_module, "_trace", recording_trace)
+    result = run(sc, seed=3)
+    parts, lost_at = traced[0]
+    delivered = lost_at < 0
+    assert 0 < result.losses < result.toggles
+
+    expected = {name: LatencyStats(sc.bin_width_us) for name in sc.components()}
+    for i, (name, row) in enumerate(zip(sc.components(), parts[:, delivered])):
+        expected[name].add(row)
+        expected[name].add_loss(int(np.count_nonzero(lost_at == i)))
+    e2e = LatencyStats(sc.bin_width_us)
+    e2e.add(parts.sum(axis=0)[delivered])
+    e2e.add_loss(result.losses)
+    assert result.segment_stats == expected
+    assert result.end_to_end == e2e
 
 
 @pytest.mark.parametrize("gap", [False, True], ids=["no-gap", "gap"])

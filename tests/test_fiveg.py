@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,6 +134,29 @@ class TestSampling:
     def test_validation_catches_bad_parameters(self):
         assert Uniform(20, 10).validate()
         assert TruncNormal(0.0, -1.0, 0, 10).validate()
-        assert Empirical(()).validate()
-        assert Empirical(((5, -1.0),)).validate()
-        assert Empirical(((5, 0.0),)).validate()
+
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            ((), "at least one bin"),
+            (((5, -1.0),), ">= 0"),
+            (((5, -1.0), (6, 2.0)), ">= 0"),
+            (((5, 0.0),), "positive sum"),
+            (((5, math.inf), (6, 1.0)), "finite"),
+            (((5, math.nan), (6, 1.0)), "finite"),
+            (((5, -math.inf), (6, math.inf)), "finite"),
+            (((5, 1e308), (6, 1e308)), "finite sum"),
+        ],
+    )
+    def test_rejected_empirical_tables_build_silently(self, bins, message):
+        # config loading builds a model before it validates it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = Empirical(bins)
+        assert any(message in m for m in model.validate())
+
+    @pytest.mark.parametrize("k", [1, 120, 2000, 100_000])
+    def test_empirical_guide_table_stays_small(self, k):
+        model = Empirical(tuple((i, 1.0) for i in range(k)))
+        assert 2**10 <= len(model._guide) <= 2**16
+        assert model._guide.nbytes <= 256 * 1024
