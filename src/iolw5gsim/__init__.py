@@ -22,6 +22,7 @@ from .fiveg import (
 from .iolw import (
     IolwCellConfig,
     IolwTransferModel,
+    draw_retries,
     generate_hop_plan,
     next_subcycle_start,
     residual_error_prob,
@@ -57,6 +58,7 @@ __all__ = [
     "TruncNormal",
     "Uniform",
     "align_to_task_cycle",
+    "draw_retries",
     "generate_hop_plan",
     "load_scenario",
     "load_scenario_file",

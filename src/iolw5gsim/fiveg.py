@@ -112,8 +112,10 @@ class TruncNormal:
 
     def validate(self) -> list[str]:
         v = []
-        if self.stddev_us < 0:
-            v.append("truncnorm stddev must be >= 0")
+        if not math.isfinite(self.mean_target_us):
+            v.append("truncnorm mean must be finite")
+        if not 0 <= self.stddev_us < math.inf:  # False for nan too
+            v.append("truncnorm stddev must be finite and >= 0")
         if self.low_us < 0:
             v.append("truncnorm low must be >= 0")
         if self.low_us > self.high_us:

@@ -1,12 +1,15 @@
 """IO-Link Wireless cell model.
 
 Capacity validation, cycle/sub-cycle timing, frequency-hop plan generation
-with channel block listing, and the per-transfer latency / retransmission
-model, computed on arrays of transfer start times. A W-Master cell runs a
-fixed cycle (default 5 ms) containing three 1.664 ms sub-cycles placed
-contiguously from the cycle start; a process-data change is transmitted with
-the next sub-cycle and retried on subsequent sub-cycle boundaries
-(continuing across the cycle boundary) up to max_attempts times.
+with channel block listing, and the per-transfer retransmission model. A
+W-Master cell runs a fixed cycle (default 5 ms) containing three 1.664 ms
+sub-cycles placed contiguously from the cycle start; a process-data change
+is transmitted with the next sub-cycle and retried on subsequent sub-cycle
+boundaries (continuing across the cycle boundary) up to max_attempts times.
+Whether an attempt fails never depends on time, so the model comes in two
+parts: draw_retries draws the attempts of a batch of transfers in rounds,
+and transfer_latencies turns given retries into latencies for an array of
+transfer start times.
 """
 
 from __future__ import annotations
@@ -149,35 +152,44 @@ class IolwTransferModel:
         return v
 
 
-def transfer_latencies(
-    t_change: np.ndarray,
-    model: IolwTransferModel,
-    cell: IolwCellConfig,
-    rng: np.random.Generator,
+def draw_retries(
+    n: int, model: IolwTransferModel, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Latencies of transfers starting at t_change, and which were lost.
+    """Retries used by n transfers, and which of them were lost.
 
-    Attempt k (1-based) rides the k-th sub-cycle boundary at or after
-    t_change and fails with per_subcycle_error_prob, drawn as one
-    (n, max_attempts) failure matrix. On success the latency is boundary -
-    t_change plus the completion offset; a transfer whose every attempt
-    failed is lost, and its latency is that of its last attempt.
+    Attempts are drawn in rounds: one uniform per transfer, then one more per
+    transfer whose attempts so far all failed (uniform < error prob), for at
+    most max_attempts rounds. A transfer failing them all is lost, with the
+    max_attempts - 1 retries of its last attempt.
     """
+    p = model.per_subcycle_error_prob
+    retries = np.zeros(n, dtype=np.intp)
+    failing = np.flatnonzero(rng.random(n) < p)
+    for _ in range(model.max_attempts - 1):
+        retries[failing] += 1
+        failing = failing[rng.random(failing.size) < p]
+    lost = np.zeros(n, dtype=bool)
+    lost[failing] = True
+    return retries, lost
+
+
+def transfer_latencies(
+    t_change: np.ndarray, retries: np.ndarray, model: IolwTransferModel, cell: IolwCellConfig
+) -> np.ndarray:
+    """Latencies of transfers starting at t_change, each ending on the
+    attempt that follows its given retries."""
     if np.any(np.less(t_change, 0)):
         raise ValueError("time must be non-negative")
-    fails = rng.random((len(t_change), model.max_attempts)) < model.per_subcycle_error_prob
-    retries = fails.argmin(axis=1)  # 0 also when every attempt failed
-    lost = (retries == 0) & fails[:, 0]
-    retries[lost] = model.max_attempts - 1
     # slot s is the s-th sub-cycle boundary from the start of t_change's
     # cycle (slot subcycles_per_cycle is slot 0 of the next cycle); the first
-    # attempt rides the first slot at or after t_change, each retry the next
+    # attempt rides the first slot at or after t_change, each retry the next;
+    # the latency runs to the completion offset past the attempt's slot
     per_cycle = cell.subcycles_per_cycle
     s = np.arange(per_cycle + model.max_attempts)
     slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
     offset = t_change % cell.cycle_us
     first = np.minimum(-(-offset // cell.subcycle_us), per_cycle)
-    return slot_start[first + retries] - offset + model.completion_offset_us, lost
+    return slot_start[first + retries] - offset + model.completion_offset_us
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:

@@ -2,13 +2,17 @@
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
 return path (PLC -> actuator). A boolean signal source toggles periodically.
-Toggles never interact (no queue, no shared medium), so a run is one
-column-wise pass: the int64 array of toggle times advances through the
-chain one component at a time, each component drawing or computing its
-durations for all toggles at once, and the per-segment and end-to-end
-latencies are recorded in batches at the end. The poll wait is inserted
-immediately before the first network segment of the forward path (the point
-where the process-image change sits at the W-Master waiting to be queried).
+Toggles never interact (no queue, no shared medium), so a run works
+column-wise, in two passes. Whether an IO-Link Wireless hop loses a toggle
+depends only on that hop's own draws, never on time, so the losses come
+first: each iolw-air traversal draws its retries, which fixes the toggles
+that are delivered. Then one streaming pass advances the int64 array of
+toggle times through the chain a component at a time; each component draws
+or computes the durations of all toggles at once and records those of the
+delivered toggles in its statistics straight away, so a run holds O(toggles)
+memory whatever the path length. The poll wait is inserted immediately
+before the first network segment of the forward path (the point where the
+process-image change sits at the W-Master waiting to be queried).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import plc as plcmod
 from .fiveg import LatencyModel
-from .iolw import IolwCellConfig, IolwTransferModel, transfer_latencies
+from .iolw import IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies
 from .kernel import Duration, rng_stream
 from .plc import PlcConfig
 from .stats import LatencyStats, SafetyParams
@@ -33,9 +37,6 @@ POLL_WAIT = "poll_wait"
 
 _PHASE_STREAM = 0
 _SEGMENT_STREAM_BASE = 1
-
-# parts is int32, which halves the duration matrix, the peak memory of a run
-_MAX_DURATION_US = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -140,58 +141,10 @@ class RunResult:
         return total
 
 
-def _segment_rngs(scenario: Scenario, seed: int) -> dict[str, np.random.Generator]:
-    ids = sorted(scenario.segments)
-    return {
-        sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i) for i, sid in enumerate(ids)
-    }
-
-
-def _trace(
-    scenario: Scenario,
-    t0: np.ndarray,
-    plc_cfg: PlcConfig,
-    iolw_phase: int,
-    rngs: dict[str, np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push every toggle through every component, one column-wise step each.
-
-    Returns (parts, lost_at): parts[i] holds component i's durations, and
-    the columns of parts sum exactly to the end-to-end latencies; lost_at
-    is the index of the component where a toggle was lost, or -1. A lost
-    toggle keeps moving so the arrays stay aligned, but only its loss counts.
-    """
-    cell = scenario.cell
-    components = scenario.components()
-    parts = np.empty((len(components), len(t0)), dtype=np.int32)
-    lost_at = np.full(len(t0), -1, dtype=np.int64)
-    t = t0
-    for i, name in enumerate(components):
-        seg = scenario.segments.get(name)  # None for the poll wait
-        if name == POLL_WAIT:
-            d = plcmod.next_poll(t, plc_cfg) - t
-        elif seg.kind == "plc":
-            d = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
-        elif seg.kind == "iolw-air":
-            # shift into the cell's cycle grid; +cycle keeps the argument
-            # non-negative for phases larger than t
-            d, lost = transfer_latencies(
-                t - iolw_phase + cell.cycle_us, seg.transfer, cell, rngs[name]
-            )
-            lost_at[lost & (lost_at < 0)] = i
-        else:
-            d = seg.model.sample(rngs[name], len(t))
-        # durations are non-negative; one past 2**31 us (35 min) would wrap
-        # in int32 and break the exact sum
-        if d.size and d.max() > _MAX_DURATION_US:
-            raise OverflowError(f"a {name!r} duration exceeds 2**31 us")
-        parts[i] = d
-        t = t + d
-    return parts, lost_at
-
-
-def run(scenario: Scenario, seed: int) -> RunResult:
-    """Trace every toggle of every source sequence; fully deterministic."""
+def _start(
+    scenario: Scenario, seed: int
+) -> tuple[np.ndarray, PlcConfig, int, dict[str, np.random.Generator]]:
+    """A seed's toggle times, PLC grid, iolw phase and segment streams."""
     phase_rng = rng_stream(seed, _PHASE_STREAM)
     if scenario.randomize_phases:
         iolw_phase = int(phase_rng.integers(0, scenario.cell.cycle_us))
@@ -205,36 +158,63 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     dither = scenario.source.dither_us
     if scenario.randomize_phases and dither > 0:
         t0 = t0 + phase_rng.integers(0, dither, size=len(t0))
-    parts, lost_at = _trace(scenario, t0, plc_cfg, iolw_phase, _segment_rngs(scenario, seed))
+    ids = sorted(scenario.segments)
+    rngs = {sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i) for i, sid in enumerate(ids)}
+    return t0, plc_cfg, iolw_phase, rngs
 
+
+def run(scenario: Scenario, seed: int) -> RunResult:
+    """Trace every toggle of every source sequence; fully deterministic."""
+    t0, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
+    cell = scenario.cell
     components = tuple(scenario.components())
     seg_stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
-    e2e = LatencyStats(scenario.bin_width_us)
-    e2e_us = parts.sum(axis=0)
-    delivered = lost_at < 0
+
+    # losses first: each iolw-air traversal, keyed by its index since a
+    # segment may be crossed twice from one stream, draws its retries in path
+    # order; a toggle counts as lost on the first hop that loses it
+    retries = {}
+    delivered = np.ones(len(t0), dtype=bool)
+    for i, name in enumerate(components):
+        seg = scenario.segments.get(name)  # None for the poll wait
+        if seg is not None and seg.kind == "iolw-air":
+            retries[i], lost = draw_retries(len(t0), seg.transfer, rngs[name])
+            lost &= delivered
+            seg_stats[name].add_loss(int(np.count_nonzero(lost)))
+            delivered ^= lost
     losses = len(t0) - int(np.count_nonzero(delivered))
-    if losses:
-        # compress keeps the rows contiguous; parts[:, delivered] comes out
-        # column-major, and each stats.add would copy a strided row
-        parts, e2e_us = parts.compress(delivered, axis=1), e2e_us[delivered]
-    lost_per_step = np.bincount(lost_at + 1, minlength=len(components) + 1)[1:]
-    for name, durations, lost in zip(components, parts, lost_per_step.tolist()):
-        seg_stats[name].add(durations)
-        seg_stats[name].add_loss(lost)
-    e2e.add(e2e_us)
+    keep = delivered if losses else slice(None)
+
+    # then stream: a lost toggle keeps moving so the arrays stay aligned,
+    # but only delivered toggles are recorded
+    t = t0
+    for i, name in enumerate(components):
+        seg = scenario.segments.get(name)
+        if name == POLL_WAIT:
+            d = plcmod.next_poll(t, plc_cfg) - t
+        elif seg.kind == "plc":
+            d = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
+        elif seg.kind == "iolw-air":
+            # shift into the cell's cycle grid; +cycle keeps the argument
+            # non-negative for phases larger than t
+            d = transfer_latencies(
+                t - iolw_phase + cell.cycle_us, retries[i], seg.transfer, cell
+            )
+        else:
+            d = seg.model.sample(rngs[name], len(t))
+        seg_stats[name].add(d[keep])
+        t = t + d
+    e2e = LatencyStats(scenario.bin_width_us)
+    e2e.add((t - t0)[keep])
     e2e.add_loss(losses)
     return RunResult(
-        seeds=(seed,),
-        toggles=len(t0),
-        losses=losses,
-        segment_stats=seg_stats,
-        end_to_end=e2e,
-        components=components,
+        seeds=(seed,), toggles=len(t0), losses=losses,
+        segment_stats=seg_stats, end_to_end=e2e, components=components,
     )
 
 
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
-    """Run once per seed and merge; the merge is order-independent.
+    """Run once per distinct seed and merge; the merge is order-independent.
 
     Up to `parallel` seeds run at once, on threads sharing the scenario:
     the numpy work that dominates a run releases the GIL, and every seed
@@ -243,6 +223,8 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
     """
     if not seeds:
         raise ValueError("sweep needs at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError("sweep seeds must be distinct")
     if parallel > 1 and len(seeds) > 1:
         # the calling thread runs every parallel-th seed itself: one thread
         # fewer, and one allocator arena fewer holding a run's arrays

@@ -127,8 +127,8 @@ class SafetyParams:
 
     def validate(self) -> list[str]:
         v = []
-        if self.approach_speed_mps <= 0:
-            v.append("approach_speed must be > 0")
+        if not 0 < self.approach_speed_mps < math.inf:  # False for nan too
+            v.append("approach_speed must be finite and > 0")
         if any(m < 0 for _, m in self.segment_maxima):
             v.append("segment maxima must be >= 0")
         return v
@@ -149,8 +149,8 @@ class SafetyDistance:
 
 def safety_distance(sfrt_us: Duration, speed_mps: float) -> SafetyDistance:
     """Minimum separation from moving machinery at the given approach speed."""
-    if speed_mps <= 0:
-        raise ValueError("approach speed must be > 0")
+    if not 0 < speed_mps < math.inf:
+        raise ValueError("approach speed must be finite and > 0")
     if sfrt_us < 0:
         raise ValueError("response time must be >= 0")
     exact = speed_mps * sfrt_us / 1_000_000.0

@@ -6,16 +6,20 @@ oracles: alignment arithmetic must match them exactly, sampled
 distributions must match them statistically. The earlier, plainer array
 forms of the truncated-normal and empirical samplers and of the iolw-air
 retry arithmetic are kept too; the current ones must match them draw for
-draw.
+draw. So are the first array form of a run, which held every component's
+durations in one (components x toggles) matrix and which run() must match
+exactly, and the (transfers x attempts) failure-matrix draw of the iolw-air
+retries, which draw_retries must match in distribution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from iolw5gsim import iolw
+from iolw5gsim import iolw, plc
 from iolw5gsim.fiveg import TRUNCNORM_MAX_REJECTS, Constant, Empirical, TruncNormal, Uniform
-from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT
+from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
+from iolw5gsim.stats import LatencyStats
 
 
 def truncnorm_sample_gather(model, rng, n):
@@ -42,16 +46,20 @@ def empirical_sample_searchsorted(model, u):
     return values[np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)]
 
 
-def transfer_latencies_via_boundary(t_change, model, cell, rng):
-    """transfer_latencies through the array next_subcycle_start, with the
-    loss test as all() over the failure matrix."""
-    fails = rng.random((len(t_change), model.max_attempts)) < model.per_subcycle_error_prob
+def draw_retries_matrix(n, model, rng):
+    """draw_retries as one (n, max_attempts) failure matrix: a transfer's
+    retries are the index of its first successful attempt."""
+    fails = rng.random((n, model.max_attempts)) < model.per_subcycle_error_prob
     lost = fails.all(axis=1)
-    retries = np.where(lost, model.max_attempts - 1, fails.argmin(axis=1))
+    return np.where(lost, model.max_attempts - 1, fails.argmin(axis=1)), lost
+
+
+def transfer_latencies_via_boundary(t_change, retries, model, cell):
+    """transfer_latencies through the array next_subcycle_start."""
     cycle_index, offset = np.divmod(iolw.next_subcycle_start(t_change, cell), cell.cycle_us)
     k, j = np.divmod(offset // cell.subcycle_us + retries, cell.subcycles_per_cycle)
     boundary = (cycle_index + k) * cell.cycle_us + j * cell.subcycle_us
-    return boundary - t_change + model.completion_offset_us, lost
+    return boundary - t_change + model.completion_offset_us
 
 
 def next_subcycle_start(t, config):
@@ -154,3 +162,51 @@ def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
             parts.append((sid, d))
             t += d
     return parts, None
+
+
+def trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs):
+    """Push every toggle through every component, one column-wise step each.
+
+    Returns (parts, lost_at): parts[i] holds component i's durations, and
+    the columns of parts sum exactly to the end-to-end latencies; lost_at
+    is the index of the component where a toggle was lost, or -1. A lost
+    toggle keeps moving so the arrays stay aligned.
+    """
+    cell = scenario.cell
+    components = scenario.components()
+    parts = np.empty((len(components), len(t0)), dtype=np.int64)
+    lost_at = np.full(len(t0), -1, dtype=np.int64)
+    t = t0
+    for i, name in enumerate(components):
+        seg = scenario.segments.get(name)
+        if name == POLL_WAIT:
+            d = plc.next_poll(t, plc_cfg) - t
+        elif seg.kind == "plc":
+            d = plc.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
+        elif seg.kind == "iolw-air":
+            retries, lost = iolw.draw_retries(len(t), seg.transfer, rngs[name])
+            d = iolw.transfer_latencies(t - iolw_phase + cell.cycle_us, retries, seg.transfer, cell)
+            lost_at[lost & (lost_at < 0)] = i
+        else:
+            d = seg.model.sample(rngs[name], len(t))
+        parts[i] = d
+        t = t + d
+    return parts, lost_at
+
+
+def run_via_matrix(scenario, seed):
+    """run() through trace_matrix: the lost toggles are dropped from the
+    whole matrix by one boolean index at the end."""
+    t0, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
+    parts, lost_at = trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs)
+    delivered = lost_at < 0
+    components = tuple(scenario.components())
+    stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
+    for i, (name, row) in enumerate(zip(components, parts[:, delivered])):
+        stats[name].add(row)
+        stats[name].add_loss(int(np.count_nonzero(lost_at == i)))
+    e2e = LatencyStats(scenario.bin_width_us)
+    e2e.add(parts.sum(axis=0)[delivered])
+    losses = len(t0) - int(np.count_nonzero(delivered))
+    e2e.add_loss(losses)
+    return RunResult((seed,), len(t0), losses, stats, e2e, components)

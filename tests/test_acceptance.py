@@ -16,6 +16,7 @@ from iolw5gsim.fiveg import NumerologyConfig, symbol_bandwidth_khz
 from iolw5gsim.iolw import (
     IolwCellConfig,
     IolwTransferModel,
+    draw_retries,
     residual_error_prob,
     transfer_latencies,
     validate_cell,
@@ -48,7 +49,8 @@ def test_02_iolw_calibration(default_scenario):
         max_attempts=shipped.max_attempts,
     )
     arrivals = rng_stream(202, 0).integers(0, cell.cycle_us, size=100_000)
-    latency, _ = transfer_latencies(arrivals, model, cell, rng_stream(202, 1))
+    retries, _ = draw_retries(len(arrivals), model, rng_stream(202, 1))
+    latency = transfer_latencies(arrivals, retries, model, cell)
     mean = latency.mean()
     assert abs(mean - 1500.0) <= 50.0
     verdict(2, f"mean wireless transfer latency {mean:.1f} us within 1500 +/- 50 us")

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from iolw5gsim.fiveg import Empirical, TruncNormal, Uniform
-from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel, next_subcycle_start, transfer_latencies
+from iolw5gsim.iolw import (
+    IolwCellConfig, IolwTransferModel, draw_retries, next_subcycle_start, transfer_latencies,
+)
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig, align_to_task_cycle, next_poll
-from iolw5gsim import scenario as scenario_module
-from iolw5gsim.scenario import _trace, run
-from iolw5gsim.stats import LatencyStats
+from iolw5gsim.scenario import run
 from tests import scalar_reference as ref
 from tests.test_scenario import random_scenario
 
@@ -105,10 +105,11 @@ def test_retries_ride_the_same_boundaries_as_scalar(cell, attempts, seed):
         per_subcycle_error_prob=0.5,
         max_attempts=attempts,
     )
-    latency, lost = transfer_latencies(t, model, cell, ScriptedRng(draws))
+    # a transfer failing every attempt is lost, with the latency of its last
+    latency = transfer_latencies(t, np.minimum(failures, attempts - 1), model, cell)
     for i, x in enumerate(t.tolist()):
         expected = ref.transfer_latency(x, model, cell, ScriptedRng(draws[i]))
-        assert lost[i] == (expected is None)
+        assert (failures[i] == attempts) == (expected is None)
         if expected is not None:
             assert latency[i] == expected
 
@@ -175,34 +176,22 @@ def test_empirical_sample_matches_searchsorted(weights, seed):
     assert model.sample(ScriptedRng(u), len(u)).tolist() == expected.tolist()
 
 
-def test_run_drops_lost_toggles_like_boolean_index(monkeypatch):
-    sc = random_scenario(random.Random(7))
-    sc.source = dataclasses.replace(sc.source, sequences=100)
-    sc.segments["air"].transfer.per_subcycle_error_prob = 0.4
-    sc.segments["nr"].model = Empirical(
-        tuple((5000 + 200 * i, 1.0 + (i % 7)) for i in range(120))
-    )
-    traced = []
-
-    def recording_trace(*args):
-        traced.append(_trace(*args))
-        return traced[-1]
-
-    monkeypatch.setattr(scenario_module, "_trace", recording_trace)
-    result = run(sc, seed=3)
-    parts, lost_at = traced[0]
-    delivered = lost_at < 0
-    assert 0 < result.losses < result.toggles
-
-    expected = {name: LatencyStats(sc.bin_width_us) for name in sc.components()}
-    for i, (name, row) in enumerate(zip(sc.components(), parts[:, delivered])):
-        expected[name].add(row)
-        expected[name].add_loss(int(np.count_nonzero(lost_at == i)))
-    e2e = LatencyStats(sc.bin_width_us)
-    e2e.add(parts.sum(axis=0)[delivered])
-    e2e.add_loss(result.losses)
-    assert result.segment_stats == expected
-    assert result.end_to_end == e2e
+def test_run_drops_lost_toggles_like_boolean_index():
+    # random scenarios cross "air" twice from one stream; p = 1 loses every
+    # toggle on the forward crossing, and 0.4 some on each
+    rnd = random.Random(7)
+    for i in range(6):
+        sc = random_scenario(rnd)
+        sc.source = dataclasses.replace(sc.source, sequences=100)
+        sc.segments["air"].transfer.per_subcycle_error_prob = (0.0, 0.4, 1.0)[i % 3]
+        if i % 2:
+            sc.segments["nr"].model = Empirical(
+                tuple((5000 + 200 * j, 1.0 + (j % 7)) for j in range(120))
+            )
+        result = run(sc, seed=i)
+        if i % 3 == 1:
+            assert 0 < result.segment_stats["air"].losses < result.toggles
+        assert result == ref.run_via_matrix(sc, seed=i)
 
 
 @pytest.mark.parametrize("gap", [False, True], ids=["no-gap", "gap"])
@@ -222,19 +211,47 @@ def test_transfer_latencies_match_boundary_form(
         completion_offset_us=subcycle // 3, per_subcycle_error_prob=p, max_attempts=attempts
     )
     t = window(0, cell.cycle_us, k)
-    latency, lost = transfer_latencies(t, model, cell, rng_stream(seed, 0))
-    expected, expected_lost = ref.transfer_latencies_via_boundary(
-        t, model, cell, rng_stream(seed, 0)
-    )
-    assert latency.tolist() == expected.tolist()
-    assert lost.tolist() == expected_lost.tolist()
+    retries, _ = draw_retries(len(t), model, rng_stream(seed, 0))
+    expected = ref.transfer_latencies_via_boundary(t, retries, model, cell)
+    assert transfer_latencies(t, retries, model, cell).tolist() == expected.tolist()
 
 
 def test_transfer_latencies_reject_negative_times():
     with pytest.raises(ValueError):
         transfer_latencies(
-            np.array([5, -1]), IolwTransferModel(0), IolwCellConfig(), rng_stream(1, 0)
+            np.array([5, -1]), np.zeros(2, dtype=int), IolwTransferModel(0), IolwCellConfig()
         )
+
+
+def retry_outcomes(retries, lost, k):
+    """Counts of transfers delivered after 0..k-1 retries, then of lost ones."""
+    return np.bincount(np.where(lost, k, retries), minlength=k + 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+@pytest.mark.parametrize("p", [0.001, 0.3, 0.5])
+def test_retry_rounds_match_failure_matrix_distribution(p, k):
+    n = 200_000
+    model = IolwTransferModel(0, per_subcycle_error_prob=p, max_attempts=k)
+    table = np.array([
+        retry_outcomes(*draw_retries(n, model, rng_stream(k, 0)), k),
+        retry_outcomes(*ref.draw_retries_matrix(n, model, rng_stream(k, 1)), k),
+    ])
+    # pool the sparse tail into its neighbour until each outcome is seen 20 times
+    while table.shape[1] > 1 and table[:, -1].sum() < 20:
+        table = np.column_stack([table[:, :-2], table[:, -2] + table[:, -1]])
+    if table.shape[1] > 1:
+        assert sps.chi2_contingency(table).pvalue > KS_MIN_PVALUE
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_retry_rounds_match_failure_matrix_at_certain_outcomes(p, k):
+    model = IolwTransferModel(0, per_subcycle_error_prob=p, max_attempts=k)
+    retries, lost = draw_retries(1000, model, rng_stream(1, 0))
+    expected_retries, expected_lost = ref.draw_retries_matrix(1000, model, rng_stream(2, 0))
+    assert retries.tolist() == expected_retries.tolist()
+    assert lost.tolist() == expected_lost.tolist()
 
 
 @pytest.mark.parametrize(
@@ -269,7 +286,7 @@ def traced_samples(scenario, seed):
     t0 = t0 + rng_stream(seed, 0).integers(0, scenario.source.dither_us, size=len(t0))
     ids = sorted(scenario.segments)
 
-    parts, lost_at = _trace(
+    parts, lost_at = ref.trace_matrix(
         scenario, t0, plc_cfg, iolw_phase,
         {sid: rng_stream(seed, 1 + i) for i, sid in enumerate(ids)},
     )

@@ -135,6 +135,11 @@ class TestSampling:
         assert Uniform(20, 10).validate()
         assert TruncNormal(0.0, -1.0, 0, 10).validate()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_truncnorm_rejects_non_finite_parameters(self, bad):
+        assert any("mean must be finite" in m for m in TruncNormal(bad, 1.0, 0, 10).validate())
+        assert any("stddev must be finite" in m for m in TruncNormal(5.0, bad, 0, 10).validate())
+
     @pytest.mark.parametrize(
         "bins, message",
         [

@@ -5,6 +5,7 @@ from iolw5gsim.iolw import (
     HopPlanError,
     IolwCellConfig,
     IolwTransferModel,
+    draw_retries,
     generate_hop_plan,
     next_subcycle_start,
     residual_error_prob,
@@ -78,10 +79,16 @@ class TestNextSubcycleStart:
                 assert wait < CELL.subcycle_us
 
 
+def draw_latencies(t, model, rng):
+    """Latencies and losses of transfers starting at t."""
+    retries, lost = draw_retries(len(t), model, rng)
+    return transfer_latencies(t, retries, model, CELL), lost
+
+
 class TestTransferLatency:
     def test_on_boundary_no_errors_gives_completion_offset(self):
         model = IolwTransferModel(completion_offset_us=667)
-        latency, lost = transfer_latencies(np.array([0, 1664]), model, CELL, rng_stream(1, 0))
+        latency, lost = draw_latencies(np.array([0, 1664]), model, rng_stream(1, 0))
         assert latency.tolist() == [667, 667]
         assert not lost.any()
 
@@ -89,7 +96,7 @@ class TestTransferLatency:
         model = IolwTransferModel(
             completion_offset_us=0, per_subcycle_error_prob=1.0, max_attempts=3
         )
-        _, lost = transfer_latencies(np.arange(0, 5000, 97), model, CELL, rng_stream(1, 0))
+        _, lost = draw_latencies(np.arange(0, 5000, 97), model, rng_stream(1, 0))
         assert lost.all()
 
     def test_retransmission_rides_following_boundaries(self):
@@ -99,7 +106,7 @@ class TestTransferLatency:
             completion_offset_us=0, per_subcycle_error_prob=0.9, max_attempts=3
         )
         t = np.arange(0, 10_000, 211)
-        latency, lost = transfer_latencies(t, model, CELL, rng_stream(5, 0))
+        latency, lost = draw_latencies(t, model, rng_stream(5, 0))
         boundaries = boundary_set(CELL, 40_000)
         assert set((t + latency)[~lost].tolist()) <= set(boundaries)
         assert (latency[~lost] >= next_subcycle_start(t, CELL)[~lost] - t[~lost]).all()
@@ -107,14 +114,14 @@ class TestTransferLatency:
     def test_deterministic_in_arrival_phase_without_errors(self):
         model = IolwTransferModel(completion_offset_us=667)
         t = np.arange(0, 5000, 13)
-        a, _ = transfer_latencies(t, model, CELL, rng_stream(1, 0))
-        b, _ = transfer_latencies(t + 3 * CELL.cycle_us, model, CELL, rng_stream(2, 0))
+        a, _ = draw_latencies(t, model, rng_stream(1, 0))
+        b, _ = draw_latencies(t + 3 * CELL.cycle_us, model, rng_stream(2, 0))
         assert (a == b).all()
 
     def test_mean_over_uniform_arrivals_matches_enumeration_oracle(self):
         model = IolwTransferModel(completion_offset_us=667)
         draws = rng_stream(3, 0).integers(0, CELL.cycle_us, size=100_000)
-        latency, _ = transfer_latencies(draws, model, CELL, rng_stream(3, 1))
+        latency, _ = draw_latencies(draws, model, rng_stream(3, 1))
         expected = mean_boundary_wait_us(CELL) + 667
         assert latency.mean() == pytest.approx(expected, rel=0.01)
 

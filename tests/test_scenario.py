@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from iolw5gsim.scenario import (
     Scenario,
     SegmentSpec,
     SignalSource,
-    _trace,
     run,
     sweep,
 )
 from iolw5gsim.stats import SafetyParams
+from tests.scalar_reference import trace_matrix
 from tests.test_config import MINIMAL
 
 
@@ -112,17 +113,42 @@ class TestRun:
         totals = []
         for scenario in (sc, diagnostic):
             rngs = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
-            parts, lost_at = _trace(scenario, t0, plc_cfg, 1234, rngs)
+            parts, lost_at = trace_matrix(scenario, t0, plc_cfg, 1234, rngs)
             assert (lost_at < 0).all()
             totals.append(parts.sum(axis=0))
         full, diag = totals
         assert (full - diag >= sc.plc.task_cycle_us).all()
 
-    def test_duration_past_int32_range_is_an_error(self):
+    def test_duration_past_int32_range_is_recorded_exactly(self):
         sc = small_scenario()
-        sc.segments["eth"].model = Constant(2**31 + 5)
-        with pytest.raises(OverflowError):
-            run(sc, seed=1)
+        big = 2**31 + 5
+        sc.segments["eth"].model = Constant(big)
+        result = run(sc, seed=1)
+        eth = result.segment_stats["eth"]
+        assert eth.min_us == eth.max_us == big
+        assert eth.total_us == eth.count * big
+        component_total = sum(s.total_us for s in result.segment_stats.values())
+        assert result.end_to_end.total_us == component_total
+
+    def test_peak_memory_does_not_grow_with_the_path(self, default_scenario):
+        longer = dataclasses.replace(
+            default_scenario,
+            forward=default_scenario.forward[:-1]
+            + 3 * ["eth_shop", "nr_up", "nr_down", "eth_edge"]
+            + default_scenario.forward[-1:],
+        )
+        assert len(longer.components()) == len(default_scenario.components()) + 12
+        peaks = []
+        for sc in (default_scenario, longer):
+            run(sc, seed=1)  # leaves out numpy's one-time allocations
+            tracemalloc.start()
+            try:
+                run(sc, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a run holds O(toggles), not a (components x toggles) matrix
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_loss_increments_segment_counter(self):
         sc = small_scenario()
@@ -161,6 +187,12 @@ class TestSweep:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_scenario(), [])
+
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            sweep(small_scenario(), [1, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            sweep(small_scenario(), [3, 1, 2, 1], parallel=2)
 
     def test_parallel_matches_serial(self):
         sc = small_scenario(sequences=2)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,12 @@ class TestSafety:
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
             safety_distance(1000, 0.0)
+
+    @pytest.mark.parametrize("speed", [math.inf, -math.inf, math.nan])
+    def test_non_finite_speed_rejected(self, speed):
+        assert any("finite" in m for m in SafetyParams(approach_speed_mps=speed).validate())
+        with pytest.raises(ValueError, match="finite"):
+            safety_distance(100, speed)
 
 
 def test_ten_way_partition_merges_exactly():
