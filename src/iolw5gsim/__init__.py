@@ -23,8 +23,6 @@ from .iolw import (
     IolwCellConfig,
     IolwTransferModel,
     draw_retries,
-    generate_hop_plan,
-    next_subcycle_start,
     residual_error_prob,
     transfer_latencies,
     validate_cell,
@@ -59,11 +57,9 @@ __all__ = [
     "Uniform",
     "align_to_task_cycle",
     "draw_retries",
-    "generate_hop_plan",
     "load_scenario",
     "load_scenario_file",
     "next_poll",
-    "next_subcycle_start",
     "residual_error_prob",
     "rng_stream",
     "run",

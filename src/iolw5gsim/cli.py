@@ -28,6 +28,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(least: int):
+    """argparse type: an integer >= least; anything else is a usage error."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+    return integer
+
+
 def default_scenario_path() -> Path:
     return Path(str(resources.files("iolw5gsim").joinpath("data/default.scenario")))
 
@@ -60,9 +70,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        print("sweep: --seeds must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     scenario, config_bytes = _load(args.config)
     seeds = [args.seed + i for i in range(args.seeds)]
     merged = sweep(scenario, seeds, args.parallel)
@@ -95,7 +102,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, func in (("run", _cmd_run), ("sweep", _cmd_sweep)):
         p = sub.add_parser(name, help=f"{name} a scenario")
         p.add_argument("config")
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_at_least(0), default=1)
         p.add_argument("--out", default="out")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument(
@@ -103,8 +110,8 @@ def make_parser() -> argparse.ArgumentParser:
             help="suppress timestamps so reports are byte-identical on replay",
         )
         if name == "sweep":
-            p.add_argument("--seeds", type=int, default=1, help="number of seeds")
-            p.add_argument("--parallel", type=int, default=1)
+            p.add_argument("--seeds", type=_at_least(1), default=1, help="number of seeds")
+            p.add_argument("--parallel", type=_at_least(1), default=1)
         p.set_defaults(func=func)
     return parser
 

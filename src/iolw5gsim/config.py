@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, usable_channels, validate_cell
 from .plc import PlcConfig
-from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource
+from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
 from .stats import SafetyParams
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
@@ -336,8 +336,8 @@ def _build_paths(
     forward = resolve("forward", "forward")
     ret = resolve("return", "return")
     r = raw.get("forward")
-    if forward and all(sid in segments for sid in forward):
-        if segments[forward[-1]].kind != "plc":
+    if r is not None and all(sid in segments for sid in forward):
+        if not forward or segments[forward[-1]].kind != "plc":
             diags.append(
                 Diagnostic(r.line, r.col, "forward path must end in a plc segment")
             )
@@ -361,12 +361,12 @@ def _build_safety(
     for key, r in budgets.items():
         name = key[len("budget."):]
         if name not in components:
-            diags.append(
-                Diagnostic(
-                    r.line, r.col,
-                    f"budget {name!r} is neither a segment of the paths nor {POLL_WAIT!r}",
-                )
+            msg = (
+                f"budget {name!r} is neither a segment of the paths nor {POLL_WAIT!r}"
+                if name != POLL_WAIT
+                else f"budget {name!r}: the forward path has no network segment to poll for"
             )
+            diags.append(Diagnostic(r.line, r.col, msg))
             continue
         d = _duration_us(r, diags)
         if d is not None:
@@ -388,8 +388,7 @@ def load_scenario(text: str) -> Scenario:
     kw = _fields("cell", sections["cell"], _CELL_FIELDS, diags)
     cell = IolwCellConfig() if kw is None else IolwCellConfig(**kw)
     cell_msgs = validate_cell(cell)
-    # hop-plan feasibility is a configuration property; the plan itself is
-    # generated per track
+    # the simulation draws no hop plan, but the cell must admit one
     if len(usable_channels(cell.channel_count, cell.blocklist, cell.min_hop_distance)) < 2:
         cell_msgs.append(
             f"no valid hop pair among {cell.channel_count} channels with min hop "
@@ -420,7 +419,8 @@ def load_scenario(text: str) -> Scenario:
     plc_cfg = PlcConfig() if kw is None else PlcConfig(**kw)
     for msg in plc_cfg.validate():
         diags.append(sections["plc"].at(f"[plc]: {msg}"))
-    safety = _build_safety(sections["safety"], {*forward, *ret, POLL_WAIT}, diags)
+    components = set(path_components(segments, forward, ret))
+    safety = _build_safety(sections["safety"], components, diags)
     for msg in safety.validate():
         diags.append(sections["safety"].at(f"[safety]: {msg}"))
 

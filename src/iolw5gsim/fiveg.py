@@ -62,9 +62,6 @@ class Constant:
     def validate(self) -> list[str]:
         return ["constant value must be >= 0"] if self.value_us < 0 else []
 
-    def mean_us(self) -> float:
-        return float(self.value_us)
-
     def upper_bound_us(self) -> Duration:
         return self.value_us
 
@@ -84,9 +81,6 @@ class Uniform:
         if self.low_us > self.high_us:
             v.append("uniform low must be <= high")
         return v
-
-    def mean_us(self) -> float:
-        return (self.low_us + self.high_us) / 2.0
 
     def upper_bound_us(self) -> Duration:
         return self.high_us
@@ -121,18 +115,6 @@ class TruncNormal:
         if self.low_us > self.high_us:
             v.append("truncnorm low must be <= high")
         return v
-
-    def mean_us(self) -> float:
-        """Analytic mean of the truncated distribution."""
-        if self.stddev_us == 0:
-            return min(max(self.mean_target_us, self.low_us), self.high_us)
-        sqrt2 = math.sqrt(2.0)
-        a = (self.low_us - self.mean_target_us) / self.stddev_us
-        b = (self.high_us - self.mean_target_us) / self.stddev_us
-        phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        cdf = lambda x: 0.5 * (1.0 + math.erf(x / sqrt2))
-        z = cdf(b) - cdf(a)
-        return self.mean_target_us + self.stddev_us * (phi(a) - phi(b)) / z
 
     def upper_bound_us(self) -> Duration:
         return self.high_us
@@ -204,10 +186,6 @@ class Empirical:
         if any(d < 0 for d, _ in self.bins):
             v.append("empirical durations must be >= 0")
         return v
-
-    def mean_us(self) -> float:
-        total = sum(w for _, w in self.bins)
-        return sum(d * w for d, w in self.bins) / total
 
     def upper_bound_us(self) -> Duration:
         return max(d for d, w in self.bins if w > 0)

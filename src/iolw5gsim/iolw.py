@@ -1,15 +1,16 @@
 """IO-Link Wireless cell model.
 
-Capacity validation, cycle/sub-cycle timing, frequency-hop plan generation
-with channel block listing, and the per-transfer retransmission model. A
-W-Master cell runs a fixed cycle (default 5 ms) containing three 1.664 ms
-sub-cycles placed contiguously from the cycle start; a process-data change
-is transmitted with the next sub-cycle and retried on subsequent sub-cycle
-boundaries (continuing across the cycle boundary) up to max_attempts times.
-Whether an attempt fails never depends on time, so the model comes in two
-parts: draw_retries draws the attempts of a batch of transfers in rounds,
-and transfer_latencies turns given retries into latencies for an array of
-transfer start times.
+Capacity validation, hop-plan feasibility, cycle/sub-cycle timing and the
+per-transfer retransmission model. Channel hopping itself is not simulated:
+a transfer's latency depends only on the sub-cycle grid, so a cell config
+only has to admit a hop plan. A W-Master cell runs a fixed cycle (default
+5 ms) containing three 1.664 ms sub-cycles placed contiguously from the
+cycle start; a process-data change is transmitted with the next sub-cycle
+and retried on subsequent sub-cycle boundaries (continuing across the cycle
+boundary) up to max_attempts times. Whether an attempt fails never depends
+on time, so the model comes in two parts: draw_retries draws the attempts
+of a batch of transfers in rounds, and transfer_latencies turns given
+retries into latencies for an array of transfer start times.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ DEFAULT_SUBCYCLES_PER_CYCLE = 3
 # coherence bandwidth.
 DEFAULT_CHANNEL_COUNT = 40
 DEFAULT_MIN_HOP_DISTANCE = 12
-
-_HOP_STREAM_SALT = 0x484F50  # fixed salt so hop streams never collide with segment streams
-
-
-class HopPlanError(ValueError):
-    """Blocklist / min-hop-distance combination cannot produce a valid plan."""
 
 
 @dataclass(frozen=True)
@@ -106,21 +101,6 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
             f"do not fit in a {config.cycle_us} us cycle"
         )
     return v
-
-
-def next_subcycle_start(t: np.ndarray, config: IolwCellConfig) -> np.ndarray:
-    """Earliest sub-cycle boundary >= t, element-wise.
-
-    Boundaries sit at k*cycle + j*subcycle for j in 0..subcycles_per_cycle-1.
-    A t that is itself a boundary is returned unchanged.
-    """
-    if np.any(np.less(t, 0)):
-        raise ValueError("time must be non-negative")
-    offset = t % config.cycle_us
-    j = -(-offset // config.subcycle_us)  # first sub-cycle starting at or after t
-    return t - offset + np.where(
-        j < config.subcycles_per_cycle, j * config.subcycle_us, config.cycle_us
-    )
 
 
 @dataclass
@@ -201,31 +181,14 @@ def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> fl
     return per_subcycle_error_prob**max_attempts
 
 
-@dataclass(frozen=True)
-class HopPlan:
-    channels: tuple[int, ...]
-    blocklist: frozenset[int] = frozenset()
-    min_hop_distance: int = 0
-
-    def violations(self) -> list[str]:
-        v = []
-        for ch in self.channels:
-            if ch in self.blocklist:
-                v.append(f"channel {ch} is block-listed")
-        for a, b in zip(self.channels, self.channels[1:]):
-            if abs(a - b) < self.min_hop_distance:
-                v.append(f"hop {a}->{b} shorter than {self.min_hop_distance}")
-        return v
-
-
 def usable_channels(
     channel_count: int, blocklist: frozenset[int] | set[int], min_hop_distance: int
 ) -> list[int]:
     """Channels a hop plan may use; a plan exists iff there are at least two.
 
     A channel is usable if it is not block-listed and some other allowed
-    channel lies at least min_hop_distance away; restricting a plan to
-    those prevents dead-ends during generation.
+    channel lies at least min_hop_distance away, so a plan over usable
+    channels can always take its next hop.
     """
     allowed = [c for c in range(channel_count) if c not in blocklist]
     return [
@@ -234,37 +197,3 @@ def usable_channels(
         if any(c2 != c and abs(c2 - c) >= min_hop_distance for c2 in allowed)
     ]
 
-
-def generate_hop_plan(
-    length: int,
-    channel_count: int,
-    blocklist: frozenset[int] | set[int],
-    min_hop_distance: int,
-    seed: int,
-    track_id: int,
-) -> HopPlan:
-    """Deterministic hop sequence for one track.
-
-    Every consecutive pair of channels differs by at least min_hop_distance
-    and no channel is block-listed. The plan is a pure function of
-    (seed, track_id).
-    """
-    blocklist = frozenset(blocklist)
-    usable = usable_channels(channel_count, blocklist, min_hop_distance)
-    if len(usable) < 2:
-        raise HopPlanError(
-            f"no valid hop pair among {channel_count} channels with "
-            f"min hop distance {min_hop_distance}"
-        )
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_HOP_STREAM_SALT, track_id))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    channels: list[int] = [usable[rng.integers(len(usable))]]
-    while len(channels) < length:
-        prev = channels[-1]
-        candidates = [c for c in usable if abs(c - prev) >= min_hop_distance]
-        channels.append(candidates[rng.integers(len(candidates))])
-    return HopPlan(
-        channels=tuple(channels),
-        blocklist=blocklist,
-        min_hop_distance=min_hop_distance,
-    )

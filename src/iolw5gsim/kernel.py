@@ -20,9 +20,6 @@ import numpy as np
 # readability in signatures.
 Duration = int
 
-US_PER_MS = 1000
-US_PER_S = 1_000_000
-
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent, reproducible RNG stream.

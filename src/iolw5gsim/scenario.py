@@ -87,20 +87,28 @@ class Scenario:
     source: SignalSource
     plc: PlcConfig
     safety: SafetyParams
-    bin_width_us: int = 100
-    randomize_phases: bool = True  # testbed clocks are unsynchronized
 
     def components(self) -> list[str]:
         """Ordered component names a toggle traverses (stats keys)."""
-        names: list[str] = []
-        polled = False
-        for sid in self.forward:
-            if not polled and self.segments[sid].kind in NETWORK_KINDS:
-                names.append(POLL_WAIT)
-                polled = True
-            names.append(sid)
-        names.extend(self.ret)
-        return names
+        return path_components(self.segments, self.forward, self.ret)
+
+
+def path_components(
+    segments: dict[str, SegmentSpec], forward: list[str], ret: list[str]
+) -> list[str]:
+    """The paths' segment ids in traversal order, with the poll wait before
+    the forward path's first network segment; an id missing from segments
+    (one that failed to load) may be a network segment, so it counts as one."""
+    names: list[str] = []
+    polled = False
+    for sid in forward:
+        seg = segments.get(sid)
+        if not polled and (seg is None or seg.kind in NETWORK_KINDS):
+            names.append(POLL_WAIT)
+            polled = True
+        names.append(sid)
+    names.extend(ret)
+    return names
 
 
 @dataclass
@@ -145,18 +153,15 @@ def _start(
     scenario: Scenario, seed: int
 ) -> tuple[np.ndarray, PlcConfig, int, dict[str, np.random.Generator]]:
     """A seed's toggle times, PLC grid, iolw phase and segment streams."""
+    # the testbed's clocks are unsynchronized: each seed draws the phases
     phase_rng = rng_stream(seed, _PHASE_STREAM)
-    if scenario.randomize_phases:
-        iolw_phase = int(phase_rng.integers(0, scenario.cell.cycle_us))
-        plc_phase = int(phase_rng.integers(0, scenario.plc.task_cycle_us))
-    else:
-        iolw_phase = 0
-        plc_phase = scenario.plc.phase_us
+    iolw_phase = int(phase_rng.integers(0, scenario.cell.cycle_us))
+    plc_phase = int(phase_rng.integers(0, scenario.plc.task_cycle_us))
     plc_cfg = dataclasses.replace(scenario.plc, phase_us=plc_phase)
 
     t0 = scenario.source.toggle_times()
     dither = scenario.source.dither_us
-    if scenario.randomize_phases and dither > 0:
+    if dither > 0:  # integers(0, 0) raises
         t0 = t0 + phase_rng.integers(0, dither, size=len(t0))
     ids = sorted(scenario.segments)
     rngs = {sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i) for i, sid in enumerate(ids)}
@@ -168,7 +173,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     t0, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
     cell = scenario.cell
     components = tuple(scenario.components())
-    seg_stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
+    seg_stats = {name: LatencyStats() for name in components}
 
     # losses first: each iolw-air traversal, keyed by its index since a
     # segment may be crossed twice from one stream, draws its retries in path
@@ -204,7 +209,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
             d = seg.model.sample(rngs[name], len(t))
         seg_stats[name].add(d[keep])
         t = t + d
-    e2e = LatencyStats(scenario.bin_width_us)
+    e2e = LatencyStats()
     e2e.add((t - t0)[keep])
     e2e.add_loss(losses)
     return RunResult(
@@ -225,6 +230,8 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
         raise ValueError("sweep needs at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValueError("sweep seeds must be distinct")
+    if parallel < 1:
+        raise ValueError("sweep parallel must be >= 1")
     if parallel > 1 and len(seeds) > 1:
         # the calling thread runs every parallel-th seed itself: one thread
         # fewer, and one allocator arena fewer holding a run's arrays

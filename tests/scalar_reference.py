@@ -5,7 +5,7 @@ per-toggle loop versions the array code replaced, kept here only as test
 oracles: alignment arithmetic must match them exactly, sampled
 distributions must match them statistically. The earlier, plainer array
 forms of the truncated-normal and empirical samplers and of the iolw-air
-retry arithmetic are kept too; the current ones must match them draw for
+retry arithmetic (through the array sub-cycle boundary) are kept too; the current ones must match them draw for
 draw. So are the first array form of a run, which held every component's
 durations in one (components x toggles) matrix and which run() must match
 exactly, and the (transfers x attempts) failure-matrix draw of the iolw-air
@@ -54,9 +54,22 @@ def draw_retries_matrix(n, model, rng):
     return np.where(lost, model.max_attempts - 1, fails.argmin(axis=1)), lost
 
 
+def next_subcycle_start_array(t, config):
+    """Earliest sub-cycle boundary >= t, element-wise, as one array formula.
+
+    Boundaries sit at k*cycle + j*subcycle for j in 0..subcycles_per_cycle-1.
+    A t that is itself a boundary is returned unchanged.
+    """
+    offset = t % config.cycle_us
+    j = -(-offset // config.subcycle_us)  # first sub-cycle starting at or after t
+    return t - offset + np.where(
+        j < config.subcycles_per_cycle, j * config.subcycle_us, config.cycle_us
+    )
+
+
 def transfer_latencies_via_boundary(t_change, retries, model, cell):
-    """transfer_latencies through the array next_subcycle_start."""
-    cycle_index, offset = np.divmod(iolw.next_subcycle_start(t_change, cell), cell.cycle_us)
+    """transfer_latencies through next_subcycle_start_array."""
+    cycle_index, offset = np.divmod(next_subcycle_start_array(t_change, cell), cell.cycle_us)
     k, j = np.divmod(offset // cell.subcycle_us + retries, cell.subcycles_per_cycle)
     boundary = (cycle_index + k) * cell.cycle_us + j * cell.subcycle_us
     return boundary - t_change + model.completion_offset_us
@@ -201,11 +214,11 @@ def run_via_matrix(scenario, seed):
     parts, lost_at = trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs)
     delivered = lost_at < 0
     components = tuple(scenario.components())
-    stats = {name: LatencyStats(scenario.bin_width_us) for name in components}
+    stats = {name: LatencyStats() for name in components}
     for i, (name, row) in enumerate(zip(components, parts[:, delivered])):
         stats[name].add(row)
         stats[name].add_loss(int(np.count_nonzero(lost_at == i)))
-    e2e = LatencyStats(scenario.bin_width_us)
+    e2e = LatencyStats()
     e2e.add(parts.sum(axis=0)[delivered])
     losses = len(t0) - int(np.count_nonzero(delivered))
     e2e.add_loss(losses)

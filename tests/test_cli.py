@@ -46,9 +46,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_sweep_zero_seeds_is_usage_error(small_config, tmp_path, capsys):
-    assert main([
-        "sweep", str(small_config), "--seeds", "0", "--out", str(tmp_path / "o"),
-    ]) == EXIT_USAGE
+    # every out-of-range count or seed is a usage error, never a traceback
+    for argv in (
+        ["sweep", "--seeds", "0"],
+        ["run", "--seed", "-1"],
+        ["sweep", "--seed", "-3", "--seeds", "2"],
+        ["sweep", "--parallel", "0"],
+        ["sweep", "--parallel", "-3"],
+    ):
+        out = tmp_path / "o"
+        assert main([argv[0], str(small_config), *argv[1:], "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "must be >=" in capsys.readouterr().err
 
 
 def test_run_writes_json_report(small_config, tmp_path, capsys):

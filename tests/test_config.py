@@ -1,7 +1,7 @@
 import pytest
 
 from iolw5gsim.cli import EXIT_INVALID, main
-from iolw5gsim.config import ScenarioError, load_scenario
+from iolw5gsim.config import Diagnostic, ScenarioError, load_scenario
 
 MINIMAL = """
 [cell]
@@ -46,6 +46,9 @@ budget.wire = 2 ms
 """
 
 
+PATH_ON = MINIMAL[MINIMAL.index("[path]"):]
+
+
 def patch(text, old, new):
     assert old in text
     return text.replace(old, new)
@@ -84,8 +87,10 @@ def test_unresolved_segment_id_reported():
 
 
 def test_bad_segment_gives_one_diagnostic():
-    # eth sits on both paths; its bad bin weight must not make it unresolved there
+    # eth sits on both paths; its bad bin weight must not make it unresolved
+    # there, nor reject the budget of the poll wait that would precede it
     bad = patch(MINIMAL, "model = constant\nvalue = 1200 us", "model = empirical\nbins = 1 ms:x")
+    bad = patch(bad, "budget.wire = 2 ms", "budget.wire = 2 ms\nbudget.poll_wait = 10 ms")
     diags = diagnostics_of(bad)
     lines = enumerate(bad.splitlines(), 1)
     path_lines = {i for i, text in lines if text.startswith(("forward", "return"))}
@@ -106,6 +111,10 @@ def test_unknown_key_rejected_with_location():
         ("budget.wire = 2 ms", "budget.wire = 2 ms\nbudget.nr_upp = 2 ms", "nr_upp"),
         # link throughput and RSSI are not part of the model
         ("kind = ethernet", "kind = fiveg\ndownlink_mbps = 912", "downlink_mbps"),
+        ("forward = wire, air, eth, plc", "forward =", "forward"),
+        # without a network segment on the forward path there is no poll wait
+        (PATH_ON, PATH_ON.replace("eth, plc", "plc") + "budget.poll_wait = 10 ms\n",
+         "poll_wait"),
     ]:
         bad = patch(MINIMAL, old, new)
         d = next(d for d in diagnostics_of(bad) if key in d.message)
@@ -130,6 +139,11 @@ NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
         pytest.param("sequences = 1", "sequences = 0", id="bad-source"),
         pytest.param("approach_speed = 2.0", "approach_speed = -1", id="bad-safety"),
         pytest.param("[cell]", "[cell]\nchannels = 10\nmin_hop_distance = 15", id="hop-plan"),
+        pytest.param("forward = wire, air, eth, plc", "forward =", id="empty-forward"),
+        pytest.param(
+            PATH_ON, PATH_ON.replace("eth, plc", "plc") + "budget.poll_wait = 10 ms\n",
+            id="poll-wait-without-network",
+        ),
     ],
 )
 def test_every_diagnostic_has_a_location(old, new):
@@ -215,9 +229,13 @@ def test_syntax_error_reported():
 
 
 def test_infeasible_hop_config_rejected():
-    bad = patch(MINIMAL, "[cell]", "[cell]\nchannels = 10\nmin_hop_distance = 15")
-    assert any("hop" in d.message.lower() or "channel" in d.message.lower()
-               for d in diagnostics_of(bad))
+    for keys, count, distance in [
+        ("channels = 10\nmin_hop_distance = 15", 10, 15),  # no two channels 15 apart
+        ("blocklist = " + ", ".join(map(str, range(39))) + "\nmin_hop_distance = 0", 40, 0),
+    ]:
+        bad = patch(MINIMAL, "[cell]", "[cell]\n" + keys)
+        msg = f"[cell]: no valid hop pair among {count} channels with min hop distance {distance}"
+        assert diagnostics_of(bad) == [Diagnostic(bad.splitlines().index("[cell]") + 1, 1, msg)]
 
 
 def test_role_restricts_path_membership():

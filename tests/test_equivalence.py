@@ -17,7 +17,7 @@ from scipy import stats as sps
 
 from iolw5gsim.fiveg import Empirical, TruncNormal, Uniform
 from iolw5gsim.iolw import (
-    IolwCellConfig, IolwTransferModel, draw_retries, next_subcycle_start, transfer_latencies,
+    IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies,
 )
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig, align_to_task_cycle, next_poll
@@ -56,9 +56,13 @@ def window(phase, period, k):
 @given(cells, periods_in)
 @settings(max_examples=100, deadline=None)
 def test_next_subcycle_start_matches_scalar(cell, k):
+    # a first attempt rides the next sub-cycle start: its latency minus the
+    # completion offset is the wait for it
+    model = IolwTransferModel(completion_offset_us=cell.subcycle_us // 3)
     t = window(0, cell.cycle_us, k)
-    expected = [ref.next_subcycle_start(x, cell) for x in t.tolist()]
-    assert next_subcycle_start(t, cell).tolist() == expected
+    wait = transfer_latencies(t, np.zeros(len(t), dtype=np.intp), model, cell)
+    wait -= model.completion_offset_us
+    assert wait.tolist() == [ref.next_subcycle_start(x, cell) - x for x in t.tolist()]
 
 
 @given(plc_configs, periods_in)

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from iolw5gsim.iolw import (
-    HopPlanError,
     IolwCellConfig,
     IolwTransferModel,
     draw_retries,
-    generate_hop_plan,
-    next_subcycle_start,
     residual_error_prob,
     transfer_latencies,
     validate_cell,
@@ -16,6 +13,15 @@ from iolw5gsim.kernel import rng_stream
 from tests.scalar_reference import mean_boundary_wait_us
 
 CELL = IolwCellConfig()
+WAIT_MODEL = IolwTransferModel(completion_offset_us=667)
+
+
+def next_subcycle_start(t, cell=CELL):
+    """Earliest sub-cycle boundary >= t, as transfer_latencies places a
+    transfer's first attempt: its latency without the completion offset."""
+    t = np.atleast_1d(t)
+    latency = transfer_latencies(t, np.zeros(t.shape, dtype=np.intp), WAIT_MODEL, cell)
+    return t + latency - WAIT_MODEL.completion_offset_us
 
 
 def boundary_set(cell, t_max):
@@ -56,27 +62,27 @@ class TestValidateCell:
 
 class TestNextSubcycleStart:
     def test_zero_is_a_boundary(self):
-        assert next_subcycle_start(0, CELL) == 0
+        assert next_subcycle_start(0).tolist() == [0]
 
     def test_mid_first_subcycle(self):
-        assert next_subcycle_start(100, CELL) == 1664
+        assert next_subcycle_start(100).tolist() == [1664]
 
     def test_after_last_subcycle_rolls_to_next_cycle(self):
         # 3 * 1664 = 4992 < 5000, so 4993 waits for the next cycle start
-        assert next_subcycle_start(4993, CELL) == 5000
+        assert next_subcycle_start(4993).tolist() == [5000]
 
     def test_matches_brute_force_enumeration(self):
         boundaries = boundary_set(CELL, 30_000)
-        for t in range(0, 20_000, 7):
-            expected = min(b for b in boundaries if b >= t)
-            assert next_subcycle_start(t, CELL) == expected
+        t = np.arange(0, 20_000, 7)
+        expected = [min(b for b in boundaries if b >= x) for x in t.tolist()]
+        assert next_subcycle_start(t).tolist() == expected
 
     def test_wait_bounded_by_cycle(self):
-        for t in range(0, 2 * CELL.cycle_us):
-            wait = next_subcycle_start(t, CELL) - t
-            assert 0 <= wait < CELL.cycle_us
-            if t % CELL.cycle_us < (CELL.subcycles_per_cycle - 1) * CELL.subcycle_us:
-                assert wait < CELL.subcycle_us
+        t = np.arange(0, 2 * CELL.cycle_us)
+        wait = next_subcycle_start(t) - t
+        assert ((0 <= wait) & (wait < CELL.cycle_us)).all()
+        early = t % CELL.cycle_us < (CELL.subcycles_per_cycle - 1) * CELL.subcycle_us
+        assert (wait[early] < CELL.subcycle_us).all()
 
 
 def draw_latencies(t, model, rng):
@@ -109,7 +115,7 @@ class TestTransferLatency:
         latency, lost = draw_latencies(t, model, rng_stream(5, 0))
         boundaries = boundary_set(CELL, 40_000)
         assert set((t + latency)[~lost].tolist()) <= set(boundaries)
-        assert (latency[~lost] >= next_subcycle_start(t, CELL)[~lost] - t[~lost]).all()
+        assert (latency[~lost] >= next_subcycle_start(t)[~lost] - t[~lost]).all()
 
     def test_deterministic_in_arrival_phase_without_errors(self):
         model = IolwTransferModel(completion_offset_us=667)
@@ -143,53 +149,6 @@ class TestResidualErrorProb:
         assert by_k == sorted(by_k, reverse=True)
 
 
-class TestHopPlan:
-    def test_single_allowed_channel_is_infeasible(self):
-        with pytest.raises(HopPlanError):
-            generate_hop_plan(
-                length=8, channel_count=40,
-                blocklist=set(range(39)), min_hop_distance=0,
-                seed=1, track_id=0,
-            )
-
-    def test_min_distance_zero_any_plan_valid(self):
-        plan = generate_hop_plan(
-            length=16, channel_count=40, blocklist=set(), min_hop_distance=0,
-            seed=1, track_id=0,
-        )
-        assert plan.violations() == []
-        assert len(plan.channels) == 16
-
-    def test_blocklist_and_distance_constraints_hold(self):
-        plan = generate_hop_plan(
-            length=64, channel_count=40,
-            blocklist=set(range(10)), min_hop_distance=20,
-            seed=2, track_id=1,
-        )
-        assert plan.violations() == []
-        assert all(c >= 10 for c in plan.channels)
-        for a, b in zip(plan.channels, plan.channels[1:]):
-            assert abs(a - b) >= 20
-
-    def test_deterministic_per_seed_and_track(self):
-        kw = dict(length=32, channel_count=40, blocklist=set(), min_hop_distance=12)
-        p1 = generate_hop_plan(seed=9, track_id=0, **kw)
-        p2 = generate_hop_plan(seed=9, track_id=0, **kw)
-        assert p1.channels == p2.channels
-
-    def test_distinct_tracks_get_distinct_plans(self):
-        kw = dict(length=8, channel_count=40, blocklist=set(), min_hop_distance=12)
-        plans = {generate_hop_plan(seed=9, track_id=t, **kw).channels for t in range(5)}
-        assert len(plans) == 5
-
-    def test_infeasible_distance_raises(self):
-        with pytest.raises(HopPlanError):
-            generate_hop_plan(
-                length=8, channel_count=10, blocklist=set(), min_hop_distance=15,
-                seed=1, track_id=0,
-            )
-
-
 def test_mean_boundary_wait_oracle_value():
     # direct enumeration: two 1664 us gaps and one closing 1672 us gap
     expected = (sum(range(1, 1664)) * 2 + sum(range(1, 1672))) / 5000
@@ -199,5 +158,5 @@ def test_mean_boundary_wait_oracle_value():
 def test_monte_carlo_wait_converges_to_enumeration():
     rng = rng_stream(11, 0)
     draws = rng.integers(0, CELL.cycle_us, size=100_000)
-    mc = (next_subcycle_start(draws, CELL) - draws).mean()
+    mc = (next_subcycle_start(draws) - draws).mean()
     assert mc == pytest.approx(mean_boundary_wait_us(CELL), rel=0.01)

@@ -194,6 +194,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="distinct"):
             sweep(small_scenario(), [3, 1, 2, 1], parallel=2)
 
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_one_rejected(self, parallel):
+        with pytest.raises(ValueError, match="parallel"):
+            sweep(small_scenario(), [1, 2], parallel=parallel)
+
     def test_parallel_matches_serial(self):
         sc = small_scenario(sequences=2)
         assert sweep(sc, [1, 2], parallel=2) == sweep(sc, [1, 2], parallel=1)
