@@ -7,6 +7,7 @@ from iolw5gsim.iolw import (
     draw_retries,
     residual_error_prob,
     transfer_latencies,
+    usable_channels,
     validate_cell,
 )
 from iolw5gsim.kernel import rng_stream
@@ -147,6 +148,19 @@ class TestResidualErrorProb:
         assert probs == sorted(probs)
         by_k = [residual_error_prob(0.3, k) for k in range(1, 6)]
         assert by_k == sorted(by_k, reverse=True)
+
+
+class TestHopPlan:
+    """A hop plan exists iff usable_channels finds at least two channels."""
+
+    def test_single_allowed_channel_is_infeasible(self):
+        assert usable_channels(40, set(range(39)), 0) == []
+        assert usable_channels(40, set(range(38)), 0) == [38, 39]
+
+    def test_infeasible_distance_raises(self):
+        # the loader raises on such a cell; no two of 10 channels are 15 apart
+        assert usable_channels(10, set(), 15) == []
+        assert usable_channels(16, set(), 15) == [0, 15]
 
 
 def test_mean_boundary_wait_oracle_value():
