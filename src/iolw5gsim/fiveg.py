@@ -10,8 +10,8 @@ tables are out of scope.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,10 +20,12 @@ from .kernel import Duration
 ALLOWED_SCS_KHZ = (15, 30, 60, 120, 240)
 SUBCARRIERS_PER_SYMBOL = 12
 
-# Rejection sampling for the truncated normal gives up after this many
-# redraws and clamps instead, so pathological configs still terminate.
-TRUNCNORM_MAX_REJECTS = 1000
-_CLAMP_LOCK = threading.Lock()
+# A truncnorm's support reaches this many stddevs past its mean (clipped to
+# [low, high]); the normal mass cut off is below 1e-18, under the 2**-53
+# resolution of a uniform draw. Wider supports than TRUNCNORM_MAX_POINTS
+# integers fail validation rather than build a table of 16 bytes a point.
+_TRUNCNORM_SPAN_SD = 9
+TRUNCNORM_MAX_POINTS = 1 << 20
 
 # Empirical guide tables get about this many cells per bin, as a power of
 # two between 2**10 and 2**16 cells (at most 256 KB of int32).
@@ -89,20 +91,104 @@ class Uniform:
         return rng.integers(self.low_us, self.high_us, size=n, endpoint=True, dtype=np.int64)
 
 
+def _truncnorm_support(mean: float, sd: float, low: int, high: int) -> tuple[int, int]:
+    """First and last integer of a valid truncnorm's table."""
+    c = min(max(mean, low), high)
+    span = _TRUNCNORM_SPAN_SD * sd
+    return max(low, math.floor(c - span)), min(high, math.ceil(c + span))
+
+
+def _truncnorm_pmf(mean: float, sd: float, low: int, high: int) -> tuple[int, np.ndarray]:
+    """(a, p): p[i] is the probability that rint of a normal(mean, sd)
+    conditioned on [low, high] equals a + i.
+
+    That is the normal mass of [k - 1/2, k + 1/2] cut to [low, high], so
+    the end points get half cells, normalised. Each mass is a difference
+    of tails taken on the side of the mean that keeps precision. With
+    sd = 0, or no mass the doubles can hold (a support far out in the
+    tail), the pmf is the single point rint(clip(mean, low, high)).
+    """
+    a, b = _truncnorm_support(mean, sd, low, high)
+    if sd > 0:
+        edges = np.arange(a - 0.5, b + 1.0)
+        edges[0], edges[-1] = max(edges[0], low), min(edges[-1], high)
+        z = (edges - mean) / (sd * math.sqrt(2))
+        tail = 0.5 * np.fromiter(map(math.erfc, np.abs(z).tolist()), float, len(z))
+        below = np.where(z <= 0, tail, 1 - tail)  # mass below each edge
+        above = np.where(z >= 0, tail, 1 - tail)  # mass above each edge
+        mass = np.where(z[1:] <= 0, below[1:] - below[:-1], above[:-1] - above[1:])
+        total = mass.sum()
+        if total > 0:
+            return a, mass / total
+    return round(min(max(mean, low), high)), np.ones(1)
+
+
+def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (prob, alias) of the pmf p, built without a loop.
+
+    Slot i of K keeps itself with probability prob[i] and is alias[i]
+    otherwise. With q = K*p, the deficits 1 - q of the small slots (q < 1)
+    lie end to end on one line, in index order, and the surpluses q - 1 of
+    the large slots on another. A small slot aliases the large slot whose
+    surplus interval holds the start of its deficit interval. Large slot j
+    gives away its surplus, plus whatever the small slot straddling the
+    end of j's interval takes beyond it; j aliases j + 1 for that part.
+    The last large slot keeps all of its own slot.
+    """
+    k = len(p)
+    q = p * k
+    large = q >= 1
+    large[np.argmax(q)] = True  # if rounding left every q just below 1
+    small_idx, large_idx = np.flatnonzero(~large), np.flatnonzero(large)
+    a_line = np.concatenate(([0.0], np.cumsum(1 - q[small_idx])))
+    b_line = np.concatenate(([0.0], np.cumsum(q[large_idx] - 1)))
+    prob = q.copy()
+    alias = np.arange(k)
+    owner = np.searchsorted(b_line, a_line[:-1], side="right") - 1
+    alias[small_idx] = large_idx[np.minimum(owner, len(large_idx) - 1)]
+    # "left": a small interval starting exactly at a surplus end belongs to
+    # the next large slot, so it takes nothing from this one
+    ends = b_line[1:-1]
+    straddle = a_line[np.minimum(np.searchsorted(a_line, ends, side="left"), len(small_idx))]
+    prob[large_idx[:-1]] = 1 - (straddle - ends)
+    alias[large_idx[:-1]] = large_idx[1:]
+    prob[large_idx[-1]] = 1
+    return np.clip(prob, 0, 1), alias
+
+
+@lru_cache(maxsize=8)
+def _truncnorm_table(
+    mean: float, sd: float, low: int, high: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(a, prob, alias) of a valid truncnorm; equal parameters share one."""
+    a, p = _truncnorm_pmf(mean, sd, low, high)
+    prob, alias = _alias_table(p)
+    prob.flags.writeable = alias.flags.writeable = False
+    return a, prob, alias
+
+
 @dataclass
 class TruncNormal:
-    """Normal distribution truncated to [low, high] by redraw.
+    """rint of a normal distribution conditioned on [low, high].
 
-    Each element is redrawn until it lands in [low, high], at most
-    TRUNCNORM_MAX_REJECTS times; an element rejected that often gets one
-    fresh draw clamped to the nearest bound and counts in clamp_events.
+    Sampled from the exact integer pmf (_truncnorm_pmf) by Walker's alias
+    method (Walker, ACM TOMS 1977; Vose, IEEE TSE 1991): a uniform u picks
+    slot i = floor(u*K) of the K-point table and the fraction u*K - i picks
+    the slot's own point or its alias, one uniform and two table reads a
+    draw. The table is built once, when the model is made; a model that
+    fails validation gets none.
     """
 
     mean_target_us: float
     stddev_us: float
     low_us: Duration
     high_us: Duration
-    clamp_events: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.validate():
+            self._a, self._prob, self._alias = _truncnorm_table(
+                self.mean_target_us, self.stddev_us, self.low_us, self.high_us
+            )
 
     def validate(self) -> list[str]:
         v = []
@@ -114,26 +200,28 @@ class TruncNormal:
             v.append("truncnorm low must be >= 0")
         if self.low_us > self.high_us:
             v.append("truncnorm low must be <= high")
+        if not v:
+            a, b = _truncnorm_support(
+                self.mean_target_us, self.stddev_us, self.low_us, self.high_us
+            )
+            if b - a + 1 > TRUNCNORM_MAX_POINTS:
+                v.append(
+                    f"truncnorm support of {b - a + 1} integers exceeds "
+                    f"{TRUNCNORM_MAX_POINTS}; narrow low..high or the stddev"
+                )
         return v
 
     def upper_bound_us(self) -> Duration:
         return self.high_us
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.normal(self.mean_target_us, self.stddev_us, size=n)
-        pending = np.flatnonzero((x < self.low_us) | (x > self.high_us))
-        for _ in range(TRUNCNORM_MAX_REJECTS - 1):
-            if not pending.size:
-                break
-            x[pending] = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
-            pending = pending[(x[pending] < self.low_us) | (x[pending] > self.high_us)]
-        if pending.size:
-            fresh = rng.normal(self.mean_target_us, self.stddev_us, size=pending.size)
-            x[pending] = np.clip(fresh, self.low_us, self.high_us)
-            # the seeds of a parallel sweep sample the same model at once
-            with _CLAMP_LOCK:
-                self.clamp_events += int(pending.size)
-        return np.rint(x).astype(np.int64)
+        # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
+        x = rng.random(n)
+        x *= len(self._prob)
+        i = x.astype(np.int64)
+        x -= i
+        own = x < self._prob.take(i)
+        return np.where(own, i, self._alias.take(i)) + self._a
 
 
 @dataclass
@@ -197,7 +285,7 @@ class Empirical:
         if miss.size:
             found = np.searchsorted(self._cum, u[miss], side="right")
             i[miss] = np.minimum(found, len(self._values) - 1)
-        return self._values[i]
+        return self._values.take(i)
 
 
 # Every model's sample(rng, n) returns n int64 delays within its support.

@@ -91,6 +91,13 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
         v.append("subcycle must be > 0")
     if config.subcycles_per_cycle < 1:
         v.append("subcycles_per_cycle must be >= 1")
+    if config.min_hop_distance < 0:
+        v.append(f"min_hop_distance must be >= 0, got {config.min_hop_distance}")
+    stray = sorted(c for c in config.blocklist if not 0 <= c < config.channel_count)
+    if stray:
+        v.append(
+            f"blocklist channels {stray} lie outside 0..{config.channel_count - 1}"
+        )
     if (
         config.cycle_us > 0
         and config.subcycle_us > 0
@@ -167,9 +174,20 @@ def transfer_latencies(
     per_cycle = cell.subcycles_per_cycle
     s = np.arange(per_cycle + model.max_attempts)
     slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
-    offset = t_change % cell.cycle_us
-    first = np.minimum(-(-offset // cell.subcycle_us), per_cycle)
-    return slot_start[first + retries] - offset + model.completion_offset_us
+    # offset = t_change % cycle, taken as t - t // cycle * cycle: the same for
+    # a positive cycle at half the cost on int64
+    offset = t_change // cell.cycle_us
+    offset *= cell.cycle_us
+    np.subtract(t_change, offset, out=offset)
+    first = np.negative(offset)
+    first //= cell.subcycle_us
+    np.negative(first, out=first)
+    np.minimum(first, per_cycle, out=first)
+    first += retries
+    latency = slot_start.take(first)
+    latency -= offset
+    latency += model.completion_offset_us
+    return latency
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:

@@ -60,7 +60,12 @@ def align_to_task_cycle(
     supplied.
     """
     task = cfg.task_cycle_us
-    start = arrival - (arrival - cfg.phase_us) % task
+    # the cycle start at or before arrival: arrival - (arrival - phase) % task,
+    # with the remainder taken as x - x // task * task, half the cost on int64
+    start = arrival - cfg.phase_us
+    start //= task
+    start *= task
+    start += cfg.phase_us
     completion = start + task + (arrival != start) * task
     if rng is not None:
         completion = completion + cfg.jitter.sample(rng, len(arrival))

@@ -18,6 +18,7 @@ process-image change sits at the W-Master waiting to be queried).
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -221,10 +222,11 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
     """Run once per distinct seed and merge; the merge is order-independent.
 
-    Up to `parallel` seeds run at once, on threads sharing the scenario:
-    the numpy work that dominates a run releases the GIL, and every seed
-    draws from its own streams. The merged result carries the per-seed
-    results, sorted by seed, in its per_seed field.
+    Up to `parallel` seeds, and no more than the CPUs, run at once, on
+    threads sharing the scenario: the numpy work that dominates a run
+    releases the GIL, and every seed draws from its own streams. The merged
+    result carries the per-seed results, sorted by seed, in its per_seed
+    field, and is the same for any `parallel`.
     """
     if not seeds:
         raise ValueError("sweep needs at least one seed")
@@ -232,6 +234,8 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
         raise ValueError("sweep seeds must be distinct")
     if parallel < 1:
         raise ValueError("sweep parallel must be >= 1")
+    # each thread holds a run's arrays; more threads than CPUs only add those
+    parallel = min(parallel, os.cpu_count() or 1)
     if parallel > 1 and len(seeds) > 1:
         # the calling thread runs every parallel-th seed itself: one thread
         # fewer, and one allocator arena fewer holding a run's arrays

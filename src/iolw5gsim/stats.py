@@ -49,16 +49,22 @@ class LatencyStats:
         self.max_us = hi if self.max_us is None else max(self.max_us, hi)
         w = self.bin_width_us
         first = lo // w
+        q = values_us // w
         if hi // w - first < values_us.size:
             # the occupied bins span no more than the batch: count densely
-            counts = np.bincount(values_us // w - first)
+            q -= first
+            counts = np.bincount(q)
             idx = np.flatnonzero(counts)
             counts = counts[idx]
             idx += first
         else:  # sparse: memory stays O(batch)
-            idx, counts = np.unique(values_us // w, return_counts=True)
-        for i, n in zip(idx.tolist(), counts.tolist()):
-            self.bins[i] = self.bins.get(i, 0) + n
+            idx, counts = np.unique(q, return_counts=True)
+        pairs = zip(idx.tolist(), counts.tolist())
+        if not self.bins:
+            self.bins.update(pairs)
+        else:
+            for i, n in pairs:
+                self.bins[i] = self.bins.get(i, 0) + n
 
     def add_loss(self, n: int = 1) -> None:
         self.losses += n

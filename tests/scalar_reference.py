@@ -4,12 +4,14 @@ The package computes every model on arrays of toggle times. These are the
 per-toggle loop versions the array code replaced, kept here only as test
 oracles: alignment arithmetic must match them exactly, sampled
 distributions must match them statistically. The earlier, plainer array
-forms of the truncated-normal and empirical samplers and of the iolw-air
-retry arithmetic (through the array sub-cycle boundary) are kept too; the current ones must match them draw for
-draw. So are the first array form of a run, which held every component's
-durations in one (components x toggles) matrix and which run() must match
-exactly, and the (transfers x attempts) failure-matrix draw of the iolw-air
-retries, which draw_retries must match in distribution.
+forms of the empirical sampler and of the iolw-air retry arithmetic
+(through the array sub-cycle boundary) are kept too; the current ones must
+match them draw for draw. So are the truncated normal's former rejection
+sampler, which the alias-table sampler must match in distribution; the
+first array form of a run, which held every component's durations in one
+(components x toggles) matrix and which run() must match exactly; and the
+(transfers x attempts) failure-matrix draw of the iolw-air retries, which
+draw_retries must match in distribution.
 """
 
 from __future__ import annotations
@@ -17,13 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from iolw5gsim import iolw, plc
-from iolw5gsim.fiveg import TRUNCNORM_MAX_REJECTS, Constant, Empirical, TruncNormal, Uniform
+from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
 from iolw5gsim.stats import LatencyStats
 
+# The rejection sampler gives up after this many redraws and clamps instead.
+TRUNCNORM_MAX_REJECTS = 1000
+
 
 def truncnorm_sample_gather(model, rng, n):
-    """TruncNormal.sample as a gather loop over the pending indices."""
+    """The former TruncNormal.sample: rint of normal draws, each redrawn
+    until it lands in [low, high], as a gather loop over the pending
+    indices. An element rejected TRUNCNORM_MAX_REJECTS times gets one fresh
+    draw clamped to [low, high]. Returns the draws and the clamp count."""
     x = np.empty(n)
     pending = np.arange(n)
     for _ in range(TRUNCNORM_MAX_REJECTS):
@@ -32,10 +40,9 @@ def truncnorm_sample_gather(model, rng, n):
         if not pending.size:
             break
     if pending.size:
-        model.clamp_events += int(pending.size)
         fresh = rng.normal(model.mean_target_us, model.stddev_us, size=pending.size)
         x[pending] = np.clip(fresh, model.low_us, model.high_us)
-    return np.rint(x).astype(np.int64)
+    return np.rint(x).astype(np.int64), int(pending.size)
 
 
 def empirical_sample_searchsorted(model, u):
@@ -132,13 +139,7 @@ def sample_one(model, rng):
     if isinstance(model, Uniform):
         return int(rng.integers(model.low_us, model.high_us, endpoint=True))
     if isinstance(model, TruncNormal):
-        for _ in range(TRUNCNORM_MAX_REJECTS):
-            x = rng.normal(model.mean_target_us, model.stddev_us)
-            if model.low_us <= x <= model.high_us:
-                return int(round(x))
-        model.clamp_events += 1
-        x = rng.normal(model.mean_target_us, model.stddev_us)
-        return int(min(max(x, model.low_us), model.high_us))
+        return int(truncnorm_sample_gather(model, rng, 1)[0][0])
     if isinstance(model, Empirical):
         return int(empirical_sample_searchsorted(model, rng.random()))
     raise TypeError(f"unknown model {model!r}")

@@ -122,6 +122,10 @@ def test_unknown_key_rejected_with_location():
         assert (d.line, d.col) == (line, 1)
 
 
+# 9 stddevs either side of the mean: some 18 M integers, above the 2**20 cap
+WIDE_TRUNCNORM = "model = truncnorm\nmean = 5 ms\nstddev = 1 s\nlow = 0 us\nhigh = 100 s"
+WIDE_TRUNCNORM_OLD = "model = constant\nvalue = 1200 us"
+
 NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
 
 
@@ -140,6 +144,13 @@ NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
         pytest.param("approach_speed = 2.0", "approach_speed = -1", id="bad-safety"),
         pytest.param("[cell]", "[cell]\nchannels = 10\nmin_hop_distance = 15", id="hop-plan"),
         pytest.param("forward = wire, air, eth, plc", "forward =", id="empty-forward"),
+        pytest.param("[cell]", "[cell]\nmin_hop_distance = -5", id="negative-hop-distance"),
+        pytest.param("[cell]", "[cell]\nblocklist = 99, -3", id="blocklist-out-of-range"),
+        pytest.param(
+            "[cell]", "[cell]\nchannels = 40\nblocklist = 40, 41, 42",
+            id="blocklist-past-last-channel",
+        ),
+        pytest.param(WIDE_TRUNCNORM_OLD, WIDE_TRUNCNORM, id="truncnorm-too-wide"),
         pytest.param(
             PATH_ON, PATH_ON.replace("eth, plc", "plc") + "budget.poll_wait = 10 ms\n",
             id="poll-wait-without-network",
@@ -149,6 +160,36 @@ NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
 def test_every_diagnostic_has_a_location(old, new):
     diags = diagnostics_of(patch(MINIMAL, old, new))
     assert all(d.line >= 1 and d.col >= 1 for d in diags), diags
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ("min_hop_distance = -5", "min_hop_distance must be >= 0, got -5"),
+        ("blocklist = 99, -3", "blocklist channels [-3, 99] lie outside 0..39"),
+        ("channels = 40\nblocklist = 40, 41, 42", "blocklist channels [40, 41, 42] lie outside 0..39"),
+    ],
+    ids=["negative-hop-distance", "blocklist-out-of-range", "blocklist-past-last-channel"],
+)
+def test_bad_channel_settings_rejected_at_cell(settings, message):
+    bad = patch(MINIMAL, "[cell]", "[cell]\n" + settings)
+    line = bad.splitlines().index("[cell]") + 1
+    assert [(d.line, d.col, d.message) for d in diagnostics_of(bad)] == [
+        (line, 1, f"[cell]: {message}")
+    ]
+
+
+def test_truncnorm_wider_than_its_table_cap_rejected_at_segment(tmp_path, capsys):
+    bad = patch(MINIMAL, WIDE_TRUNCNORM_OLD, WIDE_TRUNCNORM)
+    lines = bad.splitlines()
+    line = lines.index("kind = ethernet", lines.index("[segment.eth]")) + 1
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col) for d in diags] == [(line, 1)], diags
+    assert "exceeds 1048576" in diags[0].message
+    path = tmp_path / "wide.scenario"
+    path.write_text(bad)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert f"{path}:{line}:1:" in capsys.readouterr().err
 
 
 EMPIRICAL_ETH = "model = empirical\nbins = 1 ms:1, 2 ms:3"

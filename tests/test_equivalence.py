@@ -11,10 +11,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Empirical, TruncNormal, Uniform
 from iolw5gsim.iolw import (
     IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies,
@@ -118,32 +119,6 @@ def test_retries_ride_the_same_boundaries_as_scalar(cell, attempts, seed):
             assert latency[i] == expected
 
 
-truncnorms = st.one_of(
-    st.builds(
-        lambda mean, sd, low, width: TruncNormal(float(mean), float(sd), low, low + width),
-        st.integers(0, 20_000), st.integers(0, 4000), st.integers(0, 20_000), st.integers(0, 8000),
-    ),
-    # heavy rejection: a support half a stddev wide, one to three stddevs out,
-    # so some elements need hundreds of redraws and a few reach the cap
-    st.builds(
-        lambda mean, sd, z: TruncNormal(
-            float(mean), float(sd), mean + z * sd, mean + z * sd + sd // 2
-        ),
-        st.integers(0, 20_000), st.integers(2, 2000), st.integers(1, 3),
-    ),
-    st.builds(lambda: TruncNormal(0.0, 1.0, 1000, 1001)),  # every element clamps
-)
-
-
-@given(truncnorms, st.integers(0, 60), st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_truncnorm_sample_matches_gather_loop(model, n, seed):
-    oracle = dataclasses.replace(model)
-    expected = ref.truncnorm_sample_gather(oracle, rng_stream(seed, 0), n)
-    assert model.sample(rng_stream(seed, 0), n).tolist() == expected.tolist()
-    assert model.clamp_events == oracle.clamp_events
-
-
 def weight_table(k, seed, kind):
     """k exponential weights; "zeros" and "tails" set about half of them to
     0 or 1e-12, keeping the first positive."""
@@ -178,6 +153,84 @@ def test_empirical_sample_matches_searchsorted(weights, seed):
     u = u[(u >= 0) & (u < 1)]
     expected = ref.empirical_sample_searchsorted(model, u)
     assert model.sample(ScriptedRng(u), len(u)).tolist() == expected.tolist()
+
+
+SHIPPED_TRUNCNORMS = ("wire", "eth_shop", "nr_up")
+
+
+def test_truncnorm_sample_matches_gather_loop(default_scenario):
+    # the rejection sampler the alias table replaced is the oracle: for
+    # every shipped truncnorm its draws and the table's agree in distribution
+    n = 20_000
+    for sid in SHIPPED_TRUNCNORMS:
+        model = default_scenario.segments[sid].model
+        expected, clamps = ref.truncnorm_sample_gather(model, rng_stream(2, 0), n)
+        assert clamps == 0  # so the oracle drew the plain truncated normal
+        p = sps.ks_2samp(model.sample(rng_stream(1, 0), n), expected).pvalue
+        assert p > KS_MIN_PVALUE, f"{sid}: KS p = {p:.2e}"
+
+
+def table_pmf(model):
+    return fiveg._truncnorm_pmf(model.mean_target_us, model.stddev_us, model.low_us, model.high_us)
+
+
+@pytest.mark.parametrize("sid", SHIPPED_TRUNCNORMS)
+def test_truncnorm_draws_match_exact_pmf(default_scenario, sid):
+    model = default_scenario.segments[sid].model
+    a, pmf = table_pmf(model)
+    n = 200_000
+    draws = model.sample(rng_stream(3, 0), n)
+    # about 100 runs of consecutive points of equal mass, each expecting
+    # some 2 000 draws
+    starts = np.unique(np.searchsorted(np.cumsum(pmf), np.arange(100) / 100))
+    observed = np.add.reduceat(np.bincount(draws - a, minlength=len(pmf)), starts)
+    expected = np.add.reduceat(pmf, starts) * n
+    assert sps.chisquare(observed, expected).pvalue > KS_MIN_PVALUE
+
+
+@st.composite
+def tabled_truncnorms(draw):
+    """Models with 0.5 <= stddev <= 5000, low < high and the mean within 8
+    stddevs of [low, high], so every mass of the table is a normal double."""
+    sd = draw(st.floats(0.5, 5000))
+    low = draw(st.integers(0, 20_000))
+    high = low + draw(st.integers(1, 8000))
+    mean = low - 8 * sd + draw(st.floats(0, 1)) * (high - low + 16 * sd)
+    return TruncNormal(mean, sd, low, high)
+
+
+@given(tabled_truncnorms())
+@settings(max_examples=100, deadline=None)
+def test_truncnorm_pmf_matches_scipy_mass(model):
+    a, pmf = table_pmf(model)
+    mean, sd, low, high = model.mean_target_us, model.stddev_us, model.low_us, model.high_us
+    k = np.arange(a, a + len(pmf))
+    lo, hi = np.maximum(k - 0.5, low), np.minimum(k + 0.5, high)
+    dist = sps.truncnorm((low - mean) / sd, (high - mean) / sd, loc=mean, scale=sd)
+    # each mass from the tails on the far side of the mean, as precise as scipy gets
+    mass = np.where(hi <= mean, dist.cdf(hi) - dist.cdf(lo), dist.sf(lo) - dist.sf(hi))
+    np.testing.assert_allclose(pmf, mass, rtol=1e-9, atol=0)
+    # what the table leaves out of [low, high] is below a double's resolution
+    assert dist.cdf(a - 0.5) + dist.sf(a + len(pmf) - 0.5) < 1e-17
+
+
+def rebuilt_pmf(prob, alias):
+    """The pmf an alias table samples: slot i keeps prob[i] of its 1/K."""
+    return (prob + np.bincount(alias, weights=1 - prob, minlength=len(prob))) / len(prob)
+
+
+@given(empirical_weights)
+@example([1.0, 1.0, 3.0, 3.0])  # a deficit ends exactly where a surplus ends
+@example([1.0] * 49)  # K*p rounds just below 1 for every slot
+# rounding puts a surplus end past the last deficit end
+@example([0.5, 0.7, 0.0, 0.1, 2.0, 1.0, 0.1, 0.1, 0.5, 0.0, 0.5])
+@settings(max_examples=200, deadline=None)
+def test_alias_table_rebuilds_its_pmf(weights):
+    pmf = np.array(weights) / sum(weights)
+    prob, alias = fiveg._alias_table(pmf)
+    assert ((prob >= 0) & (prob <= 1)).all()
+    assert ((alias >= 0) & (alias < len(pmf))).all()
+    np.testing.assert_allclose(rebuilt_pmf(prob, alias), pmf, rtol=0, atol=1e-12)
 
 
 def test_run_drops_lost_toggles_like_boolean_index():
@@ -270,8 +323,6 @@ def test_retry_rounds_match_failure_matrix_at_certain_outcomes(p, k):
 def test_model_samples_match_scalar_distribution(model):
     n = 20_000
     vectorised = model.sample(rng_stream(1, 0), n)
-    # every support here is wide, so redraws always land before the cap
-    assert getattr(model, "clamp_events", 0) == 0
     rng = rng_stream(2, 0)
     scalar = [ref.sample_one(model, rng) for _ in range(n)]
     assert sps.ks_2samp(vectorised, scalar).pvalue > KS_MIN_PVALUE

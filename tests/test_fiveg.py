@@ -1,7 +1,5 @@
 import math
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -78,32 +76,38 @@ class TestSampling:
 
     def test_truncnorm_pathological_config_terminates_by_clamping(self):
         rng = rng_stream(4, 0)
-        # support far in the tail: rejection cannot realistically succeed
+        # support far in the tail, with no normal mass a double can hold:
+        # every draw is the nearest bound, as the former clamp gave
         model = TruncNormal(0.0, 1.0, 1000, 1001)
-        v = model.sample(rng, 3)
-        assert ((v >= 1000) & (v <= 1001)).all()
-        assert model.clamp_events == 3
+        assert model.sample(rng, 3).tolist() == [1000, 1000, 1000]
 
-    def test_truncnorm_clamp_count_survives_thread_switches(self, monkeypatch):
-        # the seeds of a parallel sweep share the model; a cap of one redraw
-        # makes every call a clamp, so lost updates would show
-        monkeypatch.setattr(fiveg, "TRUNCNORM_MAX_REJECTS", 1)
-        model = TruncNormal(0.0, 1.0, 1000, 1001)
-        calls = 500
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TruncNormal(700.0, 0.0, 300, 1300),
+            TruncNormal(700.5, 0.0, 300, 1300),  # rint rounds half to even
+            TruncNormal(701.5, 0.0, 300, 1300),
+            TruncNormal(5000.0, 0.0, 300, 1300),
+            TruncNormal(0.0, 0.0, 300, 1300),
+            TruncNormal(0.0, 1.0, 1000, 1001),
+            TruncNormal(700.0, 150.0, 900, 900),
+        ],
+    )
+    def test_truncnorm_degenerate_models_give_rint_of_clipped_mean(self, model):
+        expected = np.rint(np.clip(model.mean_target_us, model.low_us, model.high_us))
+        assert (model.sample(rng_stream(4, 0), 50) == expected).all()
 
-        def draw(seed):
-            rng = rng_stream(seed, 0)
-            for _ in range(calls):
-                model.sample(rng, 1)
+    def test_truncnorm_support_wider_than_cap_fails_validation(self):
+        model = TruncNormal(5000.0, 1e6, 0, 10**8)
+        assert any("exceeds" in m for m in model.validate())
+        assert not hasattr(model, "_prob")  # no table for an invalid model
+        # low..high holds one point more than the cap
+        assert TruncNormal(0.0, 1e9, 0, fiveg.TRUNCNORM_MAX_POINTS).validate()
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                list(pool.map(draw, range(8), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert model.clamp_events == 8 * calls
+    def test_equal_truncnorms_share_one_table(self):
+        a, b = TruncNormal(1200.0, 200.0, 600, 2000), TruncNormal(1200, 200, 600, 2000)
+        assert a._prob is b._prob and a._alias is b._alias
+        assert TruncNormal(1200.0, 201.0, 600, 2000)._prob is not a._prob
 
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)

@@ -9,6 +9,7 @@ from iolw5gsim.config import load_scenario
 from iolw5gsim.fiveg import Constant, TruncNormal, Uniform
 from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
+from iolw5gsim import scenario as scenario_mod
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import (
     Scenario,
@@ -199,7 +200,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="parallel"):
             sweep(small_scenario(), [1, 2], parallel=parallel)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # enough CPUs that every pool size below is used as asked
+        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 8)
         sc = small_scenario(sequences=2)
         assert sweep(sc, [1, 2], parallel=2) == sweep(sc, [1, 2], parallel=1)
         # the calling thread's share and the pool's, for several pool sizes
@@ -208,15 +211,21 @@ class TestSweep:
             merged = sweep(sc, [1, 2, 3, 4, 5], parallel=parallel)
             assert merged == serial and merged.per_seed == serial.per_seed
 
-    def test_parallel_sweep_counts_every_clamp_event(self):
-        counts = []
-        for parallel in (1, 2):
-            sc = small_scenario()
-            sc.segments["eth"].model = TruncNormal(0.0, 1.0, 1000, 1001)
-            sweep(sc, [1, 2], parallel=parallel)
-            counts.append(sc.segments["eth"].model.clamp_events)
-        # 5 toggles a seed cross eth twice, and this far in the tail every draw clamps
-        assert counts == [20, 20]
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        requested = []
+        real_pool = scenario_mod.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return real_pool(max_workers=min(max_workers, 1))
+
+        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(scenario_mod, "ThreadPoolExecutor", recording_pool)
+        sc = small_scenario(sequences=2)
+        seeds = [1, 2, 3, 4, 5, 6]
+        assert sweep(sc, seeds, parallel=10**6) == sweep(sc, seeds)
+        # two CPUs: the calling thread and one pool thread
+        assert requested == [1]
 
 
 class TestDominance:
