@@ -156,27 +156,47 @@ def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(prob, 0, 1), alias
 
 
+def _threshold_table(prob: np.ndarray, alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(thr, jump) of an alias table (prob, alias), for one compare a draw.
+
+    thr[k] is the smallest double >= k + prob[k] and jump[k] = alias[k] - k,
+    so a double x in slot k's [k, k+1) draws k + jump[k] * (x >= thr[k]).
+    That is exactly the alias draw x - k < prob[k] ? k : alias[k]: for
+    k >= 1, x - k and the rounded sum's thr - k are exact (Sterbenz), so
+    x < thr[k] holds just when x - k < prob[k]; for k = 0 both are x and
+    prob[0]. prob = 1 gives thr = k + 1 (the slot keeps itself), prob = 0
+    gives thr = k (it always takes its alias).
+    """
+    k = np.arange(len(prob))
+    thr = k + prob
+    low = thr - k < prob  # the sum rounded down
+    thr[low] = np.nextafter(thr[low], math.inf)
+    return thr, alias - k
+
+
 @lru_cache(maxsize=8)
 def _truncnorm_table(
     mean: float, sd: float, low: int, high: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(a, prob, alias) of a valid truncnorm; equal parameters share one."""
+    """(a, thr, jump) of a valid truncnorm; equal parameters share one."""
     a, p = _truncnorm_pmf(mean, sd, low, high)
-    prob, alias = _alias_table(p)
-    prob.flags.writeable = alias.flags.writeable = False
-    return a, prob, alias
+    thr, jump = _threshold_table(*_alias_table(p))
+    thr.flags.writeable = jump.flags.writeable = False
+    return a, thr, jump
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncNormal:
     """rint of a normal distribution conditioned on [low, high].
 
     Sampled from the exact integer pmf (_truncnorm_pmf) by Walker's alias
     method (Walker, ACM TOMS 1977; Vose, IEEE TSE 1991): a uniform u picks
-    slot i = floor(u*K) of the K-point table and the fraction u*K - i picks
-    the slot's own point or its alias, one uniform and two table reads a
-    draw. The table is built once, when the model is made; a model that
-    fails validation gets none.
+    slot i = floor(u*K) of the K-point table, and x = u*K against the
+    slot's threshold picks its own point or its alias (_threshold_table):
+    one uniform, one compare, one gather a draw, with no branch. The table
+    is built once, when the model is made; a model that fails validation
+    gets none. The model is frozen, so its table cannot go stale;
+    dataclasses.replace makes a new model with a new table.
     """
 
     mean_target_us: float
@@ -186,9 +206,11 @@ class TruncNormal:
 
     def __post_init__(self) -> None:
         if not self.validate():
-            self._a, self._prob, self._alias = _truncnorm_table(
+            table = _truncnorm_table(
                 self.mean_target_us, self.stddev_us, self.low_us, self.high_us
             )
+            for name, value in zip(("_a", "_thr", "_jump"), table):
+                object.__setattr__(self, name, value)
 
     def validate(self) -> list[str]:
         v = []
@@ -217,14 +239,16 @@ class TruncNormal:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
         x = rng.random(n)
-        x *= len(self._prob)
+        x *= len(self._thr)
         i = x.astype(np.int64)
-        x -= i
-        own = x < self._prob.take(i)
-        return np.where(own, i, self._alias.take(i)) + self._a
+        j = self._jump.take(i)
+        j *= x >= self._thr.take(i)
+        j += i
+        j += self._a
+        return j
 
 
-@dataclass
+@dataclass(frozen=True)
 class Empirical:
     """Histogram distribution: (duration_us, weight) bins.
 
@@ -244,20 +268,23 @@ class Empirical:
     bins: tuple[tuple[Duration, float], ...]
 
     def __post_init__(self) -> None:
-        self._values = np.array([b[0] for b in self.bins], dtype=np.int64)
+        values = np.array([b[0] for b in self.bins], dtype=np.int64)
         weights = np.array([b[1] for b in self.bins], dtype=np.float64)
         # a table validate() rejects (non-finite, overflowing or zero sum)
         # gets an all-zero cum, built without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            self._total = weights.sum()
-        ok = 0 < self._total < math.inf  # False for nan too
-        self._cum = np.cumsum(weights / self._total) if ok else np.zeros_like(weights)
-        k = len(self._values)
+            total = weights.sum()
+        ok = 0 < total < math.inf  # False for nan too
+        cum = np.cumsum(weights / total) if ok else np.zeros_like(weights)
+        k = len(values)
         g = 1 << min(max((_GUIDE_CELLS_PER_BIN * k - 1).bit_length(), 10), 16)
         edges = np.arange(g + 1) / g
-        lo = np.searchsorted(self._cum, edges[:-1], side="right")
-        hi = np.searchsorted(self._cum, edges[1:], side="left")
-        self._guide = np.where(lo == hi, np.minimum(lo, k - 1), -1).astype(np.int32)
+        lo = np.searchsorted(cum, edges[:-1], side="right")
+        hi = np.searchsorted(cum, edges[1:], side="left")
+        guide = np.where(lo == hi, np.minimum(lo, k - 1), -1).astype(np.int32)
+        tables = {"_values": values, "_total": total, "_cum": cum, "_guide": guide}
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     def validate(self) -> list[str]:
         v = []

@@ -7,7 +7,9 @@ distributions must match them statistically. The earlier, plainer array
 forms of the empirical sampler and of the iolw-air retry arithmetic
 (through the array sub-cycle boundary) are kept too; the current ones must
 match them draw for draw. So are the truncated normal's former rejection
-sampler, which the alias-table sampler must match in distribution; the
+sampler, which the alias-table sampler must match in distribution, and its
+first alias-table form, one select between each slot and its alias, which
+the threshold-table sampler must match draw for draw; the
 first array form of a run, which held every component's durations in one
 (components x toggles) matrix and which run() must match exactly; and the
 (transfers x attempts) failure-matrix draw of the iolw-air retries, which
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from iolw5gsim import iolw, plc
+from iolw5gsim import fiveg, iolw, plc
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
 from iolw5gsim.stats import LatencyStats
@@ -43,6 +45,21 @@ def truncnorm_sample_gather(model, rng, n):
         fresh = rng.normal(model.mean_target_us, model.stddev_us, size=pending.size)
         x[pending] = np.clip(fresh, model.low_us, model.high_us)
     return np.rint(x).astype(np.int64), int(pending.size)
+
+
+def truncnorm_sample_where(model, rng, n):
+    """The first alias-table TruncNormal.sample, over Walker's (prob, alias)
+    of the exact pmf: slot i = floor(u*K) keeps itself when the fraction
+    u*K - i is below prob[i] and takes alias[i] otherwise."""
+    a, pmf = fiveg._truncnorm_pmf(
+        model.mean_target_us, model.stddev_us, model.low_us, model.high_us
+    )
+    prob, alias = fiveg._alias_table(pmf)
+    x = rng.random(n)
+    x *= len(prob)
+    i = x.astype(np.int64)
+    x -= i
+    return np.where(x < prob.take(i), i, alias.take(i)) + a
 
 
 def empirical_sample_searchsorted(model, u):

@@ -214,9 +214,61 @@ def test_truncnorm_pmf_matches_scipy_mass(model):
     assert dist.cdf(a - 0.5) + dist.sf(a + len(pmf) - 0.5) < 1e-17
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 13_500])
+def test_truncnorm_sample_matches_where_select(default_scenario, seed, n):
+    # the threshold table draws exactly what the (prob, alias) select drew
+    for sid in SHIPPED_TRUNCNORMS:
+        model = default_scenario.segments[sid].model
+        expected = ref.truncnorm_sample_where(model, rng_stream(seed, 0), n)
+        np.testing.assert_array_equal(model.sample(rng_stream(seed, 0), n), expected)
+
+
+def test_truncnorm_sample_matches_where_select_at_thresholds(default_scenario):
+    # uniforms that put u*K on, just below and just above each threshold
+    for sid in SHIPPED_TRUNCNORMS:
+        model = default_scenario.segments[sid].model
+        u = model._thr / len(model._thr)
+        u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
+        u = u[u < 1]
+        # both samplers scale their uniforms in place
+        expected = ref.truncnorm_sample_where(model, ScriptedRng(u.copy()), len(u))
+        np.testing.assert_array_equal(model.sample(ScriptedRng(u), len(u)), expected)
+
+
+@given(tabled_truncnorms(), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 13_500]))
+@settings(max_examples=50, deadline=None)
+def test_tabled_truncnorm_sample_matches_where_select(model, seed, n):
+    expected = ref.truncnorm_sample_where(model, rng_stream(seed, 0), n)
+    np.testing.assert_array_equal(model.sample(rng_stream(seed, 0), n), expected)
+
+
 def rebuilt_pmf(prob, alias):
     """The pmf an alias table samples: slot i keeps prob[i] of its 1/K."""
     return (prob + np.bincount(alias, weights=1 - prob, minlength=len(prob))) / len(prob)
+
+
+def assert_thresholds_exact(prob, alias):
+    """x >= thr[k] picks the alias just when x - k >= prob[k] does, at the
+    edges of slot k's [k, k+1) and on either side of the threshold."""
+    thr, jump = fiveg._threshold_table(prob, alias)
+    k = np.arange(len(prob))
+    np.testing.assert_array_equal(k + jump, alias)
+    top = np.nextafter(k + 1.0, -math.inf)
+    for x in (k, thr, np.nextafter(thr, -math.inf), top):
+        x = np.clip(x, k, top)
+        np.testing.assert_array_equal(x >= thr, x - k >= prob)
+
+
+def test_5g_thresholds_are_exact_at_slot_edges(default_scenario):
+    model = default_scenario.segments["nr_up"].model
+    assert_thresholds_exact(*fiveg._alias_table(table_pmf(model)[1]))
+
+
+@given(empirical_weights)
+@settings(max_examples=200, deadline=None)
+def test_thresholds_are_exact_at_slot_edges(weights):
+    assert_thresholds_exact(*fiveg._alias_table(np.array(weights) / sum(weights)))
 
 
 @given(empirical_weights)
@@ -231,6 +283,10 @@ def test_alias_table_rebuilds_its_pmf(weights):
     assert ((prob >= 0) & (prob <= 1)).all()
     assert ((alias >= 0) & (alias < len(pmf))).all()
     np.testing.assert_allclose(rebuilt_pmf(prob, alias), pmf, rtol=0, atol=1e-12)
+    # the sampler's form: slot k keeps thr[k] - k of its 1/K, else jumps
+    thr, jump = fiveg._threshold_table(prob, alias)
+    k = np.arange(len(pmf))
+    np.testing.assert_allclose(rebuilt_pmf(thr - k, k + jump), pmf, rtol=0, atol=1e-12)
 
 
 def test_run_drops_lost_toggles_like_boolean_index():

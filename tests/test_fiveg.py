@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -100,14 +101,14 @@ class TestSampling:
     def test_truncnorm_support_wider_than_cap_fails_validation(self):
         model = TruncNormal(5000.0, 1e6, 0, 10**8)
         assert any("exceeds" in m for m in model.validate())
-        assert not hasattr(model, "_prob")  # no table for an invalid model
+        assert not hasattr(model, "_thr")  # no table for an invalid model
         # low..high holds one point more than the cap
         assert TruncNormal(0.0, 1e9, 0, fiveg.TRUNCNORM_MAX_POINTS).validate()
 
     def test_equal_truncnorms_share_one_table(self):
         a, b = TruncNormal(1200.0, 200.0, 600, 2000), TruncNormal(1200, 200, 600, 2000)
-        assert a._prob is b._prob and a._alias is b._alias
-        assert TruncNormal(1200.0, 201.0, 600, 2000)._prob is not a._prob
+        assert a._thr is b._thr and a._jump is b._jump
+        assert TruncNormal(1200.0, 201.0, 600, 2000)._thr is not a._thr
 
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)
@@ -167,3 +168,26 @@ class TestSampling:
         model = Empirical(tuple((i, 1.0) for i in range(k)))
         assert 2**10 <= len(model._guide) <= 2**16
         assert model._guide.nbytes <= 256 * 1024
+
+    @pytest.mark.parametrize(
+        "model, field, value",
+        [
+            (TruncNormal(1200.0, 200.0, 600, 2000), "stddev_us", 0.0),
+            (TruncNormal(1200.0, 200.0, 600, 2000), "low_us", 1500),
+            (Empirical(((100, 1.0),)), "bins", ((900, 1.0),)),
+        ],
+    )
+    def test_tabled_models_are_frozen_and_replace_resamples(self, model, field, value):
+        # a model's table is built from its fields once; assigning a field
+        # would leave the old table in use, so the fields cannot be assigned
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field, value)
+        new = dataclasses.replace(model, **{field: value})
+        old_draws = model.sample(rng_stream(7, 0), 2000)
+        new_draws = new.sample(rng_stream(7, 0), 2000)
+        if isinstance(model, Empirical):
+            assert (old_draws == 100).all() and (new_draws == 900).all()
+        elif field == "stddev_us":
+            assert (new_draws == 1200).all() and old_draws.std() > 100
+        else:
+            assert new_draws.min() >= 1500 and old_draws.min() < 1500
