@@ -10,8 +10,8 @@ tables are out of scope.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +26,6 @@ SUBCARRIERS_PER_SYMBOL = 12
 # integers fail validation rather than build a table of 16 bytes a point.
 _TRUNCNORM_SPAN_SD = 9
 TRUNCNORM_MAX_POINTS = 1 << 20
-
-# Empirical guide tables get about this many cells per bin, as a power of
-# two between 2**10 and 2**16 cells (at most 256 KB of int32).
-_GUIDE_CELLS_PER_BIN = 128
 
 
 class NumerologyError(ValueError):
@@ -174,29 +170,54 @@ def _threshold_table(prob: np.ndarray, alias: np.ndarray) -> tuple[np.ndarray, n
     return thr, alias - k
 
 
-@lru_cache(maxsize=8)
-def _truncnorm_table(
-    mean: float, sd: float, low: int, high: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(a, thr, jump) of a valid truncnorm; equal parameters share one."""
-    a, p = _truncnorm_pmf(mean, sd, low, high)
-    thr, jump = _threshold_table(*_alias_table(p))
-    thr.flags.writeable = jump.flags.writeable = False
-    return a, thr, jump
+@dataclass(frozen=True, eq=False)
+class _AliasTable:
+    """Walker's alias table of a finite pmf (Walker, ACM TOMS 1977; Vose,
+    IEEE TSE 1991), held as one threshold and one jump per slot.
+
+    A uniform u picks slot i = floor(u*K) of the K slots, and x = u*K
+    against the slot's threshold picks the slot itself or its alias
+    (_threshold_table): one uniform, one compare, one gather a draw, with
+    no branch.
+    """
+
+    thr: np.ndarray
+    jump: np.ndarray
+
+    @classmethod
+    def from_pmf(cls, p: np.ndarray) -> _AliasTable:
+        thr, jump = _threshold_table(*_alias_table(p))
+        thr.flags.writeable = jump.flags.writeable = False
+        return cls(thr, jump)
+
+    def slots(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n slot indices, each drawn with its pmf mass."""
+        # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
+        x = rng.random(n)
+        x *= len(self.thr)
+        i = x.astype(np.int64)
+        j = self.jump.take(i)
+        j *= x >= self.thr.take(i)
+        j += i
+        return j
+
+
+# Valid truncnorms by their fields, held weakly. A new model takes the
+# table of the equal model found here while that one lives, so equal live
+# models share one table, and a table is freed with the last model that
+# uses it.
+_TABLED_TRUNCNORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
 class TruncNormal:
     """rint of a normal distribution conditioned on [low, high].
 
-    Sampled from the exact integer pmf (_truncnorm_pmf) by Walker's alias
-    method (Walker, ACM TOMS 1977; Vose, IEEE TSE 1991): a uniform u picks
-    slot i = floor(u*K) of the K-point table, and x = u*K against the
-    slot's threshold picks its own point or its alias (_threshold_table):
-    one uniform, one compare, one gather a draw, with no branch. The table
-    is built once, when the model is made; a model that fails validation
-    gets none. The model is frozen, so its table cannot go stale;
-    dataclasses.replace makes a new model with a new table.
+    Sampled from the alias table (_AliasTable) of the exact integer pmf
+    (_truncnorm_pmf). The table is built once, when the model is made; a
+    model that fails validation gets none. The model is frozen, so its
+    table cannot go stale; dataclasses.replace makes a new model with a
+    new table.
     """
 
     mean_target_us: float
@@ -206,11 +227,15 @@ class TruncNormal:
 
     def __post_init__(self) -> None:
         if not self.validate():
-            table = _truncnorm_table(
-                self.mean_target_us, self.stddev_us, self.low_us, self.high_us
-            )
-            for name, value in zip(("_a", "_thr", "_jump"), table):
-                object.__setattr__(self, name, value)
+            key = (self.mean_target_us, self.stddev_us, self.low_us, self.high_us)
+            twin = _TABLED_TRUNCNORMS.setdefault(key, self)
+            if twin is self:
+                a, p = _truncnorm_pmf(*key)
+                table = _AliasTable.from_pmf(p)
+            else:
+                a, table = twin._a, twin._table
+            object.__setattr__(self, "_a", a)
+            object.__setattr__(self, "_table", table)
 
     def validate(self) -> list[str]:
         v = []
@@ -237,13 +262,7 @@ class TruncNormal:
         return self.high_us
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
-        x = rng.random(n)
-        x *= len(self._thr)
-        i = x.astype(np.int64)
-        j = self._jump.take(i)
-        j *= x >= self._thr.take(i)
-        j += i
+        j = self._table.slots(rng, n)
         j += self._a
         return j
 
@@ -252,39 +271,20 @@ class TruncNormal:
 class Empirical:
     """Histogram distribution: (duration_us, weight) bins.
 
-    A draw maps a uniform u in [0, 1) to bin searchsorted(cum, u, "right"),
-    capped at the last bin, where cum holds the normalised cumulative
-    weights. The bin is found by indexed search (Chen & Asau, 1974): the
-    guide table splits [0, 1) into G = 2**m equal cells, and cell j holds
-    the one bin that every u in [j/G, (j+1)/G) maps to, or -1 if a cum
-    value lies inside the cell. A draw reads guide[floor(u*G)] and falls
-    back to the binary search only on -1, about K/G of the draws for K
-    bins. This is exact, not an approximation: u*G is exact for a power of
-    two G, the search is monotone in u, and a cell whose two edges give
-    the same bin (searchsorted(cum, j/G, "right") ==
-    searchsorted(cum, (j+1)/G, "left")) gives it for every u inside.
+    Sampled, like TruncNormal, from the alias table (_AliasTable) of the
+    normalised weights; a bin of weight 0 is never drawn. The table is
+    built once, when the model is made; a model that fails validation
+    gets none.
     """
 
     bins: tuple[tuple[Duration, float], ...]
 
     def __post_init__(self) -> None:
-        values = np.array([b[0] for b in self.bins], dtype=np.int64)
-        weights = np.array([b[1] for b in self.bins], dtype=np.float64)
-        # a table validate() rejects (non-finite, overflowing or zero sum)
-        # gets an all-zero cum, built without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = weights.sum()
-        ok = 0 < total < math.inf  # False for nan too
-        cum = np.cumsum(weights / total) if ok else np.zeros_like(weights)
-        k = len(values)
-        g = 1 << min(max((_GUIDE_CELLS_PER_BIN * k - 1).bit_length(), 10), 16)
-        edges = np.arange(g + 1) / g
-        lo = np.searchsorted(cum, edges[:-1], side="right")
-        hi = np.searchsorted(cum, edges[1:], side="left")
-        guide = np.where(lo == hi, np.minimum(lo, k - 1), -1).astype(np.int32)
-        tables = {"_values": values, "_total": total, "_cum": cum, "_guide": guide}
-        for name, value in tables.items():
-            object.__setattr__(self, name, value)
+        if not self.validate():
+            durations, weights = zip(*self.bins)
+            pmf = np.array(weights) / sum(weights)
+            object.__setattr__(self, "_values", np.array(durations, dtype=np.int64))
+            object.__setattr__(self, "_table", _AliasTable.from_pmf(pmf))
 
     def validate(self) -> list[str]:
         v = []
@@ -294,10 +294,12 @@ class Empirical:
             v.append("empirical weights must be finite")
         elif any(w < 0 for _, w in self.bins):
             v.append("empirical weights must be >= 0")
-        elif self.bins and not self._total > 0:
-            v.append("empirical weights must have a positive sum")
-        elif self._total == math.inf:
-            v.append("empirical weights must have a finite sum")
+        elif self.bins:
+            total = sum(w for _, w in self.bins)  # inf on overflow, where fsum raises
+            if not total > 0:
+                v.append("empirical weights must have a positive sum")
+            elif total == math.inf:
+                v.append("empirical weights must have a finite sum")
         if any(d < 0 for d, _ in self.bins):
             v.append("empirical durations must be >= 0")
         return v
@@ -306,13 +308,7 @@ class Empirical:
         return max(d for d, w in self.bins if w > 0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        i = self._guide[(u * len(self._guide)).astype(np.intp)]
-        miss = np.flatnonzero(i < 0)
-        if miss.size:
-            found = np.searchsorted(self._cum, u[miss], side="right")
-            i[miss] = np.minimum(found, len(self._values) - 1)
-        return self._values.take(i)
+        return self._values.take(self._table.slots(rng, n))
 
 
 # Every model's sample(rng, n) returns n int64 delays within its support.

@@ -32,7 +32,6 @@ from .kernel import Duration, rng_stream
 from .plc import PlcConfig
 from .stats import LatencyStats, SafetyParams
 
-SEGMENT_KINDS = ("iol-wire", "iolw-air", "ethernet", "fiveg", "plc")
 NETWORK_KINDS = ("ethernet", "fiveg")
 POLL_WAIT = "poll_wait"
 

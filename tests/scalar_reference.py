@@ -3,17 +3,24 @@
 The package computes every model on arrays of toggle times. These are the
 per-toggle loop versions the array code replaced, kept here only as test
 oracles: alignment arithmetic must match them exactly, sampled
-distributions must match them statistically. The earlier, plainer array
-forms of the empirical sampler and of the iolw-air retry arithmetic
-(through the array sub-cycle boundary) are kept too; the current ones must
-match them draw for draw. So are the truncated normal's former rejection
-sampler, which the alias-table sampler must match in distribution, and its
-first alias-table form, one select between each slot and its alias, which
-the threshold-table sampler must match draw for draw; the
-first array form of a run, which held every component's durations in one
-(components x toggles) matrix and which run() must match exactly; and the
-(transfers x attempts) failure-matrix draw of the iolw-air retries, which
-draw_retries must match in distribution.
+distributions must match them statistically. Earlier, plainer array forms
+are kept as well:
+
+- the empirical sampler's inverse-CDF search, which the alias-table
+  sampler must match in distribution, not draw for draw (from the same
+  uniforms it draws other bins);
+- the truncated normal's rejection sampler, which the alias-table sampler
+  must match in distribution;
+- the first alias-table draw, one select between each slot and its alias,
+  which the threshold-table draw of both tabled models must match draw
+  for draw;
+- the iolw-air retry arithmetic through the array sub-cycle boundary,
+  which the current one must match draw for draw;
+- the first array form of a run, which held every component's durations
+  in one (components x toggles) matrix and which run() must match
+  exactly;
+- the (transfers x attempts) failure-matrix draw of the iolw-air retries,
+  which draw_retries must match in distribution.
 """
 
 from __future__ import annotations
@@ -47,19 +54,31 @@ def truncnorm_sample_gather(model, rng, n):
     return np.rint(x).astype(np.int64), int(pending.size)
 
 
-def truncnorm_sample_where(model, rng, n):
-    """The first alias-table TruncNormal.sample, over Walker's (prob, alias)
-    of the exact pmf: slot i = floor(u*K) keeps itself when the fraction
-    u*K - i is below prob[i] and takes alias[i] otherwise."""
-    a, pmf = fiveg._truncnorm_pmf(
-        model.mean_target_us, model.stddev_us, model.low_us, model.high_us
-    )
+def alias_slots_where(pmf, rng, n):
+    """The first alias-table draw, over Walker's (prob, alias) of the pmf:
+    slot i = floor(u*K) keeps itself when the fraction u*K - i is below
+    prob[i] and takes alias[i] otherwise."""
     prob, alias = fiveg._alias_table(pmf)
     x = rng.random(n)
     x *= len(prob)
     i = x.astype(np.int64)
     x -= i
-    return np.where(x < prob.take(i), i, alias.take(i)) + a
+    return np.where(x < prob.take(i), i, alias.take(i))
+
+
+def truncnorm_sample_where(model, rng, n):
+    """The first alias-table TruncNormal.sample, over the exact pmf."""
+    a, pmf = fiveg._truncnorm_pmf(
+        model.mean_target_us, model.stddev_us, model.low_us, model.high_us
+    )
+    return alias_slots_where(pmf, rng, n) + a
+
+
+def empirical_sample_where(model, rng, n):
+    """Empirical.sample as the select over the alias table of the weights."""
+    durations, weights = zip(*model.bins)
+    values = np.array(durations, dtype=np.int64)
+    return values[alias_slots_where(np.array(weights) / sum(weights), rng, n)]
 
 
 def empirical_sample_searchsorted(model, u):

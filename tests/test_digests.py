@@ -85,11 +85,14 @@ def report_digest(config_path, seed, out):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+# Empirical delays are drawn from the alias table of their normalised
+# weights, in place of an inverse-CDF search: the same distribution (see
+# test_equivalence's chi-square against the search), but other draws.
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (1, "f154a406efa95a2a3a452090730b5347692d4408b7e138238cd844decae33e0c"),
-        (2, "f8fd431a0e429a68def2c41e56e018d39b2ef9bda30f3204bd8f07a89dca3de1"),
+        (1, "f64d1b34f4ce416aa56f8e5e49dc6932d8737e2d9bbc744a00f9ca622fd06bf8"),
+        (2, "fd5df4f13eba9ec12c57f0447828f888ecc3a9dfe9db5804441eab32d07db934"),
     ],
 )
 def test_lossy_empirical_report_digest(seed, digest, tmp_path, capsys):

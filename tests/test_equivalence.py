@@ -134,25 +134,72 @@ empirical_weights = st.one_of(
               st.sampled_from(["plain", "zeros", "tails"])),
     st.lists(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0]), min_size=1, max_size=40).filter(any),
 )
-# every cell edge of the finest guide table, 2**16 cells, is also an edge
-# of the coarser ones
-GUIDE_EDGES = np.arange(2**16) / 2**16
+# fixed examples of empirical_weights, the first of the size the
+# lossy-empirical scenarios use
+EMPIRICAL_TABLES = {
+    "plain-120": weight_table(120, 7, "plain"),
+    "plain-2000": weight_table(2000, 1, "plain"),
+    "zeros-500": weight_table(500, 2, "zeros"),
+    "tails-300": weight_table(300, 3, "tails"),
+    "short": [0.0, 1e-12, 0.5, 1.0, 3.0, 0.0, 1.0],
+}
+
+
+def pool_sparse(table, least=20):
+    """The columns of a count table, merged left to right until each holds
+    at least `least` counts; a short remainder joins the last column."""
+    columns, pending = [], np.zeros(len(table), dtype=np.int64)
+    for column in table.T:
+        pending = pending + column
+        if pending.sum() >= least:
+            columns.append(pending)
+            pending = np.zeros_like(pending)
+    if not columns:
+        return pending[:, None]
+    columns[-1] = columns[-1] + pending
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("weights", EMPIRICAL_TABLES.values(), ids=EMPIRICAL_TABLES)
+def test_empirical_draws_match_searchsorted_distribution(weights):
+    # the inverse-CDF search the alias table replaced is the oracle
+    model = Empirical(tuple((i, w) for i, w in enumerate(weights)))
+    n = 200_000
+    draws = model.sample(rng_stream(1, 0), n)
+    expected = ref.empirical_sample_searchsorted(model, rng_stream(2, 0).random(n))
+    table = pool_sparse(np.array([
+        np.bincount(draws, minlength=len(weights)),
+        np.bincount(expected, minlength=len(weights)),
+    ]))
+    assert table.shape[1] > 1
+    assert sps.chi2_contingency(table).pvalue > KS_MIN_PVALUE
 
 
 @given(empirical_weights, st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_empirical_sample_matches_searchsorted(weights, seed):
+def test_empirical_never_draws_a_zero_weight_bin(weights, seed):
+    model = Empirical(tuple((i, w) for i, w in enumerate(weights)))
+    zero = np.array(weights) == 0
+    # slot k draws itself for u*K in [k, thr[k]) and k + jump[k] in [thr[k], k + 1)
+    k = np.arange(len(weights))
+    thr, jump = model._table.thr, model._table.jump
+    assert not zero[k[thr > k]].any()
+    assert not zero[(k + jump)[thr < k + 1]].any()
+    assert not zero[model.sample(rng_stream(seed, 0), 20_000)].any()
+
+
+@pytest.mark.parametrize("weights", EMPIRICAL_TABLES.values(), ids=EMPIRICAL_TABLES)
+def test_empirical_sample_matches_where_select(weights):
     model = Empirical(tuple((10 * i + 5, w) for i, w in enumerate(weights)))
-    w = np.array(weights)
-    cum = np.cumsum(w / w.sum())
-    u = np.concatenate([
-        np.random.default_rng(seed).random(5000),
-        cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
-        GUIDE_EDGES, np.nextafter(GUIDE_EDGES, 0),
-    ])
-    u = u[(u >= 0) & (u < 1)]
-    expected = ref.empirical_sample_searchsorted(model, u)
-    assert model.sample(ScriptedRng(u), len(u)).tolist() == expected.tolist()
+    expected = ref.empirical_sample_where(model, rng_stream(1, 0), 13_500)
+    np.testing.assert_array_equal(model.sample(rng_stream(1, 0), 13_500), expected)
+    # u*K on and beside each threshold picks values[k] or values[alias[k]];
+    # the oracle scales its uniforms in place
+    u = model._table.thr / len(model._table.thr)
+    u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
+    u = u[u < 1]
+    expected = ref.empirical_sample_where(model, ScriptedRng(u.copy()), len(u))
+    np.testing.assert_array_equal(model.sample(ScriptedRng(u), len(u)), expected)
 
 
 SHIPPED_TRUNCNORMS = ("wire", "eth_shop", "nr_up")
@@ -228,7 +275,7 @@ def test_truncnorm_sample_matches_where_select_at_thresholds(default_scenario):
     # uniforms that put u*K on, just below and just above each threshold
     for sid in SHIPPED_TRUNCNORMS:
         model = default_scenario.segments[sid].model
-        u = model._thr / len(model._thr)
+        u = model._table.thr / len(model._table.thr)
         u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
         u = u[u < 1]
         # both samplers scale their uniforms in place

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,14 +103,28 @@ class TestSampling:
     def test_truncnorm_support_wider_than_cap_fails_validation(self):
         model = TruncNormal(5000.0, 1e6, 0, 10**8)
         assert any("exceeds" in m for m in model.validate())
-        assert not hasattr(model, "_thr")  # no table for an invalid model
+        assert not hasattr(model, "_table")  # no table for an invalid model
         # low..high holds one point more than the cap
         assert TruncNormal(0.0, 1e9, 0, fiveg.TRUNCNORM_MAX_POINTS).validate()
 
     def test_equal_truncnorms_share_one_table(self):
         a, b = TruncNormal(1200.0, 200.0, 600, 2000), TruncNormal(1200, 200, 600, 2000)
-        assert a._thr is b._thr and a._jump is b._jump
-        assert TruncNormal(1200.0, 201.0, 600, 2000)._thr is not a._thr
+        assert a._table is b._table
+        assert TruncNormal(1200.0, 201.0, 600, 2000)._table is not a._table
+
+    def test_dropped_truncnorms_free_their_tables(self):
+        # each table holds about 1.4 MB (16 bytes for each of ~90 000
+        # points); none may outlive the models that use it
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            models = [TruncNormal(50_000.0, 5000.0 + i, 0, 100_000) for i in range(4)]
+            assert tracemalloc.get_traced_memory()[0] - before > 4_000_000
+            del models
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 1_000_000
+        finally:
+            tracemalloc.stop()
 
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)
@@ -162,12 +178,7 @@ class TestSampling:
             warnings.simplefilter("error")
             model = Empirical(bins)
         assert any(message in m for m in model.validate())
-
-    @pytest.mark.parametrize("k", [1, 120, 2000, 100_000])
-    def test_empirical_guide_table_stays_small(self, k):
-        model = Empirical(tuple((i, 1.0) for i in range(k)))
-        assert 2**10 <= len(model._guide) <= 2**16
-        assert model._guide.nbytes <= 256 * 1024
+        assert not hasattr(model, "_table")
 
     @pytest.mark.parametrize(
         "model, field, value",
