@@ -217,6 +217,8 @@ _MODELS = {
     "empirical": (Empirical, ("bins",)),
 }
 _LINK_KINDS = ("iol-wire", "ethernet", "fiveg")
+# component names a run and its report use besides the segment ids
+_RESERVED_IDS = (POLL_WAIT, "end_to_end")
 _SEGMENT_KEYS = ("kind", "role")
 
 
@@ -235,8 +237,10 @@ def _fields(
 
 
 def _build_model(
-    sid: str, raw: _Section, diags: list[Diagnostic]
+    sid: str, raw: _Section, models: dict[tuple, LatencyModel], diags: list[Diagnostic]
 ) -> LatencyModel | None:
+    """The segment's link model; models holds the load's models by (class,
+    *constructor args), so segments with equal parameters share one model."""
     kind_raw = raw.get("model")
     if kind_raw is None:
         diags.append(raw.at(f"segment {sid!r} is missing a latency model"))
@@ -259,11 +263,16 @@ def _build_model(
             )
         )
         return None
-    return None if kw is None else cls(*(kw[k] for k in keys))
+    if kw is None:
+        return None
+    key = (cls, *(kw[k] for k in keys))
+    if key not in models:
+        models[key] = cls(*key[1:])
+    return models[key]
 
 
 def _build_segment(
-    sid: str, raw: _Section, cell: IolwCellConfig, diags: list[Diagnostic]
+    sid: str, raw: _Section, cell: IolwCellConfig, models: dict, diags: list[Diagnostic]
 ) -> SegmentSpec | None:
     kind_raw = raw.get("kind")
     if kind_raw is None:
@@ -278,7 +287,7 @@ def _build_segment(
             diags.append(Diagnostic(r.line, r.col, f"invalid role {role!r}"))
             role = "both"
     if kind in _LINK_KINDS:
-        model = _build_model(sid, raw, diags)
+        model = _build_model(sid, raw, models, diags)
         if model is None:
             return None
         for msg in model.validate():
@@ -398,6 +407,7 @@ def load_scenario(text: str) -> Scenario:
         diags.append(sections["cell"].at(f"[cell]: {msg}"))
 
     segments: dict[str, SegmentSpec] = {}
+    models: dict[tuple, LatencyModel] = {}
     declared = {name[len("segment."):] for name in sections if name.startswith("segment.")}
     for name, raw in sections.items():
         if not name.startswith("segment."):
@@ -406,7 +416,10 @@ def load_scenario(text: str) -> Scenario:
         if not sid:
             diags.append(raw.at("segment section with empty id"))
             continue
-        seg = _build_segment(sid, raw, cell, diags)
+        if sid in _RESERVED_IDS:
+            diags.append(raw.at(f"segment id {sid!r} is reserved"))
+            continue
+        seg = _build_segment(sid, raw, cell, models, diags)
         if seg is not None:
             segments[sid] = seg
 

@@ -10,7 +10,6 @@ tables are out of scope.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ def symbol_duration_scaling(n1: NumerologyConfig, n2: NumerologyConfig) -> float
     return n1.scs_khz / n2.scs_khz
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constant:
     value_us: Duration
 
@@ -67,7 +66,7 @@ class Constant:
         return np.full(n, self.value_us, dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Uniform:
     low_us: Duration
     high_us: Duration
@@ -202,13 +201,6 @@ class _AliasTable:
         return j
 
 
-# Valid truncnorms by their fields, held weakly. A new model takes the
-# table of the equal model found here while that one lives, so equal live
-# models share one table, and a table is freed with the last model that
-# uses it.
-_TABLED_TRUNCNORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @dataclass(frozen=True)
 class TruncNormal:
     """rint of a normal distribution conditioned on [low, high].
@@ -227,15 +219,9 @@ class TruncNormal:
 
     def __post_init__(self) -> None:
         if not self.validate():
-            key = (self.mean_target_us, self.stddev_us, self.low_us, self.high_us)
-            twin = _TABLED_TRUNCNORMS.setdefault(key, self)
-            if twin is self:
-                a, p = _truncnorm_pmf(*key)
-                table = _AliasTable.from_pmf(p)
-            else:
-                a, table = twin._a, twin._table
+            a, p = _truncnorm_pmf(self.mean_target_us, self.stddev_us, self.low_us, self.high_us)
             object.__setattr__(self, "_a", a)
-            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_table", _AliasTable.from_pmf(p))
 
     def validate(self) -> list[str]:
         v = []
@@ -312,4 +298,6 @@ class Empirical:
 
 
 # Every model's sample(rng, n) returns n int64 delays within its support.
+# Every model is frozen: the loader gives segments with equal parameters one
+# shared model, and a threaded sweep shares it across its threads.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

@@ -1,10 +1,10 @@
 """Streaming latency statistics and the safety calculus.
 
-LatencyStats accumulates arrays of integer-microsecond samples into fixed-width
-histogram bins (default 100 us, mirroring a 10 kS/s capture). The mean is
-kept as an exact integer sum plus count so that merging partial results is
-exact, associative and commutative. Percentiles are conservative: they
-round up to a bin upper edge, because the downstream use is safety margins.
+LatencyStats accumulates arrays of integer-microsecond samples into histogram
+bins of BIN_WIDTH_US (100 us, mirroring a 10 kS/s capture). The mean is kept
+as an exact integer sum plus count so that merging partial results is exact,
+associative and commutative. Percentiles are conservative: they round up to
+a bin upper edge, because the downstream use is safety margins.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernel import Duration
 
-DEFAULT_BIN_WIDTH_US = 100
+BIN_WIDTH_US = 100
 
 
 class EmptyStatsError(ValueError):
@@ -25,7 +25,6 @@ class EmptyStatsError(ValueError):
 
 @dataclass
 class LatencyStats:
-    bin_width_us: int = DEFAULT_BIN_WIDTH_US
     count: int = 0
     total_us: int = 0
     min_us: Duration | None = None
@@ -47,10 +46,9 @@ class LatencyStats:
         self.total_us += int(values_us.sum(dtype=np.int64))
         self.min_us = lo if self.min_us is None else min(self.min_us, lo)
         self.max_us = hi if self.max_us is None else max(self.max_us, hi)
-        w = self.bin_width_us
-        first = lo // w
-        q = values_us // w
-        if hi // w - first < values_us.size:
+        first = lo // BIN_WIDTH_US
+        q = values_us // BIN_WIDTH_US
+        if hi // BIN_WIDTH_US - first < values_us.size:
             # the occupied bins span no more than the batch: count densely
             q -= first
             counts = np.bincount(q)
@@ -76,15 +74,12 @@ class LatencyStats:
         return self.total_us / self.count
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
-        if self.bin_width_us != other.bin_width_us:
-            raise ValueError("cannot merge stats with different bin widths")
         merged_bins = dict(self.bins)
         for idx, n in other.bins.items():
             merged_bins[idx] = merged_bins.get(idx, 0) + n
         mins = [m for m in (self.min_us, other.min_us) if m is not None]
         maxs = [m for m in (self.max_us, other.max_us) if m is not None]
         return LatencyStats(
-            bin_width_us=self.bin_width_us,
             count=self.count + other.count,
             total_us=self.total_us + other.total_us,
             min_us=min(mins) if mins else None,
@@ -104,8 +99,8 @@ class LatencyStats:
         for idx in sorted(self.bins):
             cum += self.bins[idx]
             if cum * 100 >= threshold:
-                return (idx + 1) * self.bin_width_us
-        return (max(self.bins) + 1) * self.bin_width_us
+                return (idx + 1) * BIN_WIDTH_US
+        return (max(self.bins) + 1) * BIN_WIDTH_US
 
     def cdf(self) -> list[tuple[Duration, float]]:
         """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""
@@ -115,13 +110,13 @@ class LatencyStats:
         cum = 0
         for idx in sorted(self.bins):
             cum += self.bins[idx]
-            out.append(((idx + 1) * self.bin_width_us, cum / self.count))
+            out.append(((idx + 1) * BIN_WIDTH_US, cum / self.count))
         return out
 
     def histogram(self) -> list[tuple[Duration, int]]:
         """(bin upper edge, frequency) pairs in ascending order."""
         return [
-            ((idx + 1) * self.bin_width_us, self.bins[idx])
+            ((idx + 1) * BIN_WIDTH_US, self.bins[idx])
             for idx in sorted(self.bins)
         ]
 

@@ -2,6 +2,7 @@ import pytest
 
 from iolw5gsim.cli import EXIT_INVALID, main
 from iolw5gsim.config import Diagnostic, ScenarioError, load_scenario
+from iolw5gsim.fiveg import _AliasTable
 
 MINIMAL = """
 [cell]
@@ -80,6 +81,18 @@ def test_default_scenario_is_the_testbed(default_scenario):
     assert sum(m for _, m in sc.safety.segment_maxima) == 149_600
 
 
+def test_loader_builds_each_distinct_link_model_once(default_config_text, monkeypatch):
+    # the testbed's twin Ethernet hops and 5G legs have equal parameters
+    tables = []
+    from_pmf = _AliasTable.from_pmf
+    monkeypatch.setattr(_AliasTable, "from_pmf", lambda p: tables.append(p) or from_pmf(p))
+    seg = load_scenario(default_config_text).segments
+    assert seg["nr_up"].model is seg["nr_down"].model
+    assert seg["eth_shop"].model is seg["eth_edge"].model
+    assert len({id(seg[sid].model) for sid in ("wire", "eth_shop", "nr_up")}) == 3
+    assert len(tables) == 3
+
+
 def test_unresolved_segment_id_reported():
     bad = patch(MINIMAL, "forward = wire, air, eth, plc", "forward = wire, air, ether9, plc")
     diags = diagnostics_of(bad)
@@ -104,6 +117,10 @@ def test_capacity_violation_surfaced():
     assert any("tracks_per_master" in d.message for d in diags)
 
 
+# a segment may not take the name of a component a run adds itself
+RESERVED = "kind = ethernet\nmodel = constant\nvalue = 1 ms\n\n[segment.plc]"
+
+
 def test_unknown_key_rejected_with_location():
     for old, new, key in [
         ("toggle_period = 200 ms", "togle_period = 200 ms", "togle_period"),
@@ -115,6 +132,8 @@ def test_unknown_key_rejected_with_location():
         # without a network segment on the forward path there is no poll wait
         (PATH_ON, PATH_ON.replace("eth, plc", "plc") + "budget.poll_wait = 10 ms\n",
          "poll_wait"),
+        ("[segment.plc]", "[segment.poll_wait]\n" + RESERVED, "poll_wait"),
+        ("[segment.plc]", "[segment.end_to_end]\n" + RESERVED, "end_to_end"),
     ]:
         bad = patch(MINIMAL, old, new)
         d = next(d for d in diagnostics_of(bad) if key in d.message)
@@ -155,6 +174,8 @@ NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
             PATH_ON, PATH_ON.replace("eth, plc", "plc") + "budget.poll_wait = 10 ms\n",
             id="poll-wait-without-network",
         ),
+        pytest.param("[segment.plc]", "[segment.poll_wait]\n" + RESERVED, id="reserved-poll-wait"),
+        pytest.param("[segment.plc]", "[segment.end_to_end]\n" + RESERVED, id="reserved-end-to-end"),
     ],
 )
 def test_every_diagnostic_has_a_location(old, new):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import typing
 import warnings
 
 import numpy as np
@@ -107,11 +108,6 @@ class TestSampling:
         # low..high holds one point more than the cap
         assert TruncNormal(0.0, 1e9, 0, fiveg.TRUNCNORM_MAX_POINTS).validate()
 
-    def test_equal_truncnorms_share_one_table(self):
-        a, b = TruncNormal(1200.0, 200.0, 600, 2000), TruncNormal(1200, 200, 600, 2000)
-        assert a._table is b._table
-        assert TruncNormal(1200.0, 201.0, 600, 2000)._table is not a._table
-
     def test_dropped_truncnorms_free_their_tables(self):
         # each table holds about 1.4 MB (16 bytes for each of ~90 000
         # points); none may outlive the models that use it
@@ -179,6 +175,12 @@ class TestSampling:
             model = Empirical(bins)
         assert any(message in m for m in model.validate())
         assert not hasattr(model, "_table")
+
+    def test_every_link_model_is_frozen(self):
+        # the loader hands one model to every segment with equal parameters,
+        # and a threaded sweep shares it, so no model may change in place
+        for cls in typing.get_args(fiveg.LatencyModel):
+            assert cls.__dataclass_params__.frozen, cls
 
     @pytest.mark.parametrize(
         "model, field, value",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iolw5gsim.stats import (
+    BIN_WIDTH_US,
     EmptyStatsError,
     LatencyStats,
     SafetyParams,
@@ -17,8 +18,8 @@ from iolw5gsim.stats import (
 samples_strategy = st.lists(st.integers(min_value=0, max_value=500_000), min_size=1, max_size=400)
 
 
-def fill(values, width=100):
-    s = LatencyStats(bin_width_us=width)
+def fill(values):
+    s = LatencyStats()
     for v in values:
         s.add(v)
     return s
@@ -52,18 +53,17 @@ class TestAccumulation:
             st.lists(st.integers(0, 3000), max_size=300),
             st.lists(st.integers(0, 2**31 - 1), max_size=300),
         ),
-        st.sampled_from([1, 7, 100]),
         st.sampled_from(["int64", "int32", "0-d"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_add_counts_bins_like_counter(self, values, width, form):
-        s = LatencyStats(bin_width_us=width)
+    def test_add_counts_bins_like_counter(self, values, form):
+        s = LatencyStats()
         if form == "0-d":
             for v in values:
                 s.add(np.int32(v))
         else:
             s.add(np.array(values, dtype=form))
-        assert s.bins == Counter(v // width for v in values)
+        assert s.bins == Counter(v // BIN_WIDTH_US for v in values)
         assert s.count == len(values) and s.total_us == sum(values)
         fields = [s.count, s.total_us, *s.bins, *s.bins.values()]
         if values:
@@ -93,10 +93,6 @@ class TestMerge:
     def test_merge_associative(self, a, b, c):
         sa, sb, sc = fill(a), fill(b), fill(c)
         assert sa.merge(sb).merge(sc) == sa.merge(sb.merge(sc))
-
-    def test_mixed_bin_widths_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats(bin_width_us=100).merge(LatencyStats(bin_width_us=50))
 
 
 class TestPercentile:
