@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
-from .iolw import IolwCellConfig, IolwTransferModel, usable_channels, validate_cell
+from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
 from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
 from .stats import SafetyParams
@@ -141,11 +141,6 @@ def _float(raw: _Raw, diags: list[Diagnostic]) -> float | None:
     return x
 
 
-def _constant(raw: _Raw, diags: list[Diagnostic]) -> Constant | None:
-    us = _duration_us(raw, diags)
-    return None if us is None else Constant(us)
-
-
 def _blocklist(raw: _Raw, diags: list[Diagnostic]) -> frozenset[int] | None:
     try:
         return frozenset(int(tok) for tok in raw.value.split(",") if tok.strip())
@@ -199,7 +194,7 @@ _SOURCE_FIELDS = {
 _PLC_FIELDS = {
     "task_cycle": ("task_cycle_us", _duration_us),
     "query_cycle": ("query_cycle_us", _duration_us),
-    "jitter": ("jitter", _constant),
+    "jitter": ("jitter_us", _duration_us),
 }
 _SAFETY_FIELDS = {"approach_speed": ("approach_speed_mps", _float)}  # + budget.<name>
 _PATH_FIELDS = {"forward": ("forward", _ids), "return": ("return", _ids)}
@@ -219,7 +214,6 @@ _MODELS = {
 _LINK_KINDS = ("iol-wire", "ethernet", "fiveg")
 # component names a run and its report use besides the segment ids
 _RESERVED_IDS = (POLL_WAIT, "end_to_end")
-_SEGMENT_KEYS = ("kind", "role")
 
 
 def _fields(
@@ -252,7 +246,7 @@ def _build_model(
         return None
     cls, keys = _MODELS[kind_raw.value]
     table = {k: (k, _bins if k == "bins" else _duration_us) for k in keys}
-    body = {k: r for k, r in raw.items() if k not in (*_SEGMENT_KEYS, "model")}
+    body = {k: r for k, r in raw.items() if k not in ("kind", "model")}
     kw = _fields(f"segment.{sid}", body, table, diags)
     missing = [k for k in sorted(keys) if k not in raw]
     if missing:
@@ -279,21 +273,14 @@ def _build_segment(
         diags.append(raw.at(f"segment {sid!r} has no kind"))
         return None
     kind = kind_raw.value
-    role = "both"
-    if "role" in raw:
-        role = raw["role"].value
-        if role not in ("forward", "return", "both"):
-            r = raw["role"]
-            diags.append(Diagnostic(r.line, r.col, f"invalid role {role!r}"))
-            role = "both"
     if kind in _LINK_KINDS:
         model = _build_model(sid, raw, models, diags)
         if model is None:
             return None
         for msg in model.validate():
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(id=sid, kind=kind, model=model, role=role)
-    body = {k: r for k, r in raw.items() if k not in _SEGMENT_KEYS}
+        return SegmentSpec(id=sid, kind=kind, model=model)
+    body = {k: r for k, r in raw.items() if k != "kind"}
     if kind == "iolw-air":
         kw = _fields(f"segment.{sid}", body, _IOLW_AIR_FIELDS, diags)
         if kw is None:
@@ -303,10 +290,10 @@ def _build_segment(
         )
         for msg in transfer.validate(cell):
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(id=sid, kind=kind, transfer=transfer, role=role)
+        return SegmentSpec(id=sid, kind=kind, transfer=transfer)
     if kind == "plc":
         _fields(f"segment.{sid}", body, {}, diags)
-        return SegmentSpec(id=sid, kind=kind, role=role)
+        return SegmentSpec(id=sid, kind=kind)
     diags.append(
         Diagnostic(kind_raw.line, kind_raw.col, f"unknown segment kind {kind!r}")
     )
@@ -323,27 +310,18 @@ def _build_paths(
     its own diagnostic, so only ids without a [segment.<id>] are unresolved."""
     paths = _fields("path", raw, _PATH_FIELDS, diags)
 
-    def resolve(key: str, direction: str) -> list[str]:
+    def resolve(key: str) -> list[str]:
         if key not in paths:
             diags.append(raw.at(f"[path] is missing {key!r}"))
             return []
         r, ids = raw[key], paths[key]
         for sid in ids:
-            seg = segments.get(sid)
             if sid not in declared:
                 diags.append(Diagnostic(r.line, r.col, f"unresolved segment id {sid!r}"))
-            elif seg is not None and seg.role not in ("both", direction):
-                diags.append(
-                    Diagnostic(
-                        r.line, r.col,
-                        f"segment {sid!r} has role {seg.role!r} but appears in the "
-                        f"{direction} path",
-                    )
-                )
         return ids
 
-    forward = resolve("forward", "forward")
-    ret = resolve("return", "return")
+    forward = resolve("forward")
+    ret = resolve("return")
     r = raw.get("forward")
     if r is not None and all(sid in segments for sid in forward):
         if not forward or segments[forward[-1]].kind != "plc":
@@ -396,14 +374,7 @@ def load_scenario(text: str) -> Scenario:
 
     kw = _fields("cell", sections["cell"], _CELL_FIELDS, diags)
     cell = IolwCellConfig() if kw is None else IolwCellConfig(**kw)
-    cell_msgs = validate_cell(cell)
-    # the simulation draws no hop plan, but the cell must admit one
-    if len(usable_channels(cell.channel_count, cell.blocklist, cell.min_hop_distance)) < 2:
-        cell_msgs.append(
-            f"no valid hop pair among {cell.channel_count} channels with min hop "
-            f"distance {cell.min_hop_distance}"
-        )
-    for msg in cell_msgs:
+    for msg in validate_cell(cell):
         diags.append(sections["cell"].at(f"[cell]: {msg}"))
 
     segments: dict[str, SegmentSpec] = {}

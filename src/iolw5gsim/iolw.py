@@ -35,6 +35,8 @@ DEFAULT_SUBCYCLES_PER_CYCLE = 3
 # coherence bandwidth.
 DEFAULT_CHANNEL_COUNT = 40
 DEFAULT_MIN_HOP_DISTANCE = 12
+# the 2 400-2 483.5 MHz band fits no more channels, even 1 MHz wide ones
+MAX_CHANNELS = 83
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,9 @@ class IolwCellConfig:
 
 
 def validate_cell(config: IolwCellConfig) -> list[str]:
-    """Return all violated capacity/timing constraints; empty list means ok.
+    """Return all violated capacity, timing and hop-plan constraints; empty
+    list means ok. The simulation draws no hop plan, but the cell must admit
+    one.
 
     Violations are data, not exceptions: the scenario loader aggregates
     them into diagnostics.
@@ -106,6 +110,14 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
         v.append(
             f"{config.subcycles_per_cycle} sub-cycles of {config.subcycle_us} us "
             f"do not fit in a {config.cycle_us} us cycle"
+        )
+    if config.channel_count > MAX_CHANNELS:
+        # checked first: usable_channels lists every channel
+        v.append(f"channels must be <= {MAX_CHANNELS}, got {config.channel_count}")
+    elif len(usable_channels(config.channel_count, config.blocklist, config.min_hop_distance)) < 2:
+        v.append(
+            f"no valid hop pair among {config.channel_count} channels with min hop "
+            f"distance {config.min_hop_distance}"
         )
     return v
 

@@ -4,17 +4,15 @@ The PLC executes its program every task_cycle (default 5 ms) and polls the
 W-Master process image every query_cycle (default 10 ms, an integer multiple
 of the task cycle). Inputs are sampled at cycle start: a value arriving
 mid-cycle is processed in the following cycle, and outputs publish at the
-end of the processing cycle. Both timing rules map arrays of arrival times
-element-wise.
+end of the processing cycle, plus a fixed jitter added to every
+publication. Both timing rules map arrays of arrival times element-wise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .fiveg import Constant, LatencyModel
 
 DEFAULT_TASK_CYCLE_US = 5000
 DEFAULT_QUERY_CYCLE_US = 10000
@@ -25,7 +23,7 @@ class PlcConfig:
     task_cycle_us: int = DEFAULT_TASK_CYCLE_US
     query_cycle_us: int = DEFAULT_QUERY_CYCLE_US
     phase_us: int = 0  # offset of the first cycle start; polls share the grid
-    jitter: LatencyModel = field(default_factory=lambda: Constant(0))
+    jitter_us: int = 0  # fixed delay added to every publication
 
     def validate(self) -> list[str]:
         v = []
@@ -44,20 +42,19 @@ class PlcConfig:
             )
         if self.phase_us < 0:
             v.append("phase must be >= 0")
-        v += [f"jitter: {msg}" for msg in self.jitter.validate()]
+        if self.jitter_us < 0:
+            v.append("jitter must be >= 0")
         return v
 
 
-def align_to_task_cycle(
-    arrival: np.ndarray, cfg: PlcConfig, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def align_to_task_cycle(arrival: np.ndarray, cfg: PlcConfig) -> np.ndarray:
     """Output publication times for inputs arriving at `arrival`.
 
     An arrival exactly on a cycle start is processed in that cycle and
     publishes one task cycle later; any later arrival waits for the next
     cycle start and publishes at its end (two task cycles after the
-    preceding start). Adds one jitter draw per arrival when an RNG is
-    supplied.
+    preceding start). Every publication is then delayed by the fixed
+    jitter_us.
     """
     task = cfg.task_cycle_us
     # the cycle start at or before arrival: arrival - (arrival - phase) % task,
@@ -66,10 +63,7 @@ def align_to_task_cycle(
     start //= task
     start *= task
     start += cfg.phase_us
-    completion = start + task + (arrival != start) * task
-    if rng is not None:
-        completion = completion + cfg.jitter.sample(rng, len(arrival))
-    return completion
+    return start + (task + cfg.jitter_us) + (arrival != start) * task
 
 
 def next_poll(t: np.ndarray, cfg: PlcConfig) -> np.ndarray:

@@ -45,7 +45,6 @@ class SegmentSpec:
     kind: str
     model: LatencyModel | None = None  # iol-wire / ethernet / fiveg
     transfer: IolwTransferModel | None = None  # iolw-air
-    role: str = "both"  # forward | return | both
 
 
 @dataclass
@@ -198,7 +197,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         if name == POLL_WAIT:
             d = plcmod.next_poll(t, plc_cfg) - t
         elif seg.kind == "plc":
-            d = plcmod.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
+            d = plcmod.align_to_task_cycle(t, plc_cfg) - t
         elif seg.kind == "iolw-air":
             # shift into the cell's cycle grid; +cycle keeps the argument
             # non-negative for phases larger than t

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,12 +96,10 @@ class LatencyStats:
         if not 0 <= p <= 100:
             raise ValueError("percentile must be within [0, 100]")
         threshold = p * self.count  # compare at 100x scale to stay exact for int p
-        cum = 0
-        for idx in sorted(self.bins):
-            cum += self.bins[idx]
-            if cum * 100 >= threshold:
-                return (idx + 1) * BIN_WIDTH_US
-        return (max(self.bins) + 1) * BIN_WIDTH_US
+        # the running sum ends at count, so some bin always reaches p <= 100
+        idxs = sorted(self.bins)
+        cums = accumulate(self.bins[i] for i in idxs)
+        return next((i + 1) * BIN_WIDTH_US for i, c in zip(idxs, cums) if c * 100 >= threshold)
 
     def cdf(self) -> list[tuple[Duration, float]]:
         """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""

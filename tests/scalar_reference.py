@@ -158,14 +158,12 @@ def next_poll(t, cfg):
     return cfg.phase_us + k * cfg.query_cycle_us
 
 
-def align_to_task_cycle(arrival, cfg, rng=None):
+def align_to_task_cycle(arrival, cfg):
     """Output publication time for one input arriving at `arrival`."""
     task = cfg.task_cycle_us
     start = cfg.phase_us + ((arrival - cfg.phase_us) // task) * task
     completion = start + task if arrival == start else start + 2 * task
-    if rng is not None:
-        completion += sample_one(cfg.jitter, rng)
-    return completion
+    return completion + cfg.jitter_us
 
 
 def sample_one(model, rng):
@@ -201,7 +199,7 @@ def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
                 t = poll
                 polled = True
             if seg.kind == "plc":
-                d = align_to_task_cycle(t, plc_cfg, rngs[sid]) - t
+                d = align_to_task_cycle(t, plc_cfg) - t
             elif seg.kind == "iolw-air":
                 rel = t - iolw_phase + cell.cycle_us
                 d = transfer_latency(rel, seg.transfer, cell, rngs[sid])
@@ -232,7 +230,7 @@ def trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs):
         if name == POLL_WAIT:
             d = plc.next_poll(t, plc_cfg) - t
         elif seg.kind == "plc":
-            d = plc.align_to_task_cycle(t, plc_cfg, rngs[name]) - t
+            d = plc.align_to_task_cycle(t, plc_cfg) - t
         elif seg.kind == "iolw-air":
             retries, lost = iolw.draw_retries(len(t), seg.transfer, rngs[name])
             d = iolw.transfer_latencies(t - iolw_phase + cell.cycle_us, retries, seg.transfer, cell)

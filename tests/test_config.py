@@ -162,6 +162,7 @@ NO_PATH = "[path]\nforward = wire, air, eth, plc\nreturn = eth, air, wire\n"
         pytest.param("sequences = 1", "sequences = 0", id="bad-source"),
         pytest.param("approach_speed = 2.0", "approach_speed = -1", id="bad-safety"),
         pytest.param("[cell]", "[cell]\nchannels = 10\nmin_hop_distance = 15", id="hop-plan"),
+        pytest.param("[cell]", "[cell]\nchannels = 1000000000", id="channels-past-ism-band"),
         pytest.param("forward = wire, air, eth, plc", "forward =", id="empty-forward"),
         pytest.param("[cell]", "[cell]\nmin_hop_distance = -5", id="negative-hop-distance"),
         pytest.param("[cell]", "[cell]\nblocklist = 99, -3", id="blocklist-out-of-range"),
@@ -189,8 +190,10 @@ def test_every_diagnostic_has_a_location(old, new):
         ("min_hop_distance = -5", "min_hop_distance must be >= 0, got -5"),
         ("blocklist = 99, -3", "blocklist channels [-3, 99] lie outside 0..39"),
         ("channels = 40\nblocklist = 40, 41, 42", "blocklist channels [40, 41, 42] lie outside 0..39"),
+        ("channels = 1000000000", "channels must be <= 83, got 1000000000"),
     ],
-    ids=["negative-hop-distance", "blocklist-out-of-range", "blocklist-past-last-channel"],
+    ids=["negative-hop-distance", "blocklist-out-of-range", "blocklist-past-last-channel",
+         "channels-past-ism-band"],
 )
 def test_bad_channel_settings_rejected_at_cell(settings, message):
     bad = patch(MINIMAL, "[cell]", "[cell]\n" + settings)
@@ -300,9 +303,16 @@ def test_infeasible_hop_config_rejected():
         assert diagnostics_of(bad) == [Diagnostic(bad.splitlines().index("[cell]") + 1, 1, msg)]
 
 
-def test_role_restricts_path_membership():
+def test_role_key_rejected_as_unknown(tmp_path, capsys):
     bad = patch(MINIMAL, "kind = iol-wire", "kind = iol-wire\nrole = forward")
-    assert any("role" in d.message for d in diagnostics_of(bad))
+    line = bad.splitlines().index("role = forward") + 1
+    assert diagnostics_of(bad) == [
+        Diagnostic(line, 1, "unknown key 'role' in section [segment.wire]")
+    ]
+    path = tmp_path / "role.scenario"
+    path.write_text(bad)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert f"{path}:{line}:1: unknown key 'role'" in capsys.readouterr().err
 
 
 def test_negative_plc_jitter_rejected(tmp_path, capsys):

@@ -38,10 +38,11 @@ cells = st.builds(
     st.integers(1, 4), st.integers(1, 700), st.integers(0, 800),
 )
 plc_configs = st.builds(
-    lambda task, mult, phase: PlcConfig(
-        task_cycle_us=task, query_cycle_us=task * mult, phase_us=phase % (2 * task * mult)
+    lambda task, mult, phase, jitter: PlcConfig(
+        task_cycle_us=task, query_cycle_us=task * mult, phase_us=phase % (2 * task * mult),
+        jitter_us=jitter,
     ),
-    st.integers(1, 2000), st.integers(1, 3), st.integers(0, 12_000),
+    st.integers(1, 2000), st.integers(1, 3), st.integers(0, 12_000), st.integers(0, 500),
 )
 # how many grid periods in the window starts: 0 covers times before the
 # phase, large values times far beyond int32

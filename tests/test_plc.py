@@ -37,6 +37,9 @@ class TestAlignToTaskCycle:
         assert align_to_task_cycle(1000, cfg) == 6000
         assert align_to_task_cycle(1001, cfg) == 11_000
 
+    def test_jitter_delays_every_publication(self):
+        assert align_to_task_cycle(100, PlcConfig(jitter_us=300)) == 10_300
+
     def test_query_cycle_must_be_multiple_of_task_cycle(self):
         assert PlcConfig(task_cycle_us=5000, query_cycle_us=12_000).validate()
         assert PlcConfig(task_cycle_us=5000, query_cycle_us=10_000).validate() == []
