@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import ScenarioError, decode_scenario, load_scenario
 from .report import build_report, write_report
-from .scenario import run as run_scenario, sweep
+from .scenario import sweep
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -54,40 +54,34 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario, config_bytes = _load(args.config)
-    result = run_scenario(scenario, args.seed)
-    report = build_report(result, scenario, config_bytes, deterministic=args.deterministic)
-    written = write_report(report, result, Path(args.out), fmt=args.format)
-    summary = {
-        "end_to_end_mean_us": result.end_to_end.mean_us if result.end_to_end.count else None,
-        "p99_us": result.end_to_end.percentile(99) if result.end_to_end.count else None,
-        "losses": result.losses,
-        "files": [str(p) for p in written],
-    }
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    """run is the one-seed sweep: the same report, without per_seed.json."""
     scenario, config_bytes = _load(args.config)
     seeds = [args.seed + i for i in range(args.seeds)]
-    merged = sweep(scenario, seeds, args.parallel)
+    result = sweep(scenario, seeds, args.parallel)
     out_dir = Path(args.out)
-    report = build_report(merged, scenario, config_bytes, deterministic=args.deterministic)
-    write_report(report, merged, out_dir, fmt=args.format)
-    per_seed_summary = {
-        str(r.seeds[0]): {
-            "toggles": r.toggles,
-            "losses": r.losses,
-            "mean_us": r.end_to_end.mean_us if r.end_to_end.count else None,
+    report = build_report(result, scenario, config_bytes, deterministic=args.deterministic)
+    written = write_report(report, result, out_dir, fmt=args.format)
+    if args.command == "run":
+        summary = {
+            "end_to_end_mean_us": result.end_to_end.mean_us if result.end_to_end.count else None,
+            "p99_us": result.end_to_end.percentile(99) if result.end_to_end.count else None,
+            "losses": result.losses,
+            "files": [str(p) for p in written],
         }
-        for r in merged.per_seed
-    }
-    (out_dir / "per_seed.json").write_text(
-        json.dumps(per_seed_summary, sort_keys=True, indent=2) + "\n"
-    )
-    print(json.dumps({"seeds": seeds, "toggles": merged.toggles}, sort_keys=True))
+    else:
+        per_seed = {
+            str(r.seeds[0]): {
+                "toggles": r.toggles,
+                "losses": r.losses,
+                "mean_us": r.end_to_end.mean_us if r.end_to_end.count else None,
+            }
+            for r in result.per_seed
+        }
+        text = json.dumps(per_seed, sort_keys=True, indent=2) + "\n"
+        (out_dir / "per_seed.json").write_text(text)
+        summary = {"seeds": seeds, "toggles": result.toggles}
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
@@ -99,7 +93,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=_cmd_validate)
 
-    for name, func in (("run", _cmd_run), ("sweep", _cmd_sweep)):
+    for name in ("run", "sweep"):
         p = sub.add_parser(name, help=f"{name} a scenario")
         p.add_argument("config")
         p.add_argument("--seed", type=_at_least(0), default=1)
@@ -110,9 +104,9 @@ def make_parser() -> argparse.ArgumentParser:
             help="suppress timestamps so reports are byte-identical on replay",
         )
         if name == "sweep":
-            p.add_argument("--seeds", type=_at_least(1), default=1, help="number of seeds")
-            p.add_argument("--parallel", type=_at_least(1), default=1)
-        p.set_defaults(func=func)
+            p.add_argument("--seeds", type=_at_least(1), help="number of seeds")
+            p.add_argument("--parallel", type=_at_least(1))
+        p.set_defaults(func=_cmd_simulate, seeds=1, parallel=1)
     return parser
 
 

@@ -22,6 +22,7 @@ points at its [header], or at 1:1 if the section is missing.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from dataclasses import dataclass
@@ -423,6 +424,7 @@ def load_scenario(text: str) -> Scenario:
 
 def decode_scenario(data: bytes) -> str:
     """UTF-8 text of a scenario file; a bad byte raises ScenarioError at its line:col."""
+    data = data.removeprefix(codecs.BOM_UTF8)  # columns count from after a BOM
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -112,13 +112,16 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
             f"do not fit in a {config.cycle_us} us cycle"
         )
     if config.channel_count > MAX_CHANNELS:
-        # checked first: usable_channels lists every channel
         v.append(f"channels must be <= {MAX_CHANNELS}, got {config.channel_count}")
-    elif len(usable_channels(config.channel_count, config.blocklist, config.min_hop_distance)) < 2:
-        v.append(
-            f"no valid hop pair among {config.channel_count} channels with min hop "
-            f"distance {config.min_hop_distance}"
-        )
+    else:
+        # a plan exists iff two allowed channels lie min_hop_distance apart:
+        # the lowest and highest allowed channels then always have a next hop
+        allowed = [c for c in range(config.channel_count) if c not in config.blocklist]
+        if len(allowed) < 2 or allowed[-1] - allowed[0] < config.min_hop_distance:
+            v.append(
+                f"no valid hop pair among {config.channel_count} channels with min hop "
+                f"distance {config.min_hop_distance}"
+            )
     return v
 
 
@@ -209,21 +212,3 @@ def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> fl
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     return per_subcycle_error_prob**max_attempts
-
-
-def usable_channels(
-    channel_count: int, blocklist: frozenset[int] | set[int], min_hop_distance: int
-) -> list[int]:
-    """Channels a hop plan may use; a plan exists iff there are at least two.
-
-    A channel is usable if it is not block-listed and some other allowed
-    channel lies at least min_hop_distance away, so a plan over usable
-    channels can always take its next hop.
-    """
-    allowed = [c for c in range(channel_count) if c not in blocklist]
-    return [
-        c
-        for c in allowed
-        if any(c2 != c and abs(c2 - c) >= min_hop_distance for c2 in allowed)
-    ]
-

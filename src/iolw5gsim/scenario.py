@@ -191,7 +191,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 
     # then stream: a lost toggle keeps moving so the arrays stay aligned,
     # but only delivered toggles are recorded
-    t = t0
+    t = t0.copy()  # t0 may be toggle_times()'s own array; e2e reads t - t0
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)
         if name == POLL_WAIT:
@@ -207,7 +207,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         else:
             d = seg.model.sample(rngs[name], len(t))
         seg_stats[name].add(d[keep])
-        t = t + d
+        t += d
     e2e = LatencyStats()
     e2e.add((t - t0)[keep])
     e2e.add_loss(losses)
@@ -220,11 +220,13 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
     """Run once per distinct seed and merge; the merge is order-independent.
 
-    Up to `parallel` seeds, and no more than the CPUs, run at once, on
-    threads sharing the scenario: the numpy work that dominates a run
-    releases the GIL, and every seed draws from its own streams. The merged
-    result carries the per-seed results, sorted by seed, in its per_seed
-    field, and is the same for any `parallel`.
+    Up to `parallel` seeds, and no more than the CPUs, run at once: the
+    calling thread runs every parallel-th seed and a pool of parallel - 1
+    threads the rest, all sharing the scenario (the numpy work that dominates
+    a run releases the GIL, and every seed draws from its own streams), so a
+    serial or one-seed sweep starts no thread. The merged result carries the
+    per-seed results, sorted by seed, in its per_seed field, and is the same
+    for any `parallel`.
     """
     if not seeds:
         raise ValueError("sweep needs at least one seed")
@@ -234,15 +236,12 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
         raise ValueError("sweep parallel must be >= 1")
     # each thread holds a run's arrays; more threads than CPUs only add those
     parallel = min(parallel, os.cpu_count() or 1)
-    if parallel > 1 and len(seeds) > 1:
-        # the calling thread runs every parallel-th seed itself: one thread
-        # fewer, and one allocator arena fewer holding a run's arrays
-        with ThreadPoolExecutor(max_workers=parallel - 1) as pool:
-            theirs = [s for i, s in enumerate(seeds) if i % parallel]
-            pending = pool.map(partial(run, scenario), theirs)
-            results = [run(scenario, s) for s in seeds[::parallel]] + list(pending)
-    else:
-        results = [run(scenario, s) for s in seeds]
+    # the caller's share saves a thread and the allocator arena holding its
+    # run's arrays; the pool starts threads only when seeds are submitted
+    with ThreadPoolExecutor(max_workers=max(parallel - 1, 1)) as pool:
+        theirs = [s for i, s in enumerate(seeds) if i % parallel]
+        pending = pool.map(partial(run, scenario), theirs)
+        results = [run(scenario, s) for s in seeds[::parallel]] + list(pending)
     results.sort(key=lambda r: r.seeds)
     merged = reduce(RunResult.merge, results)
     return dataclasses.replace(merged, per_seed=tuple(results))

@@ -20,7 +20,9 @@ are kept as well:
   in one (components x toggles) matrix and which run() must match
   exactly;
 - the (transfers x attempts) failure-matrix draw of the iolw-air retries,
-  which draw_retries must match in distribution.
+  which draw_retries must match in distribution;
+- the enumeration of the channels a hop plan may use, whose verdict (a plan
+  exists iff there are at least two) validate_cell's closed form must match.
 """
 
 from __future__ import annotations
@@ -95,6 +97,21 @@ def draw_retries_matrix(n, model, rng):
     fails = rng.random((n, model.max_attempts)) < model.per_subcycle_error_prob
     lost = fails.all(axis=1)
     return np.where(lost, model.max_attempts - 1, fails.argmin(axis=1)), lost
+
+
+def usable_channels(channel_count, blocklist, min_hop_distance):
+    """Channels a hop plan may use; a plan exists iff there are at least two.
+
+    A channel is usable if it is not block-listed and some other allowed
+    channel lies at least min_hop_distance away, so a plan over usable
+    channels can always take its next hop.
+    """
+    allowed = [c for c in range(channel_count) if c not in blocklist]
+    return [
+        c
+        for c in allowed
+        if any(c2 != c and abs(c2 - c) >= min_hop_distance for c2 in allowed)
+    ]
 
 
 def next_subcycle_start_array(t, config):

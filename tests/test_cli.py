@@ -1,3 +1,5 @@
+import codecs
+import hashlib
 import json
 import os
 import subprocess
@@ -119,8 +121,6 @@ def test_sweep_parallelism_does_not_change_merged_report(small_config, tmp_path,
 
 
 def test_report_config_hash_matches_input_bytes(small_config, tmp_path, capsys):
-    import hashlib
-
     out = tmp_path / "out"
     main(["run", str(small_config), "--out", str(out), "--deterministic"])
     report = json.loads((out / "report.json").read_text())
@@ -139,6 +139,41 @@ def test_non_utf8_config_exits_2_with_location(argv, tmp_path, monkeypatch, caps
     assert main([argv[0], str(bad), *argv[1:]]) == EXIT_INVALID
     line = good.count("\n") + 1
     assert f"{bad}:{line}:21: invalid UTF-8 byte 0xb5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--out", "o"]])
+def test_utf8_bom_is_skipped(argv, tmp_path, monkeypatch, capsys):
+    # a BOM-prefixed scenario loads, and its hash is of the raw bytes, BOM
+    # included; columns count from after the BOM
+    monkeypatch.chdir(tmp_path)
+    ok = tmp_path / "bom.scenario"
+    ok.write_bytes(codecs.BOM_UTF8 + MINIMAL.encode())
+    assert main([argv[0], str(ok), *argv[1:]]) == EXIT_OK
+    if argv[0] == "run":
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["run"]["config_sha256"] == hashlib.sha256(ok.read_bytes()).hexdigest()
+    bad = tmp_path / "bom-latin1.scenario"
+    bad.write_bytes(codecs.BOM_UTF8 + "# é, ".encode() + b"\xb5\n" + MINIMAL.encode())
+    assert main([argv[0], str(bad), *argv[1:]]) == EXIT_INVALID
+    assert f"{bad}:1:6: invalid UTF-8 byte 0xb5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_is_the_one_seed_sweep(fmt, small_config, tmp_path, capsys):
+    outs = {}
+    for command, extra in (("run", []), ("sweep", ["--seeds", "1"])):
+        outs[command] = tmp_path / command
+        assert main([
+            command, str(small_config), "--seed", "3", *extra, "--format", fmt,
+            "--out", str(outs[command]), "--deterministic",
+        ]) == EXIT_OK
+        stdout = json.loads(capsys.readouterr().out)
+        if command == "run":
+            assert sorted(stdout) == ["end_to_end_mean_us", "files", "losses", "p99_us"]
+    files = {c: sorted(p.name for p in out.iterdir()) for c, out in outs.items()}
+    assert files["sweep"] == sorted(files["run"] + ["per_seed.json"])
+    for name in files["run"]:
+        assert (outs["run"] / name).read_bytes() == (outs["sweep"] / name).read_bytes()
 
 
 def test_cli_import_leaves_multiprocessing_out():

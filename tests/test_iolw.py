@@ -1,17 +1,19 @@
+import random
+
 import numpy as np
 import pytest
 
 from iolw5gsim.iolw import (
+    MAX_CHANNELS,
     IolwCellConfig,
     IolwTransferModel,
     draw_retries,
     residual_error_prob,
     transfer_latencies,
-    usable_channels,
     validate_cell,
 )
 from iolw5gsim.kernel import rng_stream
-from tests.scalar_reference import mean_boundary_wait_us
+from tests.scalar_reference import mean_boundary_wait_us, usable_channels
 
 CELL = IolwCellConfig()
 WAIT_MODEL = IolwTransferModel(completion_offset_us=667)
@@ -161,6 +163,22 @@ class TestHopPlan:
         # the loader raises on such a cell; no two of 10 channels are 15 apart
         assert usable_channels(10, set(), 15) == []
         assert usable_channels(16, set(), 15) == [0, 15]
+
+    def test_validate_cell_verdict_matches_enumeration(self):
+        rnd = random.Random(5)
+        for channels in range(1, MAX_CHANNELS + 1):
+            # no channel blocked, a random share blocked, and all but a few
+            blocklists = [frozenset()] + [
+                frozenset(rnd.sample(range(channels), rnd.randint(lo, channels)))
+                for lo in (channels // 2, max(channels - 3, 0))
+            ]
+            for blocklist in blocklists:
+                for distance in range(MAX_CHANNELS + 2):
+                    cfg = IolwCellConfig(
+                        channel_count=channels, blocklist=blocklist, min_hop_distance=distance
+                    )
+                    infeasible = any("no valid hop pair" in v for v in validate_cell(cfg))
+                    assert infeasible == (len(usable_channels(channels, blocklist, distance)) < 2)
 
 
 def test_mean_boundary_wait_oracle_value():

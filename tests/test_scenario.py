@@ -212,20 +212,28 @@ class TestSweep:
             assert merged == serial and merged.per_seed == serial.per_seed
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
-        requested = []
-        real_pool = scenario_mod.ThreadPoolExecutor
+        requested, started = [], []
 
-        def recording_pool(max_workers):
-            requested.append(max_workers)
-            return real_pool(max_workers=min(max_workers, 1))
+        class RecordingPool(scenario_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 1))
+
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._threads))
+                super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(scenario_mod, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(scenario_mod, "ThreadPoolExecutor", RecordingPool)
         sc = small_scenario(sequences=2)
         seeds = [1, 2, 3, 4, 5, 6]
         assert sweep(sc, seeds, parallel=10**6) == sweep(sc, seeds)
-        # two CPUs: the calling thread and one pool thread
-        assert requested == [1]
+        # two CPUs: the calling thread and one pool thread; the serial sweep
+        # builds a pool too, but hands it no seed, so it starts no thread
+        assert requested == [1, 1]
+        assert started == [1, 0]
+        sweep(sc, [1], parallel=2)
+        assert requested[-1] == 1 and started[-1] == 0
 
 
 class TestDominance:
