@@ -1,8 +1,8 @@
 """Latency models for wired/cellular link segments plus 5G numerology arithmetic.
 
 Every link segment (Ethernet, 5G, wired IO-Link stub) samples its delays from
-a LatencyModel, one batch per path step. All durations are integer
-microseconds. Numerology helpers
+a LatencyModel, one block of toggles per call, into an array the caller
+passes. All durations are integer microseconds. Numerology helpers
 cover the subcarrier-spacing to OFDM-symbol relations; absolute 3GPP slot
 tables are out of scope.
 """
@@ -62,8 +62,11 @@ class Constant:
     def upper_bound_us(self) -> Duration:
         return self.value_us
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.value_us, dtype=np.int64)
+    def sample(
+        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        out.fill(self.value_us)
+        return out
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,14 @@ class Uniform:
     def upper_bound_us(self) -> Duration:
         return self.high_us
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(self.low_us, self.high_us, size=n, endpoint=True, dtype=np.int64)
+    def sample(
+        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        # integers() has no out argument
+        out[...] = rng.integers(
+            self.low_us, self.high_us, size=len(out), endpoint=True, dtype=np.int64
+        )
+        return out
 
 
 def _truncnorm_support(mean: float, sd: float, low: int, high: int) -> tuple[int, int]:
@@ -189,16 +198,20 @@ class _AliasTable:
         thr.flags.writeable = jump.flags.writeable = False
         return cls(thr, jump)
 
-    def slots(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n slot indices, each drawn with its pmf mass."""
+    def slots(
+        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """Slot indices into the int64 out, each drawn with its pmf mass; u
+        (float64) and mask (bool) of out's length are scratch."""
         # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
-        x = rng.random(n)
-        x *= len(self.thr)
-        i = x.astype(np.int64)
-        j = self.jump.take(i)
-        j *= x >= self.thr.take(i)
-        j += i
-        return j
+        rng.random(out=u)
+        u *= len(self.thr)
+        np.copyto(out, u, casting="unsafe")  # truncates, as astype does
+        np.greater_equal(u, self.thr.take(out), out=mask)
+        j = self.jump.take(out)
+        j *= mask
+        out += j
+        return out
 
 
 @dataclass(frozen=True)
@@ -247,10 +260,12 @@ class TruncNormal:
     def upper_bound_us(self) -> Duration:
         return self.high_us
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        j = self._table.slots(rng, n)
-        j += self._a
-        return j
+    def sample(
+        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        self._table.slots(rng, out, u, mask)
+        out += self._a
+        return out
 
 
 @dataclass(frozen=True)
@@ -293,11 +308,16 @@ class Empirical:
     def upper_bound_us(self) -> Duration:
         return max(d for d, w in self.bins if w > 0)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._values.take(self._table.slots(rng, n))
+    def sample(
+        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        out[...] = self._values.take(self._table.slots(rng, out, u, mask))
+        return out
 
 
-# Every model's sample(rng, n) returns n int64 delays within its support.
+# Every model's sample(rng, out, u, mask) draws len(out) delays within its
+# support into the int64 out and returns it; u (float64) and mask (bool), of
+# out's length, are scratch it may overwrite.
 # Every model is frozen: the loader gives segments with equal parameters one
 # shared model, and a threaded sweep shares it across its threads.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

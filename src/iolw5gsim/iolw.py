@@ -9,8 +9,9 @@ cycle start; a process-data change is transmitted with the next sub-cycle
 and retried on subsequent sub-cycle boundaries (continuing across the cycle
 boundary) up to max_attempts times. Whether an attempt fails never depends
 on time, so the model comes in two parts: draw_retries draws the attempts
-of a batch of transfers in rounds, and transfer_latencies turns given
-retries into latencies for an array of transfer start times.
+of a block of transfers in rounds, and transfer_latencies turns given
+retries into latencies for an array of transfer start times. Both write
+into arrays the caller passes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ DEFAULT_CHANNEL_COUNT = 40
 DEFAULT_MIN_HOP_DISTANCE = 12
 # the 2 400-2 483.5 MHz band fits no more channels, even 1 MHz wide ones
 MAX_CHANNELS = 83
+# a transfer still failing after 1 000 sub-cycles (1.66 s at the default
+# timing) has long missed any cycle budget; the ceiling bounds the retry
+# rounds and transfer_latencies' slot table
+MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -149,38 +154,51 @@ class IolwTransferModel:
             )
         if not 0.0 <= self.per_subcycle_error_prob <= 1.0:
             v.append("error_prob must be within [0, 1]")
-        if self.max_attempts < 1:
-            v.append("max_attempts must be >= 1")
+        if not 1 <= self.max_attempts <= MAX_ATTEMPTS:
+            v.append(f"max_attempts must be 1..{MAX_ATTEMPTS}, got {self.max_attempts}")
         return v
 
 
 def draw_retries(
-    n: int, model: IolwTransferModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Retries used by n transfers, and which of them were lost.
+    model: IolwTransferModel,
+    rng: np.random.Generator,
+    retries: np.ndarray,
+    u: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Draw into retries (intp) the retries used by len(retries) transfers,
+    with u (float64) and mask (bool) of the same length as scratch; return
+    the indices of the transfers lost.
 
     Attempts are drawn in rounds: one uniform per transfer, then one more per
     transfer whose attempts so far all failed (uniform < error prob), for at
-    most max_attempts rounds. A transfer failing them all is lost, with the
-    max_attempts - 1 retries of its last attempt.
+    most max_attempts rounds, stopping once none fails. A transfer failing
+    them all is lost, with the max_attempts - 1 retries of its last attempt.
     """
     p = model.per_subcycle_error_prob
-    retries = np.zeros(n, dtype=np.intp)
-    failing = np.flatnonzero(rng.random(n) < p)
+    retries.fill(0)
+    rng.random(out=u)
+    failing = np.flatnonzero(np.less(u, p, out=mask))
     for _ in range(model.max_attempts - 1):
+        if not failing.size:  # a round over no transfer draws nothing
+            break
         retries[failing] += 1
         failing = failing[rng.random(failing.size) < p]
-    lost = np.zeros(n, dtype=bool)
-    lost[failing] = True
-    return retries, lost
+    return failing
 
 
 def transfer_latencies(
-    t_change: np.ndarray, retries: np.ndarray, model: IolwTransferModel, cell: IolwCellConfig
+    t_change: np.ndarray,
+    retries: np.ndarray,
+    model: IolwTransferModel,
+    cell: IolwCellConfig,
+    out: np.ndarray,
+    first: np.ndarray,
 ) -> np.ndarray:
     """Latencies of transfers starting at t_change, each ending on the
-    attempt that follows its given retries."""
-    if np.any(np.less(t_change, 0)):
+    attempt that follows its given retries, into the int64 out, which may be
+    t_change itself; first (int64, same length) is scratch."""
+    if len(t_change) and t_change.min() < 0:
         raise ValueError("time must be non-negative")
     # slot s is the s-th sub-cycle boundary from the start of t_change's
     # cycle (slot subcycles_per_cycle is slot 0 of the next cycle); the first
@@ -191,18 +209,17 @@ def transfer_latencies(
     slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
     # offset = t_change % cycle, taken as t - t // cycle * cycle: the same for
     # a positive cycle at half the cost on int64
-    offset = t_change // cell.cycle_us
-    offset *= cell.cycle_us
-    np.subtract(t_change, offset, out=offset)
-    first = np.negative(offset)
+    np.floor_divide(t_change, cell.cycle_us, out=first)
+    first *= cell.cycle_us
+    offset = np.subtract(t_change, first, out=out)
+    np.negative(offset, out=first)
     first //= cell.subcycle_us
     np.negative(first, out=first)
     np.minimum(first, per_cycle, out=first)
     first += retries
-    latency = slot_start.take(first)
-    latency -= offset
-    latency += model.completion_offset_us
-    return latency
+    np.subtract(slot_start.take(first), offset, out=out)
+    out += model.completion_offset_us
+    return out
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:

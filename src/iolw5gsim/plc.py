@@ -5,7 +5,8 @@ W-Master process image every query_cycle (default 10 ms, an integer multiple
 of the task cycle). Inputs are sampled at cycle start: a value arriving
 mid-cycle is processed in the following cycle, and outputs publish at the
 end of the processing cycle, plus a fixed jitter added to every
-publication. Both timing rules map arrays of arrival times element-wise.
+publication. Both timing rules map arrays of arrival times element-wise,
+into an array the caller passes.
 """
 
 from __future__ import annotations
@@ -47,26 +48,32 @@ class PlcConfig:
         return v
 
 
-def align_to_task_cycle(arrival: np.ndarray, cfg: PlcConfig) -> np.ndarray:
-    """Output publication times for inputs arriving at `arrival`.
+def align_to_task_cycle(arrival: np.ndarray, cfg: PlcConfig, out: np.ndarray) -> np.ndarray:
+    """Output publication times for inputs arriving at `arrival`, into the
+    int64 out.
 
     An arrival exactly on a cycle start is processed in that cycle and
     publishes one task cycle later; any later arrival waits for the next
     cycle start and publishes at its end (two task cycles after the
     preceding start). Every publication is then delayed by the fixed
-    jitter_us.
+    jitter_us. So a publication is one task cycle plus the jitter after the
+    first cycle start at or after the arrival.
     """
     task = cfg.task_cycle_us
-    # the cycle start at or before arrival: arrival - (arrival - phase) % task,
-    # with the remainder taken as x - x // task * task, half the cost on int64
-    start = arrival - cfg.phase_us
-    start //= task
-    start *= task
-    start += cfg.phase_us
-    return start + (task + cfg.jitter_us) + (arrival != start) * task
+    # the first cycle start at or after arrival: phase - (phase - arrival) // task * task
+    np.subtract(cfg.phase_us, arrival, out=out)
+    out //= task
+    out *= -task
+    out += cfg.phase_us + task + cfg.jitter_us
+    return out
 
 
-def next_poll(t: np.ndarray, cfg: PlcConfig) -> np.ndarray:
-    """First poll time >= t; polls occur at phase + k*query_cycle, k >= 0."""
-    k = np.maximum(-((cfg.phase_us - t) // cfg.query_cycle_us), 0)
-    return cfg.phase_us + k * cfg.query_cycle_us
+def next_poll(t: np.ndarray, cfg: PlcConfig, out: np.ndarray) -> np.ndarray:
+    """First poll times >= t, into the int64 out; polls occur at
+    phase + k*query_cycle, k >= 0."""
+    np.subtract(cfg.phase_us, t, out=out)
+    out //= cfg.query_cycle_us
+    np.minimum(out, 0, out=out)  # k >= 0
+    out *= -cfg.query_cycle_us
+    out += cfg.phase_us
+    return out

@@ -18,7 +18,8 @@ are kept as well:
   which the current one must match draw for draw;
 - the first array form of a run, which held every component's durations
   in one (components x toggles) matrix and which run() must match
-  exactly;
+  exactly, with the toggle times as one grid of sequence starts plus
+  offsets;
 - the (transfers x attempts) failure-matrix draw of the iolw-air retries,
   which draw_retries must match in distribution;
 - the enumeration of the channels a hop plan may use, whose verdict (a plan
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from iolw5gsim import fiveg, iolw, plc
+from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
 from iolw5gsim.stats import LatencyStats
+from tests import fresh
 
 # The rejection sampler gives up after this many redraws and clamps instead.
 TRUNCNORM_MAX_REJECTS = 1000
@@ -245,24 +247,39 @@ def trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs):
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)
         if name == POLL_WAIT:
-            d = plc.next_poll(t, plc_cfg) - t
+            d = fresh.next_poll(t, plc_cfg) - t
         elif seg.kind == "plc":
-            d = plc.align_to_task_cycle(t, plc_cfg) - t
+            d = fresh.align_to_task_cycle(t, plc_cfg) - t
         elif seg.kind == "iolw-air":
-            retries, lost = iolw.draw_retries(len(t), seg.transfer, rngs[name])
-            d = iolw.transfer_latencies(t - iolw_phase + cell.cycle_us, retries, seg.transfer, cell)
+            retries, lost = fresh.draw_retries(len(t), seg.transfer, rngs[name])
+            d = fresh.transfer_latencies(
+                t - iolw_phase + cell.cycle_us, retries, seg.transfer, cell
+            )
             lost_at[lost & (lost_at < 0)] = i
         else:
-            d = seg.model.sample(rngs[name], len(t))
+            d = fresh.sample(seg.model, rngs[name], len(t))
         parts[i] = d
         t = t + d
     return parts, lost_at
 
 
+def toggle_times(source):
+    """Every toggle time of a source, as one (sequences x toggles per
+    sequence) grid of sequence starts plus offsets."""
+    per_seq = source.sequence_length_us // source.toggle_period_us
+    starts = np.arange(source.sequences, dtype=np.int64) * source.sequence_length_us
+    offsets = np.arange(per_seq, dtype=np.int64) * source.toggle_period_us
+    return (starts[:, None] + offsets).ravel()
+
+
 def run_via_matrix(scenario, seed):
-    """run() through trace_matrix: the lost toggles are dropped from the
-    whole matrix by one boolean index at the end."""
-    t0, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
+    """run() through trace_matrix in one pass over all toggles: the lost
+    toggles are dropped from the whole matrix by one boolean index at the
+    end."""
+    phase_rng, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
+    t0 = toggle_times(scenario.source)
+    if scenario.source.dither_us > 0:
+        t0 += phase_rng.integers(0, scenario.source.dither_us, size=len(t0))
     parts, lost_at = trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs)
     delivered = lost_at < 0
     components = tuple(scenario.components())

@@ -13,18 +13,12 @@ import pytest
 
 from iolw5gsim.cli import default_scenario_path, main
 from iolw5gsim.fiveg import NumerologyConfig, symbol_bandwidth_khz
-from iolw5gsim.iolw import (
-    IolwCellConfig,
-    IolwTransferModel,
-    draw_retries,
-    residual_error_prob,
-    transfer_latencies,
-    validate_cell,
-)
+from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel, residual_error_prob, validate_cell
 from iolw5gsim.kernel import rng_stream
-from iolw5gsim.plc import PlcConfig, align_to_task_cycle
+from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import run, sweep
 from iolw5gsim.stats import LatencyStats, safety_distance, worst_case_sfrt
+from tests.fresh import align_to_task_cycle, draw_retries, transfer_latencies
 from tests.test_scenario import random_scenario, small_scenario
 
 

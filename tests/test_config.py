@@ -216,6 +216,24 @@ def test_truncnorm_wider_than_its_table_cap_rejected_at_segment(tmp_path, capsys
     assert f"{path}:{line}:1:" in capsys.readouterr().err
 
 
+def test_max_attempts_past_ceiling_rejected_at_segment(default_config_text, tmp_path, capsys):
+    # a billion attempts made run allocate a slot table of 8 GB and loop
+    # over a billion retry rounds
+    text = default_config_text
+    at = text.index("max_attempts = 3", text.index("[segment.air_up]"))
+    bad = text[:at] + "max_attempts = 1000000000" + text[at + len("max_attempts = 3"):]
+    lines = bad.splitlines()
+    line = lines.index("kind = iolw-air", lines.index("[segment.air_up]")) + 1
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col) for d in diags] == [(line, 1)], diags
+    assert "max_attempts must be 1..1000, got 1000000000" in diags[0].message
+    path = tmp_path / "retries.scenario"
+    path.write_text(bad)
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert main(command) == EXIT_INVALID
+        assert f"{path}:{line}:1:" in capsys.readouterr().err
+
+
 EMPIRICAL_ETH = "model = empirical\nbins = 1 ms:1, 2 ms:3"
 
 

@@ -17,13 +17,14 @@ from scipy import stats as sps
 
 from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Empirical, TruncNormal, Uniform
-from iolw5gsim.iolw import (
-    IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies,
-)
+from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
-from iolw5gsim.plc import PlcConfig, align_to_task_cycle, next_poll
+from iolw5gsim.plc import PlcConfig
+from iolw5gsim import scenario as scenario_mod
 from iolw5gsim.scenario import run
+from iolw5gsim.stats import LatencyStats
 from tests import scalar_reference as ref
+from tests.fresh import align_to_task_cycle, draw_retries, next_poll, sample, transfer_latencies
 from tests.test_scenario import random_scenario
 
 # Each KS test compares one fixed-seed pair of samples; with some forty such
@@ -84,13 +85,17 @@ def test_align_to_task_cycle_matches_scalar(cfg, k):
 
 
 class ScriptedRng:
-    """Stands in for a Generator: random() replays fixed uniforms, whole or one by one."""
+    """Stands in for a Generator: random() replays fixed uniforms, whole or
+    one by one, returned or into out."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
         self.pos = 0
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.draws
+            return out
         if size is not None:
             assert tuple(np.atleast_1d(size)) == self.draws.shape
             return self.draws
@@ -166,7 +171,7 @@ def test_empirical_draws_match_searchsorted_distribution(weights):
     # the inverse-CDF search the alias table replaced is the oracle
     model = Empirical(tuple((i, w) for i, w in enumerate(weights)))
     n = 200_000
-    draws = model.sample(rng_stream(1, 0), n)
+    draws = sample(model, rng_stream(1, 0), n)
     expected = ref.empirical_sample_searchsorted(model, rng_stream(2, 0).random(n))
     table = pool_sparse(np.array([
         np.bincount(draws, minlength=len(weights)),
@@ -186,21 +191,21 @@ def test_empirical_never_draws_a_zero_weight_bin(weights, seed):
     thr, jump = model._table.thr, model._table.jump
     assert not zero[k[thr > k]].any()
     assert not zero[(k + jump)[thr < k + 1]].any()
-    assert not zero[model.sample(rng_stream(seed, 0), 20_000)].any()
+    assert not zero[sample(model, rng_stream(seed, 0), 20_000)].any()
 
 
 @pytest.mark.parametrize("weights", EMPIRICAL_TABLES.values(), ids=EMPIRICAL_TABLES)
 def test_empirical_sample_matches_where_select(weights):
     model = Empirical(tuple((10 * i + 5, w) for i, w in enumerate(weights)))
     expected = ref.empirical_sample_where(model, rng_stream(1, 0), 13_500)
-    np.testing.assert_array_equal(model.sample(rng_stream(1, 0), 13_500), expected)
+    np.testing.assert_array_equal(sample(model, rng_stream(1, 0), 13_500), expected)
     # u*K on and beside each threshold picks values[k] or values[alias[k]];
     # the oracle scales its uniforms in place
     u = model._table.thr / len(model._table.thr)
     u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
     u = u[u < 1]
     expected = ref.empirical_sample_where(model, ScriptedRng(u.copy()), len(u))
-    np.testing.assert_array_equal(model.sample(ScriptedRng(u), len(u)), expected)
+    np.testing.assert_array_equal(sample(model, ScriptedRng(u), len(u)), expected)
 
 
 SHIPPED_TRUNCNORMS = ("wire", "eth_shop", "nr_up")
@@ -214,7 +219,7 @@ def test_truncnorm_sample_matches_gather_loop(default_scenario):
         model = default_scenario.segments[sid].model
         expected, clamps = ref.truncnorm_sample_gather(model, rng_stream(2, 0), n)
         assert clamps == 0  # so the oracle drew the plain truncated normal
-        p = sps.ks_2samp(model.sample(rng_stream(1, 0), n), expected).pvalue
+        p = sps.ks_2samp(sample(model, rng_stream(1, 0), n), expected).pvalue
         assert p > KS_MIN_PVALUE, f"{sid}: KS p = {p:.2e}"
 
 
@@ -227,7 +232,7 @@ def test_truncnorm_draws_match_exact_pmf(default_scenario, sid):
     model = default_scenario.segments[sid].model
     a, pmf = table_pmf(model)
     n = 200_000
-    draws = model.sample(rng_stream(3, 0), n)
+    draws = sample(model, rng_stream(3, 0), n)
     # about 100 runs of consecutive points of equal mass, each expecting
     # some 2 000 draws
     starts = np.unique(np.searchsorted(np.cumsum(pmf), np.arange(100) / 100))
@@ -269,7 +274,7 @@ def test_truncnorm_sample_matches_where_select(default_scenario, seed, n):
     for sid in SHIPPED_TRUNCNORMS:
         model = default_scenario.segments[sid].model
         expected = ref.truncnorm_sample_where(model, rng_stream(seed, 0), n)
-        np.testing.assert_array_equal(model.sample(rng_stream(seed, 0), n), expected)
+        np.testing.assert_array_equal(sample(model, rng_stream(seed, 0), n), expected)
 
 
 def test_truncnorm_sample_matches_where_select_at_thresholds(default_scenario):
@@ -279,16 +284,16 @@ def test_truncnorm_sample_matches_where_select_at_thresholds(default_scenario):
         u = model._table.thr / len(model._table.thr)
         u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
         u = u[u < 1]
-        # both samplers scale their uniforms in place
+        # the oracle scales its uniforms in place
         expected = ref.truncnorm_sample_where(model, ScriptedRng(u.copy()), len(u))
-        np.testing.assert_array_equal(model.sample(ScriptedRng(u), len(u)), expected)
+        np.testing.assert_array_equal(sample(model, ScriptedRng(u), len(u)), expected)
 
 
 @given(tabled_truncnorms(), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 13_500]))
 @settings(max_examples=50, deadline=None)
 def test_tabled_truncnorm_sample_matches_where_select(model, seed, n):
     expected = ref.truncnorm_sample_where(model, rng_stream(seed, 0), n)
-    np.testing.assert_array_equal(model.sample(rng_stream(seed, 0), n), expected)
+    np.testing.assert_array_equal(sample(model, rng_stream(seed, 0), n), expected)
 
 
 def rebuilt_pmf(prob, alias):
@@ -426,7 +431,7 @@ def test_retry_rounds_match_failure_matrix_at_certain_outcomes(p, k):
 )
 def test_model_samples_match_scalar_distribution(model):
     n = 20_000
-    vectorised = model.sample(rng_stream(1, 0), n)
+    vectorised = sample(model, rng_stream(1, 0), n)
     rng = rng_stream(2, 0)
     scalar = [ref.sample_one(model, rng) for _ in range(n)]
     assert sps.ks_2samp(vectorised, scalar).pvalue > KS_MIN_PVALUE
@@ -441,7 +446,7 @@ def traced_samples(scenario, seed):
     rnd = random.Random(seed)
     plc_cfg = dataclasses.replace(scenario.plc, phase_us=rnd.randrange(scenario.plc.task_cycle_us))
     iolw_phase = rnd.randrange(scenario.cell.cycle_us)
-    t0 = scenario.source.toggle_times()
+    t0 = ref.toggle_times(scenario.source)
     t0 = t0 + rng_stream(seed, 0).integers(0, scenario.source.dither_us, size=len(t0))
     ids = sorted(scenario.segments)
 
@@ -493,3 +498,46 @@ def test_losses_per_leg_match_residual_error(default_scenario, p, k):
         sigma = math.sqrt(reaching * residual * (1 - residual))
         assert abs(result.segment_stats[sid].losses - expected) <= LOSS_SIGMA * sigma + 1
     assert result.losses == sum(result.segment_stats[s].losses for s in ("air_up", "air_down"))
+
+
+def recorded_samples(scenario, seed, monkeypatch):
+    """A run's result and the samples each of its statistics recorded,
+    concatenated, by component name and "end_to_end"."""
+    added = {}
+    add = LatencyStats.add
+
+    def recording_add(self, values):
+        added.setdefault(id(self), []).append(np.array(values))
+        add(self, values)
+
+    with monkeypatch.context() as m:
+        m.setattr(LatencyStats, "add", recording_add)
+        result = run(scenario, seed)
+    stats = {**result.segment_stats, "end_to_end": result.end_to_end}
+    return result, {name: np.concatenate(added[id(s)]) for name, s in stats.items()}
+
+
+def test_lossy_blocks_match_one_block_in_distribution(default_scenario, monkeypatch):
+    # the shipped links are crossed twice from one stream each, and lossy
+    # hops draw their retry rounds block by block, so blocks draw in another
+    # order than one pass does, but from the same distributions
+    p, k = 0.3, 5
+    sc = dataclasses.replace(default_scenario, segments=dict(default_scenario.segments))
+    for sid in ("air_up", "air_down"):
+        sc.segments[sid] = dataclasses.replace(
+            sc.segments[sid],
+            transfer=IolwTransferModel(667, per_subcycle_error_prob=p, max_attempts=k),
+        )
+    whole, one_block = recorded_samples(sc, 5, monkeypatch)
+    monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
+    result, blocks = recorded_samples(sc, 5, monkeypatch)
+    assert blocks.keys() == one_block.keys()
+    for name in blocks:
+        pvalue = sps.ks_2samp(blocks[name], one_block[name], method="asymp").pvalue
+        assert pvalue > KS_MIN_PVALUE, f"{name}: KS p = {pvalue:.2e}"
+    residual = p**k
+    reaching_down = result.toggles - result.segment_stats["air_up"].losses
+    for sid, reaching in (("air_up", result.toggles), ("air_down", reaching_down)):
+        sigma = math.sqrt(reaching * residual * (1 - residual))
+        assert abs(result.segment_stats[sid].losses - reaching * residual) <= LOSS_SIGMA * sigma + 1
+    assert result.toggles == whole.toggles and result != whole  # the draws did move

@@ -22,6 +22,7 @@ from iolw5gsim.fiveg import (
     symbol_duration_scaling,
 )
 from iolw5gsim.kernel import rng_stream
+from tests.fresh import sample
 
 
 class TestNumerology:
@@ -54,24 +55,24 @@ class TestSampling:
     def test_constant_always_same(self):
         rng = rng_stream(1, 0)
         model = Constant(1200)
-        assert (model.sample(rng, 100) == 1200).all()
+        assert (sample(model, rng, 100) == 1200).all()
 
     def test_single_bin_empirical_is_degenerate(self):
         rng = rng_stream(1, 0)
         model = Empirical(((10_200, 1.0),))
-        assert (model.sample(rng, 100) == 10_200).all()
+        assert (sample(model, rng, 100) == 10_200).all()
 
     def test_uniform_support(self):
         rng = rng_stream(2, 0)
         model = Uniform(100, 200)
-        draws = model.sample(rng, 10_000)
+        draws = sample(model, rng, 10_000)
         # both endpoints are in the support, and 10 000 draws reach them
         assert draws.min() == 100 and draws.max() == 200
 
     def test_truncnorm_support_and_mean_against_analytic_oracle(self):
         rng = rng_stream(3, 0)
         model = TruncNormal(10_200.0, 2000.0, 5000, 40_000)
-        draws = model.sample(rng, 100_000)
+        draws = sample(model, rng, 100_000)
         assert draws.min() >= 5000 and draws.max() <= 40_000
         a = (5000 - 10_200) / 2000
         b = (40_000 - 10_200) / 2000
@@ -83,7 +84,7 @@ class TestSampling:
         # support far in the tail, with no normal mass a double can hold:
         # every draw is the nearest bound, as the former clamp gave
         model = TruncNormal(0.0, 1.0, 1000, 1001)
-        assert model.sample(rng, 3).tolist() == [1000, 1000, 1000]
+        assert sample(model, rng, 3).tolist() == [1000, 1000, 1000]
 
     @pytest.mark.parametrize(
         "model",
@@ -99,7 +100,7 @@ class TestSampling:
     )
     def test_truncnorm_degenerate_models_give_rint_of_clipped_mean(self, model):
         expected = np.rint(np.clip(model.mean_target_us, model.low_us, model.high_us))
-        assert (model.sample(rng_stream(4, 0), 50) == expected).all()
+        assert (sample(model, rng_stream(4, 0), 50) == expected).all()
 
     def test_truncnorm_support_wider_than_cap_fails_validation(self):
         model = TruncNormal(5000.0, 1e6, 0, 10**8)
@@ -125,7 +126,7 @@ class TestSampling:
     def test_empirical_frequencies_match_weights(self):
         rng = rng_stream(5, 0)
         model = Empirical(((100, 1.0), (200, 2.0), (300, 1.0)))
-        draws = model.sample(rng, 100_000)
+        draws = sample(model, rng, 100_000)
         observed = [int((draws == v).sum()) for v in (100, 200, 300)]
         expected = [25_000, 50_000, 25_000]
         chi2 = sps.chisquare(observed, expected)
@@ -143,7 +144,7 @@ class TestSampling:
     def test_no_model_violates_support(self, model):
         rng = rng_stream(6, 0)
         lo, hi = 0, model.upper_bound_us()
-        v = model.sample(rng, 100_000)
+        v = sample(model, rng, 100_000)
         assert lo <= v.min() and v.max() <= hi
 
     def test_validation_catches_bad_parameters(self):
@@ -196,8 +197,8 @@ class TestSampling:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, field, value)
         new = dataclasses.replace(model, **{field: value})
-        old_draws = model.sample(rng_stream(7, 0), 2000)
-        new_draws = new.sample(rng_stream(7, 0), 2000)
+        old_draws = sample(model, rng_stream(7, 0), 2000)
+        new_draws = sample(new, rng_stream(7, 0), 2000)
         if isinstance(model, Empirical):
             assert (old_draws == 100).all() and (new_draws == 900).all()
         elif field == "stddev_us":

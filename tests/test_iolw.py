@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from iolw5gsim.iolw import (
+    MAX_ATTEMPTS,
     MAX_CHANNELS,
     IolwCellConfig,
     IolwTransferModel,
-    draw_retries,
     residual_error_prob,
-    transfer_latencies,
     validate_cell,
 )
 from iolw5gsim.kernel import rng_stream
+from tests.fresh import draw_retries, transfer_latencies
 from tests.scalar_reference import mean_boundary_wait_us, usable_channels
 
 CELL = IolwCellConfig()
@@ -126,6 +126,27 @@ class TestTransferLatency:
         a, _ = draw_latencies(t, model, rng_stream(1, 0))
         b, _ = draw_latencies(t + 3 * CELL.cycle_us, model, rng_stream(2, 0))
         assert (a == b).all()
+
+    def test_retry_rounds_stop_once_no_transfer_fails(self):
+        # a round over no transfer draws nothing, so a billion allowed
+        # attempts draw what a hundred do, which no transfer outlives at 0.5,
+        # and leave the stream at the same place
+        rngs = [rng_stream(6, 0), rng_stream(6, 0)]
+        draws = [
+            draw_retries(1000, IolwTransferModel(0, 0.5, attempts), rng)
+            for attempts, rng in zip((10**9, 100), rngs)
+        ]
+        (retries, lost), (expected_retries, expected_lost) = draws
+        assert retries.max() > 0 and not lost.any()
+        assert retries.tolist() == expected_retries.tolist()
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_max_attempts_ceiling(self):
+        cell = IolwCellConfig()
+        assert IolwTransferModel(0, 0.5, MAX_ATTEMPTS).validate(cell) == []
+        assert IolwTransferModel(0, 0.5, MAX_ATTEMPTS + 1).validate(cell) == [
+            f"max_attempts must be 1..{MAX_ATTEMPTS}, got {MAX_ATTEMPTS + 1}"
+        ]
 
     def test_mean_over_uniform_arrivals_matches_enumeration_oracle(self):
         model = IolwTransferModel(completion_offset_us=667)

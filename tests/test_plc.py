@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from iolw5gsim.kernel import rng_stream
-from iolw5gsim.plc import PlcConfig, align_to_task_cycle, next_poll
+from iolw5gsim.plc import PlcConfig
+from tests.fresh import align_to_task_cycle, next_poll
 
 CFG = PlcConfig()  # 5 ms task cycle, 10 ms query cycle, phase 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iolw5gsim.config import load_scenario
-from iolw5gsim.fiveg import Constant, TruncNormal, Uniform
+from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim import scenario as scenario_mod
@@ -19,6 +19,8 @@ from iolw5gsim.scenario import (
     sweep,
 )
 from iolw5gsim.stats import SafetyParams
+from tests import scalar_reference as ref
+from tests.fresh import toggle_times
 from tests.scalar_reference import trace_matrix
 from tests.test_config import MINIMAL
 
@@ -63,6 +65,57 @@ def random_scenario(rnd: random.Random) -> Scenario:
         ),
         safety=SafetyParams(),
     )
+
+
+def mixed_scenario(sequences: int = 500) -> Scenario:
+    """Every kind of link model, each link crossed once, loss-free iolw-air
+    hops and a dithered source of 17 toggles a sequence with an idle tail."""
+    air = IolwTransferModel(completion_offset_us=667)
+    links = {
+        "wire": ("iol-wire", Constant(700)),
+        "eth": ("ethernet", Uniform(600, 2000)),
+        "nr_up": ("fiveg", TruncNormal(10_200.0, 3000.0, 5000, 26_750)),
+        "nr_down": ("fiveg", Empirical(tuple((5000 + 200 * j, 1.0 + j % 7) for j in range(120)))),
+    }
+    segments = {sid: SegmentSpec(sid, kind, model=model) for sid, (kind, model) in links.items()}
+    segments.update({
+        "air_up": SegmentSpec("air_up", "iolw-air", transfer=air),
+        "air_down": SegmentSpec("air_down", "iolw-air", transfer=air),
+        "plc": SegmentSpec("plc", "plc"),
+    })
+    return Scenario(
+        cell=IolwCellConfig(),
+        segments=segments,
+        forward=["wire", "air_up", "eth", "nr_up", "plc"],
+        ret=["nr_down", "air_down"],
+        source=SignalSource(
+            toggle_period_us=300_000, sequences=sequences, sequence_length_us=5_200_000,
+            dither_us=10_000,
+        ),
+        plc=PlcConfig(),
+        safety=SafetyParams(),
+    )
+
+
+class TestToggleTimes:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            SignalSource(),
+            SignalSource(toggle_period_us=300_000, sequences=40, sequence_length_us=5_200_000),
+            SignalSource(toggle_period_us=7, sequences=3, sequence_length_us=7),
+        ],
+        ids=["shipped", "idle-tail", "one-per-sequence"],
+    )
+    def test_any_block_matches_the_grid(self, source):
+        grid = ref.toggle_times(source)
+        assert source.toggles == len(grid)
+        np.testing.assert_array_equal(toggle_times(source), grid)
+        rnd = random.Random(source.toggles)
+        for _ in range(50):
+            first = rnd.randrange(len(grid))
+            n = rnd.randint(1, len(grid) - first)
+            np.testing.assert_array_equal(toggle_times(source, first, n), grid[first:first + n])
 
 
 class TestRun:
@@ -160,6 +213,92 @@ class TestRun:
         assert result.losses == result.toggles
         assert result.end_to_end.count == 0
         assert result.segment_stats["air"].losses == result.toggles
+
+
+class TestBlocks:
+    def test_blocks_draw_what_one_block_draws(self, monkeypatch):
+        # 8 500 toggles: eight blocks of 1 000 and a short one, none on a
+        # sequence boundary; every link is crossed once and no hop loses, so
+        # each stream is drawn in one order whatever the blocks
+        sc = mixed_scenario()
+        whole = run(sc, seed=3)
+        assert whole == ref.run_via_matrix(sc, seed=3)
+        monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
+        assert run(sc, seed=3) == whole
+
+    def test_peak_memory_does_not_grow_with_the_blocks(self, monkeypatch):
+        # constant links: the histograms fill the same bins either way, so
+        # the peaks compare the run's own buffers
+        monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
+        peaks = []
+        for blocks in (1, 8):
+            sc = small_scenario(sequences=200 * blocks)  # five toggles a sequence
+            run(sc, seed=1)
+            tracemalloc.start()
+            try:
+                run(sc, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+def lossy_small_scenario(sequences: int) -> Scenario:
+    """The small scenario with its iolw-air hop crossed once, not twice, and
+    losing one transfer in eight."""
+    sc = small_scenario(sequences=sequences)
+    sc.segments["air"].transfer = IolwTransferModel(667, 0.5, max_attempts=3)
+    sc.ret = ["eth", "wire"]
+    return sc
+
+
+class TestWorkspace:
+    def test_warm_run_allocates_no_toggle_sized_buffer(self, default_scenario):
+        run(default_scenario, seed=1)  # builds this thread's workspace
+        tracemalloc.start()
+        try:
+            result = run(default_scenario, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a warm run's temporaries are gathers and integer draws, one or two
+        # at a time; the workspace alone is eight toggle-sized arrays
+        assert peak < 3 * 8 * result.toggles
+
+    def test_interleaved_scenarios_keep_their_results(self, default_scenario):
+        # the workspace is rebuilt for the other toggle count, then for a
+        # third traversal, and kept for the two traversals after that
+        lossy = lossy_small_scenario(sequences=7)
+        more_air = dataclasses.replace(default_scenario, ret=default_scenario.ret + ["air_up"])
+        first = {id(sc): run(sc, seed=2) for sc in (default_scenario, lossy, more_air)}
+        assert first[id(lossy)].losses > 0
+        for sc in (default_scenario, lossy, default_scenario, lossy, more_air, default_scenario):
+            assert run(sc, seed=2) == first[id(sc)]
+
+    def test_interleaved_threaded_sweeps_keep_their_results(self, default_scenario, monkeypatch):
+        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 8)
+        lossy = lossy_small_scenario(sequences=7)
+        seeds = [1, 2, 3, 4, 5]
+        first = {id(sc): sweep(sc, seeds, parallel=3) for sc in (default_scenario, lossy)}
+        for sc in (default_scenario, lossy):
+            assert first[id(sc)].per_seed == tuple(run(sc, s) for s in seeds)
+        for sc in (lossy, default_scenario, lossy):
+            merged = sweep(sc, seeds, parallel=3)
+            assert merged == first[id(sc)] and merged.per_seed == first[id(sc)].per_seed
+
+    def test_run_raising_part_way_leaves_the_next_run_correct(self, monkeypatch):
+        sc = small_scenario(sequences=3)
+        expected = run(sc, seed=4)
+
+        def negative(self, rng, out, u, mask):
+            out.fill(-1)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(Constant, "sample", negative)
+            with pytest.raises(ValueError, match=">= 0"):
+                run(sc, seed=4)
+        assert run(sc, seed=4) == expected
 
 
 class TestSweep:
