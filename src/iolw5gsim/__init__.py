@@ -8,7 +8,7 @@ minimum safety distance.
 
 __version__ = "0.1.0"
 
-from .config import Diagnostic, ScenarioError, load_scenario, load_scenario_file
+from .config import Diagnostic, ScenarioError, load_scenario
 from .fiveg import (
     Constant,
     Empirical,
@@ -58,7 +58,6 @@ __all__ = [
     "align_to_task_cycle",
     "draw_retries",
     "load_scenario",
-    "load_scenario_file",
     "next_poll",
     "residual_error_prob",
     "rng_stream",

@@ -280,7 +280,7 @@ def _build_segment(
             return None
         for msg in model.validate():
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(id=sid, kind=kind, model=model)
+        return SegmentSpec(kind, model=model)
     body = {k: r for k, r in raw.items() if k != "kind"}
     if kind == "iolw-air":
         kw = _fields(f"segment.{sid}", body, _IOLW_AIR_FIELDS, diags)
@@ -291,10 +291,10 @@ def _build_segment(
         )
         for msg in transfer.validate(cell):
             diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(id=sid, kind=kind, transfer=transfer)
+        return SegmentSpec(kind, transfer=transfer)
     if kind == "plc":
         _fields(f"segment.{sid}", body, {}, diags)
-        return SegmentSpec(id=sid, kind=kind)
+        return SegmentSpec(kind)
     diags.append(
         Diagnostic(kind_raw.line, kind_raw.col, f"unknown segment kind {kind!r}")
     )
@@ -357,7 +357,9 @@ def _build_safety(
             diags.append(Diagnostic(r.line, r.col, msg))
             continue
         d = _duration_us(r, diags)
-        if d is not None:
+        if d is not None and d < 0:
+            diags.append(Diagnostic(r.line, r.col, f"budget {name!r} must be >= 0"))
+        elif d is not None:
             maxima.append((name, d))
     return SafetyParams(**kw, segment_maxima=tuple(maxima))
 
@@ -434,8 +436,3 @@ def decode_scenario(data: bytes) -> str:
         raise ScenarioError(
             [Diagnostic(line, col, f"invalid UTF-8 byte 0x{data[exc.start]:02x}")]
         ) from None
-
-
-def load_scenario_file(path) -> Scenario:
-    with open(path, "rb") as fh:
-        return load_scenario(decode_scenario(fh.read()))

@@ -10,8 +10,9 @@ and retried on subsequent sub-cycle boundaries (continuing across the cycle
 boundary) up to max_attempts times. Whether an attempt fails never depends
 on time, so the model comes in two parts: draw_retries draws the attempts
 of a block of transfers in rounds, and transfer_latencies turns given
-retries into latencies for an array of transfer start times. Both write
-into arrays the caller passes.
+retries into latencies for an array of transfer start times, on a cycle
+grid whose phase the caller passes. Both write into arrays the caller
+passes.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ def transfer_latencies(
     retries: np.ndarray,
     model: IolwTransferModel,
     cell: IolwCellConfig,
+    phase: int,
     out: np.ndarray,
     first: np.ndarray,
 ) -> np.ndarray:
-    """Latencies of transfers starting at t_change, each ending on the
-    attempt that follows its given retries, into the int64 out, which may be
-    t_change itself; first (int64, same length) is scratch."""
+    """Latencies of transfers starting at t_change, in a cell whose cycles
+    start at phase + k*cycle, each ending on the attempt that follows its
+    given retries, into the int64 out, which may be t_change itself; first
+    (int64, same length) is scratch."""
     if len(t_change) and t_change.min() < 0:
         raise ValueError("time must be non-negative")
     # slot s is the s-th sub-cycle boundary from the start of t_change's
@@ -207,11 +210,12 @@ def transfer_latencies(
     per_cycle = cell.subcycles_per_cycle
     s = np.arange(per_cycle + model.max_attempts)
     slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
-    # offset = t_change % cycle, taken as t - t // cycle * cycle: the same for
-    # a positive cycle at half the cost on int64
-    np.floor_divide(t_change, cell.cycle_us, out=first)
-    first *= cell.cycle_us
-    offset = np.subtract(t_change, first, out=out)
+    # offset = (t_change - phase) % cycle, taken as x - x // cycle * cycle:
+    # the same for a positive cycle at half the cost on int64
+    np.subtract(t_change, phase, out=first)
+    np.floor_divide(first, cell.cycle_us, out=out)
+    out *= cell.cycle_us
+    offset = np.subtract(first, out, out=out)
     np.negative(offset, out=first)
     first //= cell.subcycle_us
     np.negative(first, out=first)

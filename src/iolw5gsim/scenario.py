@@ -53,7 +53,6 @@ BLOCK = 1 << 16
 
 @dataclass
 class SegmentSpec:
-    id: str
     kind: str
     model: LatencyModel | None = None  # iol-wire / ethernet / fiveg
     transfer: IolwTransferModel | None = None  # iolw-air
@@ -143,14 +142,21 @@ def path_components(
 @dataclass
 class RunResult:
     seeds: tuple[int, ...]
-    toggles: int
-    losses: int
     segment_stats: dict[str, LatencyStats]
     end_to_end: LatencyStats
     components: tuple[str, ...]
     # the per-seed results a sweep merged, in seed order; not compared, so
     # a sweep equals the run of its merged seeds
     per_seed: tuple["RunResult", ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def toggles(self) -> int:
+        """Toggles traced, delivered or lost."""
+        return self.end_to_end.count + self.end_to_end.losses
+
+    @property
+    def losses(self) -> int:
+        return self.end_to_end.losses
 
     def merge(self, other: "RunResult") -> "RunResult":
         if self.components != other.components:
@@ -161,8 +167,6 @@ class RunResult:
         }
         return RunResult(
             seeds=tuple(sorted(set(self.seeds) | set(other.seeds))),
-            toggles=self.toggles + other.toggles,
-            losses=self.losses + other.losses,
             segment_stats=merged,
             end_to_end=self.end_to_end.merge(other.end_to_end),
             components=self.components,
@@ -207,22 +211,26 @@ def _workspace(size: int, traversals: int) -> _Workspace:
 
 def _start(
     scenario: Scenario, seed: int
-) -> tuple[np.random.Generator, PlcConfig, int, dict[str, np.random.Generator]]:
-    """A seed's dither stream, PLC grid, iolw phase and segment streams."""
+) -> tuple[np.random.Generator, int, int, dict[str, np.random.Generator]]:
+    """A seed's dither stream, iolw and PLC grid phases, and the streams of
+    the segments that draw: a plc segment draws nothing, so it gets none,
+    and the others keep the stream id of their sorted index."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
-    phase_rng = rng_stream(seed, _PHASE_STREAM)
-    iolw_phase = int(phase_rng.integers(0, scenario.cell.cycle_us))
-    plc_phase = int(phase_rng.integers(0, scenario.plc.task_cycle_us))
-    plc_cfg = dataclasses.replace(scenario.plc, phase_us=plc_phase)
-    ids = sorted(scenario.segments)
-    rngs = {sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i) for i, sid in enumerate(ids)}
-    return phase_rng, plc_cfg, iolw_phase, rngs
+    dither_rng = rng_stream(seed, _PHASE_STREAM)
+    iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
+    plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
+    rngs = {
+        sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i)
+        for i, sid in enumerate(sorted(scenario.segments))
+        if scenario.segments[sid].kind != "plc"
+    }
+    return dither_rng, iolw_phase, plc_phase, rngs
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
     """Trace every toggle of every source sequence; fully deterministic."""
-    phase_rng, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
-    cell, source = scenario.cell, scenario.source
+    dither_rng, iolw_phase, plc_phase, rngs = _start(scenario, seed)
+    cell, plc_cfg, source = scenario.cell, scenario.plc, scenario.source
     components = tuple(scenario.components())
     segs = [scenario.segments.get(name) for name in components]  # None for the poll wait
     air = [i for i, seg in enumerate(segs) if seg is not None and seg.kind == "iolw-air"]
@@ -238,7 +246,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         )
         source.toggle_times(first, t0, ramp, ints)
         if source.dither_us > 0:  # integers(0, 0) raises
-            t0 += phase_rng.integers(0, source.dither_us, size=m)
+            t0 += dither_rng.integers(0, source.dither_us, size=m)
 
         # losses first: each iolw-air traversal, keyed by its index since a
         # segment may be crossed twice from one stream, draws its retries in
@@ -261,16 +269,13 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         np.copyto(t, t0)
         for i, (name, seg) in enumerate(zip(components, segs)):
             if name == POLL_WAIT:
-                plcmod.next_poll(t, plc_cfg, d)
+                plcmod.next_poll(t, plc_cfg, plc_phase, d)
                 d -= t
             elif seg.kind == "plc":
-                plcmod.align_to_task_cycle(t, plc_cfg, d)
+                plcmod.align_to_task_cycle(t, plc_cfg, plc_phase, d)
                 d -= t
             elif seg.kind == "iolw-air":
-                # shift into the cell's cycle grid; +cycle keeps the argument
-                # non-negative for phases larger than t
-                np.subtract(t, iolw_phase - cell.cycle_us, out=d)
-                transfer_latencies(d, retries[i], seg.transfer, cell, d, ints)
+                transfer_latencies(t, retries[i], seg.transfer, cell, iolw_phase, d, ints)
             else:
                 seg.model.sample(rngs[name], d, u, mask)
             seg_stats[name].add(d[keep])
@@ -278,10 +283,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         np.subtract(t, t0, out=d)
         e2e.add(d[keep])
     e2e.add_loss(losses)
-    return RunResult(
-        seeds=(seed,), toggles=n, losses=losses,
-        segment_stats=seg_stats, end_to_end=e2e, components=components,
-    )
+    return RunResult((seed,), seg_stats, e2e, components)
 
 
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:

@@ -10,6 +10,7 @@ a bin upper edge, because the downstream use is safety margins.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -91,26 +92,16 @@ class LatencyStats:
 
     def percentile(self, p: float) -> Duration:
         """Smallest bin upper edge whose cumulative frequency reaches p percent."""
-        if self.count == 0:
-            raise EmptyStatsError("no samples")
+        cumulative = self._cumulative()
         if not 0 <= p <= 100:
             raise ValueError("percentile must be within [0, 100]")
         threshold = p * self.count  # compare at 100x scale to stay exact for int p
         # the running sum ends at count, so some bin always reaches p <= 100
-        idxs = sorted(self.bins)
-        cums = accumulate(self.bins[i] for i in idxs)
-        return next((i + 1) * BIN_WIDTH_US for i, c in zip(idxs, cums) if c * 100 >= threshold)
+        return next(edge for edge, c in cumulative if c * 100 >= threshold)
 
     def cdf(self) -> list[tuple[Duration, float]]:
         """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""
-        if self.count == 0:
-            raise EmptyStatsError("no samples")
-        out = []
-        cum = 0
-        for idx in sorted(self.bins):
-            cum += self.bins[idx]
-            out.append(((idx + 1) * BIN_WIDTH_US, cum / self.count))
-        return out
+        return [(edge, c / self.count) for edge, c in self._cumulative()]
 
     def histogram(self) -> list[tuple[Duration, int]]:
         """(bin upper edge, frequency) pairs in ascending order."""
@@ -118,6 +109,13 @@ class LatencyStats:
             ((idx + 1) * BIN_WIDTH_US, self.bins[idx])
             for idx in sorted(self.bins)
         ]
+
+    def _cumulative(self) -> Iterator[tuple[Duration, int]]:
+        """(bin upper edge, cumulative frequency) pairs in ascending order."""
+        if self.count == 0:
+            raise EmptyStatsError("no samples")
+        edges, counts = zip(*self.histogram())
+        return zip(edges, accumulate(counts))
 
 
 @dataclass(frozen=True)

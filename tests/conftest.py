@@ -1,12 +1,12 @@
 import pytest
 
 from iolw5gsim.cli import default_scenario_path
-from iolw5gsim.config import load_scenario_file
+from iolw5gsim.config import decode_scenario, load_scenario
 
 
 @pytest.fixture(scope="session")
 def default_scenario():
-    return load_scenario_file(default_scenario_path())
+    return load_scenario(decode_scenario(default_scenario_path().read_bytes()))
 
 
 @pytest.fixture(scope="session")

@@ -25,21 +25,21 @@ def draw_retries(n, model, rng):
     return retries, lost
 
 
-def transfer_latencies(t_change, retries, model, cell):
+def transfer_latencies(t_change, retries, model, cell, phase=0):
     t_change = np.asarray(t_change, dtype=np.int64)
     return iolw.transfer_latencies(
-        t_change, retries, model, cell, np.empty_like(t_change), np.empty_like(t_change)
+        t_change, retries, model, cell, phase, np.empty_like(t_change), np.empty_like(t_change)
     )
 
 
-def next_poll(t, cfg):
+def next_poll(t, cfg, phase=0):
     t = np.asarray(t, dtype=np.int64)
-    return plc.next_poll(t, cfg, np.empty_like(t))
+    return plc.next_poll(t, cfg, phase, np.empty_like(t))
 
 
-def align_to_task_cycle(arrival, cfg):
+def align_to_task_cycle(arrival, cfg, phase=0):
     arrival = np.asarray(arrival, dtype=np.int64)
-    return plc.align_to_task_cycle(arrival, cfg, np.empty_like(arrival))
+    return plc.align_to_task_cycle(arrival, cfg, phase, np.empty_like(arrival))
 
 
 def toggle_times(source, first=0, n=None):

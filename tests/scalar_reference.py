@@ -169,18 +169,19 @@ def transfer_latency(t_change, model, cell, rng):
     return None
 
 
-def next_poll(t, cfg):
+def next_poll(t, cfg, phase):
     """First poll time >= t on the grid phase + k*query_cycle, k >= 0."""
-    if t <= cfg.phase_us:
-        return cfg.phase_us
-    k = -((cfg.phase_us - t) // cfg.query_cycle_us)
-    return cfg.phase_us + k * cfg.query_cycle_us
+    if t <= phase:
+        return phase
+    k = -((phase - t) // cfg.query_cycle_us)
+    return phase + k * cfg.query_cycle_us
 
 
-def align_to_task_cycle(arrival, cfg):
-    """Output publication time for one input arriving at `arrival`."""
+def align_to_task_cycle(arrival, cfg, phase):
+    """Output publication time for one input arriving at `arrival`, on the
+    task grid phase + k*task_cycle."""
     task = cfg.task_cycle_us
-    start = cfg.phase_us + ((arrival - cfg.phase_us) // task) * task
+    start = phase + ((arrival - phase) // task) * task
     completion = start + task if arrival == start else start + 2 * task
     return completion + cfg.jitter_us
 
@@ -198,7 +199,7 @@ def sample_one(model, rng):
     raise TypeError(f"unknown model {model!r}")
 
 
-def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
+def trace_toggle(t0, scenario, iolw_phase, plc_phase, rngs):
     """Walk one toggle through both paths.
 
     Returns (parts, lost_at): parts are (component, duration) pairs summing
@@ -213,12 +214,12 @@ def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
         for sid in path:
             seg = scenario.segments[sid]
             if in_forward and not polled and seg.kind in NETWORK_KINDS:
-                poll = next_poll(t, plc_cfg)
+                poll = next_poll(t, scenario.plc, plc_phase)
                 parts.append((POLL_WAIT, poll - t))
                 t = poll
                 polled = True
             if seg.kind == "plc":
-                d = align_to_task_cycle(t, plc_cfg) - t
+                d = align_to_task_cycle(t, scenario.plc, plc_phase) - t
             elif seg.kind == "iolw-air":
                 rel = t - iolw_phase + cell.cycle_us
                 d = transfer_latency(rel, seg.transfer, cell, rngs[sid])
@@ -231,7 +232,7 @@ def trace_toggle(t0, scenario, plc_cfg, iolw_phase, rngs):
     return parts, None
 
 
-def trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs):
+def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     """Push every toggle through every component, one column-wise step each.
 
     Returns (parts, lost_at): parts[i] holds component i's durations, and
@@ -247,14 +248,12 @@ def trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs):
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)
         if name == POLL_WAIT:
-            d = fresh.next_poll(t, plc_cfg) - t
+            d = fresh.next_poll(t, scenario.plc, plc_phase) - t
         elif seg.kind == "plc":
-            d = fresh.align_to_task_cycle(t, plc_cfg) - t
+            d = fresh.align_to_task_cycle(t, scenario.plc, plc_phase) - t
         elif seg.kind == "iolw-air":
             retries, lost = fresh.draw_retries(len(t), seg.transfer, rngs[name])
-            d = fresh.transfer_latencies(
-                t - iolw_phase + cell.cycle_us, retries, seg.transfer, cell
-            )
+            d = fresh.transfer_latencies(t, retries, seg.transfer, cell, iolw_phase)
             lost_at[lost & (lost_at < 0)] = i
         else:
             d = fresh.sample(seg.model, rngs[name], len(t))
@@ -276,11 +275,11 @@ def run_via_matrix(scenario, seed):
     """run() through trace_matrix in one pass over all toggles: the lost
     toggles are dropped from the whole matrix by one boolean index at the
     end."""
-    phase_rng, plc_cfg, iolw_phase, rngs = _start(scenario, seed)
+    dither_rng, iolw_phase, plc_phase, rngs = _start(scenario, seed)
     t0 = toggle_times(scenario.source)
     if scenario.source.dither_us > 0:
-        t0 += phase_rng.integers(0, scenario.source.dither_us, size=len(t0))
-    parts, lost_at = trace_matrix(scenario, t0, plc_cfg, iolw_phase, rngs)
+        t0 += dither_rng.integers(0, scenario.source.dither_us, size=len(t0))
+    parts, lost_at = trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs)
     delivered = lost_at < 0
     components = tuple(scenario.components())
     stats = {name: LatencyStats() for name in components}
@@ -289,6 +288,5 @@ def run_via_matrix(scenario, seed):
         stats[name].add_loss(int(np.count_nonzero(lost_at == i)))
     e2e = LatencyStats()
     e2e.add(parts.sum(axis=0)[delivered])
-    losses = len(t0) - int(np.count_nonzero(delivered))
-    e2e.add_loss(losses)
-    return RunResult((seed,), len(t0), losses, stats, e2e, components)
+    e2e.add_loss(len(t0) - int(np.count_nonzero(delivered)))
+    return RunResult((seed,), stats, e2e, components)

@@ -1,8 +1,14 @@
+import dataclasses
+
 import pytest
 
+from iolw5gsim import config
 from iolw5gsim.cli import EXIT_INVALID, main
 from iolw5gsim.config import Diagnostic, ScenarioError, load_scenario
 from iolw5gsim.fiveg import _AliasTable
+from iolw5gsim.iolw import IolwCellConfig
+from iolw5gsim.plc import PlcConfig
+from iolw5gsim.scenario import SignalSource
 
 MINIMAL = """
 [cell]
@@ -340,3 +346,26 @@ def test_negative_plc_jitter_rejected(tmp_path, capsys):
     path.write_text(bad)
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert "jitter" in capsys.readouterr().err
+
+
+def test_negative_budget_rejected_at_its_key(default_config_text, tmp_path, capsys):
+    bad = patch(default_config_text, "budget.wire = 2600 us", "budget.wire = -2600 us")
+    line = bad.splitlines().index("budget.wire = -2600 us") + 1
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, "budget 'wire' must be >= 0")]
+    path = tmp_path / "budget.scenario"
+    path.write_text(bad)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert f"{path}:{line}:1: budget 'wire' must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cls, table",
+    [
+        (PlcConfig, config._PLC_FIELDS),
+        (SignalSource, config._SOURCE_FIELDS),
+        (IolwCellConfig, config._CELL_FIELDS),
+    ],
+    ids=["plc", "source", "cell"],
+)
+def test_section_types_hold_only_what_a_file_sets(cls, table):
+    assert {f.name for f in dataclasses.fields(cls)} == {kw for kw, _ in table.values()}

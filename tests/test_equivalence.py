@@ -38,10 +38,11 @@ cells = st.builds(
     ),
     st.integers(1, 4), st.integers(1, 700), st.integers(0, 800),
 )
+# (config, grid phase), the phase up to two query cycles
 plc_configs = st.builds(
-    lambda task, mult, phase, jitter: PlcConfig(
-        task_cycle_us=task, query_cycle_us=task * mult, phase_us=phase % (2 * task * mult),
-        jitter_us=jitter,
+    lambda task, mult, phase, jitter: (
+        PlcConfig(task_cycle_us=task, query_cycle_us=task * mult, jitter_us=jitter),
+        phase % (2 * task * mult),
     ),
     st.integers(1, 2000), st.integers(1, 3), st.integers(0, 12_000), st.integers(0, 500),
 )
@@ -70,18 +71,20 @@ def test_next_subcycle_start_matches_scalar(cell, k):
 
 @given(plc_configs, periods_in)
 @settings(max_examples=100, deadline=None)
-def test_next_poll_matches_scalar(cfg, k):
-    t = window(cfg.phase_us, cfg.query_cycle_us, k)
-    expected = [ref.next_poll(x, cfg) for x in t.tolist()]
-    assert next_poll(t, cfg).tolist() == expected
+def test_next_poll_matches_scalar(cfg_phase, k):
+    cfg, phase = cfg_phase
+    t = window(phase, cfg.query_cycle_us, k)
+    expected = [ref.next_poll(x, cfg, phase) for x in t.tolist()]
+    assert next_poll(t, cfg, phase).tolist() == expected
 
 
 @given(plc_configs, periods_in)
 @settings(max_examples=100, deadline=None)
-def test_align_to_task_cycle_matches_scalar(cfg, k):
-    t = window(cfg.phase_us, cfg.task_cycle_us, k)
-    expected = [ref.align_to_task_cycle(x, cfg) for x in t.tolist()]
-    assert align_to_task_cycle(t, cfg).tolist() == expected
+def test_align_to_task_cycle_matches_scalar(cfg_phase, k):
+    cfg, phase = cfg_phase
+    t = window(phase, cfg.task_cycle_us, k)
+    expected = [ref.align_to_task_cycle(x, cfg, phase) for x in t.tolist()]
+    assert align_to_task_cycle(t, cfg, phase).tolist() == expected
 
 
 class ScriptedRng:
@@ -382,6 +385,19 @@ def test_transfer_latencies_match_boundary_form(
     assert transfer_latencies(t, retries, model, cell).tolist() == expected.tolist()
 
 
+@given(cells, st.integers(0, 10**6), periods_in, st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_transfer_latencies_phase_matches_pre_shift(cell, phase, k, attempts, seed):
+    # reference: the times shifted into the cell's grid by hand, plus one
+    # cycle to keep them non-negative, at phase 0
+    phase %= cell.cycle_us
+    model = IolwTransferModel(completion_offset_us=cell.subcycle_us // 2, max_attempts=attempts)
+    t = window(0, cell.cycle_us, k)
+    retries = rng_stream(seed, 0).integers(0, attempts, size=len(t))
+    expected = transfer_latencies(t - phase + cell.cycle_us, retries, model, cell, 0)
+    assert transfer_latencies(t, retries, model, cell, phase).tolist() == expected.tolist()
+
+
 def test_transfer_latencies_reject_negative_times():
     with pytest.raises(ValueError):
         transfer_latencies(
@@ -444,14 +460,14 @@ def traced_samples(scenario, seed):
     independent draws.
     """
     rnd = random.Random(seed)
-    plc_cfg = dataclasses.replace(scenario.plc, phase_us=rnd.randrange(scenario.plc.task_cycle_us))
+    plc_phase = rnd.randrange(scenario.plc.task_cycle_us)
     iolw_phase = rnd.randrange(scenario.cell.cycle_us)
     t0 = ref.toggle_times(scenario.source)
     t0 = t0 + rng_stream(seed, 0).integers(0, scenario.source.dither_us, size=len(t0))
     ids = sorted(scenario.segments)
 
     parts, lost_at = ref.trace_matrix(
-        scenario, t0, plc_cfg, iolw_phase,
+        scenario, t0, iolw_phase, plc_phase,
         {sid: rng_stream(seed, 1 + i) for i, sid in enumerate(ids)},
     )
     delivered = lost_at < 0
@@ -462,7 +478,7 @@ def traced_samples(scenario, seed):
     rngs = {sid: rng_stream(seed + 1000, 1 + i) for i, sid in enumerate(ids)}
     scalar = {"end_to_end": []}
     for t in t0.tolist():
-        toggle, lost = ref.trace_toggle(t, scenario, plc_cfg, iolw_phase, rngs)
+        toggle, lost = ref.trace_toggle(t, scenario, iolw_phase, plc_phase, rngs)
         if lost is None:
             scalar["end_to_end"].append(sum(d for _, d in toggle))
             for name, d in toggle:

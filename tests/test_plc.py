@@ -5,7 +5,7 @@ from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig
 from tests.fresh import align_to_task_cycle, next_poll
 
-CFG = PlcConfig()  # 5 ms task cycle, 10 ms query cycle, phase 0
+CFG = PlcConfig()  # 5 ms task cycle, 10 ms query cycle
 
 
 class TestAlignToTaskCycle:
@@ -34,9 +34,8 @@ class TestAlignToTaskCycle:
         assert completions == sorted(completions)
 
     def test_phase_offset_shifts_grid(self):
-        cfg = PlcConfig(phase_us=1000)
-        assert align_to_task_cycle(1000, cfg) == 6000
-        assert align_to_task_cycle(1001, cfg) == 11_000
+        assert align_to_task_cycle(1000, CFG, phase=1000) == 6000
+        assert align_to_task_cycle(1001, CFG, phase=1000) == 11_000
 
     def test_jitter_delays_every_publication(self):
         assert align_to_task_cycle(100, PlcConfig(jitter_us=300)) == 10_300
@@ -65,6 +64,5 @@ class TestPolling:
         assert mean == pytest.approx(CFG.query_cycle_us / 2, abs=100)
 
     def test_poll_grid_respects_phase(self):
-        cfg = PlcConfig(phase_us=3000)
         t = np.array([0, 3000, 3001, 13_000, 23_000])
-        assert next_poll(t, cfg).tolist() == [3000, 3000, 13_000, 13_000, 23_000]
+        assert next_poll(t, CFG, phase=3000).tolist() == [3000, 3000, 13_000, 13_000, 23_000]

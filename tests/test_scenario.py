@@ -36,19 +36,19 @@ def random_scenario(rnd: random.Random) -> Scenario:
     """Structurally valid scenario with randomized models and paths."""
     cell = IolwCellConfig()
     segments = {
-        "wire": SegmentSpec("wire", "iol-wire", model=Uniform(
+        "wire": SegmentSpec("iol-wire", model=Uniform(
             rnd.randrange(0, 500), rnd.randrange(500, 2000))),
-        "air": SegmentSpec("air", "iolw-air", transfer=IolwTransferModel(
+        "air": SegmentSpec("iolw-air", transfer=IolwTransferModel(
             completion_offset_us=rnd.randrange(0, 1664),
             per_subcycle_error_prob=rnd.choice([0.0, 0.001, 0.05]),
             max_attempts=3)),
-        "eth": SegmentSpec("eth", "ethernet", model=TruncNormal(
+        "eth": SegmentSpec("ethernet", model=TruncNormal(
             float(rnd.randrange(500, 3000)), float(rnd.randrange(1, 500)),
             0, 6000)),
-        "nr": SegmentSpec("nr", "fiveg", model=TruncNormal(
+        "nr": SegmentSpec("fiveg", model=TruncNormal(
             float(rnd.randrange(2000, 15_000)), float(rnd.randrange(100, 4000)),
             1000, 40_000)),
-        "plc": SegmentSpec("plc", "plc"),
+        "plc": SegmentSpec("plc"),
     }
     return Scenario(
         cell=cell,
@@ -77,11 +77,11 @@ def mixed_scenario(sequences: int = 500) -> Scenario:
         "nr_up": ("fiveg", TruncNormal(10_200.0, 3000.0, 5000, 26_750)),
         "nr_down": ("fiveg", Empirical(tuple((5000 + 200 * j, 1.0 + j % 7) for j in range(120)))),
     }
-    segments = {sid: SegmentSpec(sid, kind, model=model) for sid, (kind, model) in links.items()}
+    segments = {sid: SegmentSpec(kind, model=model) for sid, (kind, model) in links.items()}
     segments.update({
-        "air_up": SegmentSpec("air_up", "iolw-air", transfer=air),
-        "air_down": SegmentSpec("air_down", "iolw-air", transfer=air),
-        "plc": SegmentSpec("plc", "plc"),
+        "air_up": SegmentSpec("iolw-air", transfer=air),
+        "air_down": SegmentSpec("iolw-air", transfer=air),
+        "plc": SegmentSpec("plc"),
     })
     return Scenario(
         cell=IolwCellConfig(),
@@ -161,13 +161,12 @@ class TestRun:
 
     def test_removing_plc_reduces_every_sample_by_a_task_cycle(self):
         sc = small_scenario()
-        plc_cfg = dataclasses.replace(sc.plc, phase_us=1700)
         diagnostic = dataclasses.replace(sc, forward=[s for s in sc.forward if s != "plc"])
         t0 = np.arange(0, 1_000_000, 37_003, dtype=np.int64)
         totals = []
         for scenario in (sc, diagnostic):
             rngs = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
-            parts, lost_at = trace_matrix(scenario, t0, plc_cfg, 1234, rngs)
+            parts, lost_at = trace_matrix(scenario, t0, 1234, 1700, rngs)
             assert (lost_at < 0).all()
             totals.append(parts.sum(axis=0))
         full, diag = totals
@@ -210,9 +209,19 @@ class TestRun:
             completion_offset_us=0, per_subcycle_error_prob=1.0, max_attempts=3
         )
         result = run(sc, seed=1)
-        assert result.losses == result.toggles
+        assert result.losses == result.toggles == sc.source.toggles
         assert result.end_to_end.count == 0
         assert result.segment_stats["air"].losses == result.toggles
+
+    def test_segments_that_draw_keep_their_stream_ids(self, default_scenario):
+        # the plc segment draws nothing and gets no stream; "wire" sorts
+        # after "plc" and still draws from stream 1 + its sorted index
+        _, _, _, rngs = scenario_mod._start(default_scenario, 7)
+        ids = sorted(default_scenario.segments)
+        assert "plc" in ids
+        assert set(rngs) == {sid for sid in ids if default_scenario.segments[sid].kind != "plc"}
+        expected = rng_stream(7, 1 + ids.index("wire")).random(8)
+        assert rngs["wire"].random(8).tolist() == expected.tolist()
 
 
 class TestBlocks:
