@@ -111,7 +111,9 @@ def _duration_us(raw: _Raw, diags: list[Diagnostic]) -> int | None:
         diags.append(Diagnostic(raw.line, raw.col, f"invalid duration {raw.value!r}"))
         return None
     us = float(m.group("num")) * _DURATION_SCALE[m.group("unit")]
-    if not math.isfinite(us):  # hundreds of digits overflow to inf
+    # past 2**53 a double cannot tell whole microseconds apart (and hundreds
+    # of digits overflow to inf)
+    if not abs(us) < 2**53:
         diags.append(Diagnostic(raw.line, raw.col, f"duration {raw.value!r} is out of range"))
         return None
     if abs(us - round(us)) > 1e-6:

@@ -88,10 +88,12 @@ class Uniform:
     def sample(
         self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
-        # integers() has no out argument
-        out[...] = rng.integers(
-            self.low_us, self.high_us, size=len(out), endpoint=True, dtype=np.int64
-        )
+        # floor(u*K) over the K = high - low + 1 integers, as in
+        # _AliasTable.slots; the loader keeps K <= 2**53
+        rng.random(out=u)
+        u *= self.high_us - self.low_us + 1
+        np.copyto(out, u, casting="unsafe")
+        out += self.low_us
         return out
 
 
@@ -317,7 +319,10 @@ class Empirical:
 
 # Every model's sample(rng, out, u, mask) draws len(out) delays within its
 # support into the int64 out and returns it; u (float64) and mask (bool), of
-# out's length, are scratch it may overwrite.
+# out's length, are scratch it may overwrite. A model that draws takes
+# exactly one 64-bit output of rng per delay (Constant takes none), so n
+# delays drawn in blocks are the n drawn at once, and a stream advanced by
+# n outputs starts where they end.
 # Every model is frozen: the loader gives segments with equal parameters one
 # shared model, and a threaded sweep shares it across its threads.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

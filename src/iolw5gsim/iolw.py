@@ -8,11 +8,11 @@ only has to admit a hop plan. A W-Master cell runs a fixed cycle (default
 cycle start; a process-data change is transmitted with the next sub-cycle
 and retried on subsequent sub-cycle boundaries (continuing across the cycle
 boundary) up to max_attempts times. Whether an attempt fails never depends
-on time, so the model comes in two parts: draw_retries draws the attempts
-of a block of transfers in rounds, and transfer_latencies turns given
-retries into latencies for an array of transfer start times, on a cycle
-grid whose phase the caller passes. Both write into arrays the caller
-passes.
+on time, so the model comes in two parts: draw_retries draws the failed
+attempts of a block of transfers, one uniform each, and transfer_latencies
+turns given retries into latencies for an array of transfer start times,
+on a cycle grid whose phase the caller passes. Both write into arrays the
+caller passes.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ DEFAULT_MIN_HOP_DISTANCE = 12
 # the 2 400-2 483.5 MHz band fits no more channels, even 1 MHz wide ones
 MAX_CHANNELS = 83
 # a transfer still failing after 1 000 sub-cycles (1.66 s at the default
-# timing) has long missed any cycle budget; the ceiling bounds the retry
-# rounds and transfer_latencies' slot table
+# timing) has long missed any cycle budget; the ceiling bounds
+# draw_retries' threshold table and transfer_latencies' slot table
 MAX_ATTEMPTS = 1000
 
 
@@ -171,21 +171,20 @@ def draw_retries(
     with u (float64) and mask (bool) of the same length as scratch; return
     the indices of the transfers lost.
 
-    Attempts are drawn in rounds: one uniform per transfer, then one more per
-    transfer whose attempts so far all failed (uniform < error prob), for at
-    most max_attempts rounds, stopping once none fails. A transfer failing
-    them all is lost, with the max_attempts - 1 retries of its last attempt.
+    Each transfer takes one uniform u, by inversion: its attempts fail at
+    least j times iff u < p**j, so they fail #{j <= k : u < p**j} times for
+    k = max_attempts, found by one search of the ascending p**k .. p**1 for
+    the transfers with u < p. A transfer whose k attempts all fail is lost,
+    with the k - 1 retries of its last attempt.
     """
-    p = model.per_subcycle_error_prob
+    p, k = model.per_subcycle_error_prob, model.max_attempts
     retries.fill(0)
     rng.random(out=u)
     failing = np.flatnonzero(np.less(u, p, out=mask))
-    for _ in range(model.max_attempts - 1):
-        if not failing.size:  # a round over no transfer draws nothing
-            break
-        retries[failing] += 1
-        failing = failing[rng.random(failing.size) < p]
-    return failing
+    thresholds = p ** np.arange(k, 0, -1, dtype=float)
+    fails = k - np.searchsorted(thresholds, u[failing], side="right")
+    retries[failing] = np.minimum(fails, k - 1)
+    return failing[fails == k]
 
 
 def transfer_latencies(

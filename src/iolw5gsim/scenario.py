@@ -17,10 +17,10 @@ in its statistics straight away. The poll wait is inserted immediately
 before the first network segment of the forward path (the point where the
 process-image change sits at the W-Master waiting to be queried).
 
-Every stream is drawn from in block order, so a run of up to BLOCK toggles
-draws exactly what one pass over all of them would, and so does a longer
-one for each segment crossed once; a segment crossed twice, and an
-iolw-air hop's retry rounds, draw block by block.
+Every random draw takes exactly one output of its stream, and traversal j
+of a segment reads the segment's stream from output j * toggles on, so
+each traversal draws one contiguous run of outputs and the dither stream
+is drawn from in toggle order: a run's report does not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -211,19 +211,24 @@ def _workspace(size: int, traversals: int) -> _Workspace:
 
 def _start(
     scenario: Scenario, seed: int
-) -> tuple[np.random.Generator, int, int, dict[str, np.random.Generator]]:
-    """A seed's dither stream, iolw and PLC grid phases, and the streams of
-    the segments that draw: a plc segment draws nothing, so it gets none,
-    and the others keep the stream id of their sorted index."""
+) -> tuple[np.random.Generator, int, int, list[np.random.Generator | None]]:
+    """A seed's dither stream, iolw and PLC grid phases, and one stream per
+    component, aligned with scenario.components(): None for the poll wait
+    and a plc segment, which draw nothing. Traversal j of a segment reads
+    the stream of its sorted index from output j * toggles on, so first
+    traversals keep that stream id."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
     dither_rng = rng_stream(seed, _PHASE_STREAM)
     iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
     plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
-    rngs = {
-        sid: rng_stream(seed, _SEGMENT_STREAM_BASE + i)
-        for i, sid in enumerate(sorted(scenario.segments))
-        if scenario.segments[sid].kind != "plc"
-    }
+    ids = sorted(scenario.segments)
+    components = scenario.components()
+    rngs = [None] * len(components)
+    for i, name in enumerate(components):
+        seg = scenario.segments.get(name)
+        if seg is not None and seg.kind != "plc":
+            rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
+            rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
     return dither_rng, iolw_phase, plc_phase, rngs
 
 
@@ -249,13 +254,13 @@ def run(scenario: Scenario, seed: int) -> RunResult:
             t0 += dither_rng.integers(0, source.dither_us, size=m)
 
         # losses first: each iolw-air traversal, keyed by its index since a
-        # segment may be crossed twice from one stream, draws its retries in
-        # path order; a toggle counts as lost on the first hop that loses it
+        # segment may be crossed twice, draws its retries in path order; a
+        # toggle counts as lost on the first hop that loses it
         retries = {i: r[:m] for i, r in zip(air, ws.retries)}
         delivered.fill(True)
         block_losses = 0
         for i in air:
-            lost = draw_retries(segs[i].transfer, rngs[components[i]], retries[i], u, mask)
+            lost = draw_retries(segs[i].transfer, rngs[i], retries[i], u, mask)
             if lost.size:
                 newly = int(np.count_nonzero(delivered[lost]))
                 delivered[lost] = False
@@ -277,7 +282,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
             elif seg.kind == "iolw-air":
                 transfer_latencies(t, retries[i], seg.transfer, cell, iolw_phase, d, ints)
             else:
-                seg.model.sample(rngs[name], d, u, mask)
+                seg.model.sample(rngs[i], d, u, mask)
             seg_stats[name].add(d[keep])
             t += d
         np.subtract(t, t0, out=d)

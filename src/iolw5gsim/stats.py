@@ -45,7 +45,10 @@ class LatencyStats:
         if lo < 0:
             raise ValueError("latency samples must be >= 0")
         self.count += values_us.size
-        self.total_us += int(values_us.sum(dtype=np.int64))
+        if hi * values_us.size < 1 << 63:
+            self.total_us += int(values_us.sum(dtype=np.int64))
+        else:  # the int64 sum could wrap
+            self.total_us += sum(values_us.tolist())
         self.min_us = lo if self.min_us is None else min(self.min_us, lo)
         self.max_us = hi if self.max_us is None else max(self.max_us, hi)
         first = lo // BIN_WIDTH_US

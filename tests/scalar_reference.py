@@ -235,9 +235,10 @@ def trace_toggle(t0, scenario, iolw_phase, plc_phase, rngs):
 def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     """Push every toggle through every component, one column-wise step each.
 
-    Returns (parts, lost_at): parts[i] holds component i's durations, and
-    the columns of parts sum exactly to the end-to-end latencies; lost_at
-    is the index of the component where a toggle was lost, or -1. A lost
+    rngs[i] is component i's stream, as scenario._start gives them. Returns
+    (parts, lost_at): parts[i] holds component i's durations, and the
+    columns of parts sum exactly to the end-to-end latencies; lost_at is
+    the index of the component where a toggle was lost, or -1. A lost
     toggle keeps moving so the arrays stay aligned.
     """
     cell = scenario.cell
@@ -252,11 +253,11 @@ def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
         elif seg.kind == "plc":
             d = fresh.align_to_task_cycle(t, scenario.plc, plc_phase) - t
         elif seg.kind == "iolw-air":
-            retries, lost = fresh.draw_retries(len(t), seg.transfer, rngs[name])
+            retries, lost = fresh.draw_retries(len(t), seg.transfer, rngs[i])
             d = fresh.transfer_latencies(t, retries, seg.transfer, cell, iolw_phase)
             lost_at[lost & (lost_at < 0)] = i
         else:
-            d = fresh.sample(seg.model, rngs[name], len(t))
+            d = fresh.sample(seg.model, rngs[i], len(t))
         parts[i] = d
         t = t + d
     return parts, lost_at

@@ -269,6 +269,47 @@ def test_non_finite_number_rejected_at_its_location(old, new, tmp_path, capsys):
     assert f"{path}:{line}:1:" in capsys.readouterr().err
 
 
+# 2e19 us, past int64; 3e18 us, within int64 but past 2**53; and 2**53 itself
+BIG = "20000000000000 s"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("value = 1200 us", f"value = {BIG}"),
+        ("value = 1200 us", "value = 3000000000000 s"),
+        ("value = 1200 us", f"value = {2**53} us"),
+        ("value = 1200 us", f"value = -{2**53} us"),
+        ("model = constant\nvalue = 1200 us", EMPIRICAL_ETH.replace("2 ms:3", f"{BIG}:3")),
+        ("model = constant\nvalue = 1200 us", f"model = uniform\nlow = 1 ms\nhigh = {BIG}"),
+        (
+            "model = constant\nvalue = 1200 us",
+            "model = truncnorm\nmean = 5 ms\nstddev = 1 ms\nlow = 0 us\nhigh = 3000000000000 s",
+        ),
+        ("query_cycle = 10 ms", f"query_cycle = {BIG}"),
+    ],
+    ids=["constant", "constant-past-2**53", "constant-2**53", "constant-minus-2**53",
+         "empirical-bin", "uniform-high", "truncnorm-high", "query-cycle"],
+)
+def test_duration_a_double_cannot_hold_rejected_at_its_key(old, new, tmp_path, capsys):
+    # a double holds every whole microsecond only below 2**53; larger
+    # durations wrote wrong means or crashed the run with a traceback
+    bad = patch(MINIMAL, old, new)
+    line = bad.splitlines().index(new.splitlines()[-1]) + 1
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col) for d in diags] == [(line, 1)], diags
+    assert "is out of range" in diags[0].message
+    path = tmp_path / "big.scenario"
+    path.write_text(bad)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert f"{path}:{line}:1: " in capsys.readouterr().err
+
+
+def test_duration_just_below_2_53_loads():
+    sc = load_scenario(patch(MINIMAL, "value = 1200 us", f"value = {2**53 - 1} us"))
+    assert sc.segments["eth"].model.value_us == 2**53 - 1
+
+
 def test_empirical_weight_sum_must_not_overflow():
     huge = EMPIRICAL_ETH.replace(":1,", ":1e308,").replace(":3", ":1e308")
     bad = patch(MINIMAL, "model = constant\nvalue = 1200 us", huge)

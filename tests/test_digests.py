@@ -88,17 +88,22 @@ def report_digest(config_path, seed, out):
 # Empirical delays are drawn from the alias table of their normalised
 # weights, in place of an inverse-CDF search: the same distribution (see
 # test_equivalence's chi-square against the search), but other draws.
-@pytest.mark.parametrize(
-    "seed, digest",
-    [
-        (1, "f64d1b34f4ce416aa56f8e5e49dc6932d8737e2d9bbc744a00f9ca622fd06bf8"),
-        (2, "fd5df4f13eba9ec12c57f0447828f888ecc3a9dfe9db5804441eab32d07db934"),
-    ],
-)
-def test_lossy_empirical_report_digest(seed, digest, tmp_path, capsys):
+# Re-pinned when every draw came to take one stream output: the uniform
+# Ethernet delay is floor(u*K) of one double, not a bounded integer, the
+# retries are inverted from one uniform a transfer, not drawn in rounds,
+# and the second traversal of each link reads its own part of the stream.
+# Keyed by seed alone, so that a re-pin keeps the tests' names.
+LOSSY_EMPIRICAL_DIGESTS = {
+    1: "5f6cc9354e4bfe2aaaa333c9d89c207382180c681d754cb406b86672d5b4faaf",
+    2: "53d33a10e5fd54a71512f50abcbadefba428f87c0ec496af87e9ca1e99e66feb",
+}
+
+
+@pytest.mark.parametrize("seed", LOSSY_EMPIRICAL_DIGESTS)
+def test_lossy_empirical_report_digest(seed, tmp_path, capsys):
     config = tmp_path / "lossy.scenario"
     config.write_text(LOSSY_EMPIRICAL)
-    assert report_digest(config, seed, tmp_path / "out") == digest
+    assert report_digest(config, seed, tmp_path / "out") == LOSSY_EMPIRICAL_DIGESTS[seed]
 
 
 def test_shipped_scenario_report_digest(tmp_path, capsys):

@@ -453,6 +453,14 @@ def test_model_samples_match_scalar_distribution(model):
     assert sps.ks_2samp(vectorised, scalar).pvalue > KS_MIN_PVALUE
 
 
+@pytest.mark.parametrize("low, high", [(10, 2000), (0, 2**53 - 1), (7, 7)])
+def test_uniform_draw_is_floor_of_one_double(low, high):
+    # the least and the greatest uniform land on low and high
+    k = high - low + 1
+    draws = sample(Uniform(low, high), ScriptedRng([0.0, 0.5, 1 - 2**-53]), 3)
+    assert draws.tolist() == [low, low + k // 2, high]
+
+
 def traced_samples(scenario, seed):
     """Per-component and end-to-end samples of the array and the scalar path.
 
@@ -466,10 +474,8 @@ def traced_samples(scenario, seed):
     t0 = t0 + rng_stream(seed, 0).integers(0, scenario.source.dither_us, size=len(t0))
     ids = sorted(scenario.segments)
 
-    parts, lost_at = ref.trace_matrix(
-        scenario, t0, iolw_phase, plc_phase,
-        {sid: rng_stream(seed, 1 + i) for i, sid in enumerate(ids)},
-    )
+    *_, streams = scenario_mod._start(scenario, seed)
+    parts, lost_at = ref.trace_matrix(scenario, t0, iolw_phase, plc_phase, streams)
     delivered = lost_at < 0
     array = {"end_to_end": parts.sum(axis=0)[delivered]}
     for name, durations in zip(scenario.components(), parts):
@@ -534,26 +540,20 @@ def recorded_samples(scenario, seed, monkeypatch):
 
 
 def test_lossy_blocks_match_one_block_in_distribution(default_scenario, monkeypatch):
-    # the shipped links are crossed twice from one stream each, and lossy
-    # hops draw their retry rounds block by block, so blocks draw in another
-    # order than one pass does, but from the same distributions
-    p, k = 0.3, 5
+    # the shipped links are crossed twice and the hops lose toggles; every
+    # statistic still records exactly the same samples, so the same
+    # distribution, though a twice-crossed segment's statistic gets its
+    # two traversals a block at a time
     sc = dataclasses.replace(default_scenario, segments=dict(default_scenario.segments))
     for sid in ("air_up", "air_down"):
         sc.segments[sid] = dataclasses.replace(
             sc.segments[sid],
-            transfer=IolwTransferModel(667, per_subcycle_error_prob=p, max_attempts=k),
+            transfer=IolwTransferModel(667, per_subcycle_error_prob=0.3, max_attempts=5),
         )
     whole, one_block = recorded_samples(sc, 5, monkeypatch)
     monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
     result, blocks = recorded_samples(sc, 5, monkeypatch)
+    assert result == whole and result.losses > 0
     assert blocks.keys() == one_block.keys()
     for name in blocks:
-        pvalue = sps.ks_2samp(blocks[name], one_block[name], method="asymp").pvalue
-        assert pvalue > KS_MIN_PVALUE, f"{name}: KS p = {pvalue:.2e}"
-    residual = p**k
-    reaching_down = result.toggles - result.segment_stats["air_up"].losses
-    for sid, reaching in (("air_up", result.toggles), ("air_down", reaching_down)):
-        sigma = math.sqrt(reaching * residual * (1 - residual))
-        assert abs(result.segment_stats[sid].losses - reaching * residual) <= LOSS_SIGMA * sigma + 1
-    assert result.toggles == whole.toggles and result != whole  # the draws did move
+        np.testing.assert_array_equal(np.sort(blocks[name]), np.sort(one_block[name]), name)

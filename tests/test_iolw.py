@@ -127,20 +127,6 @@ class TestTransferLatency:
         b, _ = draw_latencies(t + 3 * CELL.cycle_us, model, rng_stream(2, 0))
         assert (a == b).all()
 
-    def test_retry_rounds_stop_once_no_transfer_fails(self):
-        # a round over no transfer draws nothing, so a billion allowed
-        # attempts draw what a hundred do, which no transfer outlives at 0.5,
-        # and leave the stream at the same place
-        rngs = [rng_stream(6, 0), rng_stream(6, 0)]
-        draws = [
-            draw_retries(1000, IolwTransferModel(0, 0.5, attempts), rng)
-            for attempts, rng in zip((10**9, 100), rngs)
-        ]
-        (retries, lost), (expected_retries, expected_lost) = draws
-        assert retries.max() > 0 and not lost.any()
-        assert retries.tolist() == expected_retries.tolist()
-        assert rngs[0].random() == rngs[1].random()
-
     def test_max_attempts_ceiling(self):
         cell = IolwCellConfig()
         assert IolwTransferModel(0, 0.5, MAX_ATTEMPTS).validate(cell) == []

@@ -7,11 +7,12 @@ import pytest
 
 from iolw5gsim.config import load_scenario
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
-from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
+from iolw5gsim.iolw import MAX_ATTEMPTS, IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim import scenario as scenario_mod
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import (
+    POLL_WAIT,
     Scenario,
     SegmentSpec,
     SignalSource,
@@ -20,9 +21,10 @@ from iolw5gsim.scenario import (
 )
 from iolw5gsim.stats import SafetyParams
 from tests import scalar_reference as ref
-from tests.fresh import toggle_times
+from tests.fresh import draw_retries, sample, toggle_times
 from tests.scalar_reference import trace_matrix
 from tests.test_config import MINIMAL
+from tests.test_digests import LOSSY_EMPIRICAL
 
 
 def small_scenario(**source_kw):
@@ -165,7 +167,7 @@ class TestRun:
         t0 = np.arange(0, 1_000_000, 37_003, dtype=np.int64)
         totals = []
         for scenario in (sc, diagnostic):
-            rngs = {sid: rng_stream(9, i) for i, sid in enumerate(sorted(sc.segments))}
+            *_, rngs = scenario_mod._start(scenario, 9)
             parts, lost_at = trace_matrix(scenario, t0, 1234, 1700, rngs)
             assert (lost_at < 0).all()
             totals.append(parts.sum(axis=0))
@@ -173,15 +175,17 @@ class TestRun:
         assert (full - diag >= sc.plc.task_cycle_us).all()
 
     def test_duration_past_int32_range_is_recorded_exactly(self):
-        sc = small_scenario()
-        big = 2**31 + 5
-        sc.segments["eth"].model = Constant(big)
-        result = run(sc, seed=1)
-        eth = result.segment_stats["eth"]
-        assert eth.min_us == eth.max_us == big
-        assert eth.total_us == eth.count * big
-        component_total = sum(s.total_us for s in result.segment_stats.values())
-        assert result.end_to_end.total_us == component_total
+        # 3 000 toggles of 2**52 us: a block's int64 sum would wrap
+        for big in (2**31 + 5, 2**52):
+            sc = small_scenario(sequences=600)
+            sc.segments["eth"].model = Constant(big)
+            result = run(sc, seed=1)
+            eth = result.segment_stats["eth"]
+            assert eth.min_us == eth.max_us == big
+            assert eth.total_us == eth.count * big == 2 * result.toggles * big
+            component_total = sum(s.total_us for s in result.segment_stats.values())
+            assert result.end_to_end.total_us == component_total
+            assert result.end_to_end.mean_us > 2 * big
 
     def test_peak_memory_does_not_grow_with_the_path(self, default_scenario):
         longer = dataclasses.replace(
@@ -214,26 +218,71 @@ class TestRun:
         assert result.segment_stats["air"].losses == result.toggles
 
     def test_segments_that_draw_keep_their_stream_ids(self, default_scenario):
-        # the plc segment draws nothing and gets no stream; "wire" sorts
-        # after "plc" and still draws from stream 1 + its sorted index
+        # one stream per component, none for the poll wait and the plc
+        # segment, which draw nothing; "wire" sorts after "plc", its first
+        # traversal still draws from stream 1 + its sorted index, and its
+        # second from that stream one traversal's toggles on
         _, _, _, rngs = scenario_mod._start(default_scenario, 7)
+        components = default_scenario.components()
         ids = sorted(default_scenario.segments)
         assert "plc" in ids
-        assert set(rngs) == {sid for sid in ids if default_scenario.segments[sid].kind != "plc"}
-        expected = rng_stream(7, 1 + ids.index("wire")).random(8)
-        assert rngs["wire"].random(8).tolist() == expected.tolist()
+        assert [rng is None for rng in rngs] == [name in (POLL_WAIT, "plc") for name in components]
+        first, second = (i for i, name in enumerate(components) if name == "wire")
+        stream = rng_stream(7, 1 + ids.index("wire"))
+        assert rngs[first].random(8).tolist() == stream.random(8).tolist()
+        stream.bit_generator.advance(default_scenario.source.toggles - 8)
+        assert rngs[second].random(8).tolist() == stream.random(8).tolist()
+
+
+def lossy_empirical_scenario(sequences: int) -> Scenario:
+    """The lossy digest scenario: links crossed twice (a uniform Ethernet
+    and two empirical 5G legs) and iolw-air hops at p = 0.3."""
+    sc = load_scenario(LOSSY_EMPIRICAL)
+    sc.source = dataclasses.replace(sc.source, sequences=sequences)
+    return sc
+
+
+# every sampler that draws; draw_retries also with the largest threshold
+# table and with every transfer lost
+ONE_OUTPUT_DRAWS = {
+    "uniform": lambda rng, n: sample(Uniform(600, 2000), rng, n),
+    "uniform-widest": lambda rng, n: sample(Uniform(0, 2**53 - 1), rng, n),
+    "truncnorm": lambda rng, n: sample(TruncNormal(10_200.0, 3000.0, 5000, 26_750), rng, n),
+    "empirical": lambda rng, n: sample(
+        Empirical(((5000, 1.0), (5200, 3.0), (9000, 0.5))), rng, n
+    ),
+    "retries": lambda rng, n: draw_retries(n, IolwTransferModel(0, 0.3, 5), rng),
+    "retries-max-attempts": lambda rng, n: draw_retries(
+        n, IolwTransferModel(0, 0.99, MAX_ATTEMPTS), rng
+    ),
+    "retries-certain": lambda rng, n: draw_retries(n, IolwTransferModel(0, 1.0, 3), rng),
+}
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+@pytest.mark.parametrize("draw", ONE_OUTPUT_DRAWS.values(), ids=ONE_OUTPUT_DRAWS)
+def test_each_value_takes_one_stream_output(draw, n):
+    # so a stream drawn in blocks draws what it draws at once, and a later
+    # traversal's stream, advanced past the earlier ones, overlaps none
+    rng = rng_stream(4, 0)
+    draw(rng, n)
+    expected = rng_stream(4, 0)
+    expected.bit_generator.advance(n)
+    assert rng.random() == expected.random()
 
 
 class TestBlocks:
     def test_blocks_draw_what_one_block_draws(self, monkeypatch):
-        # 8 500 toggles: eight blocks of 1 000 and a short one, none on a
-        # sequence boundary; every link is crossed once and no hop loses, so
-        # each stream is drawn in one order whatever the blocks
-        sc = mixed_scenario()
-        whole = run(sc, seed=3)
-        assert whole == ref.run_via_matrix(sc, seed=3)
+        # mixed: 8 500 toggles, eight blocks of 1 000 and a short one, none
+        # on a sequence boundary, every link crossed once and no hop losing;
+        # lossy: 67 500 toggles, two blocks even at the default BLOCK, links
+        # crossed twice and hops that lose
+        mixed, lossy = mixed_scenario(), lossy_empirical_scenario(2700)
+        wholes = [run(sc, seed=3) for sc in (mixed, lossy)]
+        assert wholes == [ref.run_via_matrix(sc, seed=3) for sc in (mixed, lossy)]
+        assert lossy.source.toggles > scenario_mod.BLOCK and wholes[1].losses > 0
         monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
-        assert run(sc, seed=3) == whole
+        assert [run(sc, seed=3) for sc in (mixed, lossy)] == wholes
 
     def test_peak_memory_does_not_grow_with_the_blocks(self, monkeypatch):
         # constant links: the histograms fill the same bins either way, so
