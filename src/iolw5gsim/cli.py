@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import ScenarioError, decode_scenario, load_scenario
-from .report import build_report, write_report
+from .report import build_report, write_json, write_report
 from .scenario import sweep
 
 EXIT_OK = 0
@@ -64,8 +64,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     written = write_report(report, result, out_dir, fmt=args.format)
     if args.command == "run":
         summary = {
-            "end_to_end_mean_us": result.end_to_end.mean_us if result.end_to_end.count else None,
-            "p99_us": result.end_to_end.percentile(99) if result.end_to_end.count else None,
+            "end_to_end_mean_us": report["end_to_end"].get("mean_us"),
+            "p99_us": report["end_to_end"].get("p99_us"),
             "losses": result.losses,
             "files": [str(p) for p in written],
         }
@@ -78,8 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for r in result.per_seed
         }
-        text = json.dumps(per_seed, sort_keys=True, indent=2) + "\n"
-        (out_dir / "per_seed.json").write_text(text)
+        write_json(out_dir / "per_seed.json", per_seed)
         summary = {"seeds": seeds, "toggles": result.toggles}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

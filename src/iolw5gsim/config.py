@@ -400,14 +400,17 @@ def load_scenario(text: str) -> Scenario:
             segments[sid] = seg
 
     forward, ret = _build_paths(sections["path"], segments, declared, diags)
-    kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
-    source = SignalSource() if kw is None else SignalSource(**kw)
-    for msg in source.validate():
-        diags.append(sections["source"].at(f"[source]: {msg}"))
     kw = _fields("plc", sections["plc"], _PLC_FIELDS, diags)
     plc_cfg = PlcConfig() if kw is None else PlcConfig(**kw)
     for msg in plc_cfg.validate():
         diags.append(sections["plc"].at(f"[plc]: {msg}"))
+    kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
+    source = (
+        SignalSource() if kw is None
+        else SignalSource(**{"dither_us": plc_cfg.query_cycle_us, **kw})
+    )
+    for msg in source.validate():
+        diags.append(sections["source"].at(f"[source]: {msg}"))
     components = set(path_components(segments, forward, ret))
     safety = _build_safety(sections["safety"], components, diags)
     for msg in safety.validate():

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Duration
 
 ALLOWED_SCS_KHZ = (15, 30, 60, 120, 240)
 SUBCARRIERS_PER_SYMBOL = 12
@@ -54,12 +53,12 @@ def symbol_duration_scaling(n1: NumerologyConfig, n2: NumerologyConfig) -> float
 
 @dataclass(frozen=True)
 class Constant:
-    value_us: Duration
+    value_us: int
 
     def validate(self) -> list[str]:
         return ["constant value must be >= 0"] if self.value_us < 0 else []
 
-    def upper_bound_us(self) -> Duration:
+    def upper_bound_us(self) -> int:
         return self.value_us
 
     def sample(
@@ -71,8 +70,8 @@ class Constant:
 
 @dataclass(frozen=True)
 class Uniform:
-    low_us: Duration
-    high_us: Duration
+    low_us: int
+    high_us: int
 
     def validate(self) -> list[str]:
         v = []
@@ -82,7 +81,7 @@ class Uniform:
             v.append("uniform low must be <= high")
         return v
 
-    def upper_bound_us(self) -> Duration:
+    def upper_bound_us(self) -> int:
         return self.high_us
 
     def sample(
@@ -229,8 +228,8 @@ class TruncNormal:
 
     mean_target_us: float
     stddev_us: float
-    low_us: Duration
-    high_us: Duration
+    low_us: int
+    high_us: int
 
     def __post_init__(self) -> None:
         if not self.validate():
@@ -259,7 +258,7 @@ class TruncNormal:
                 )
         return v
 
-    def upper_bound_us(self) -> Duration:
+    def upper_bound_us(self) -> int:
         return self.high_us
 
     def sample(
@@ -280,7 +279,7 @@ class Empirical:
     gets none.
     """
 
-    bins: tuple[tuple[Duration, float], ...]
+    bins: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
         if not self.validate():
@@ -307,7 +306,7 @@ class Empirical:
             v.append("empirical durations must be >= 0")
         return v
 
-    def upper_bound_us(self) -> Duration:
+    def upper_bound_us(self) -> int:
         return max(d for d, w in self.bins if w > 0)
 
     def sample(

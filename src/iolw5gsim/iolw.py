@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Duration
 
 MAX_MASTERS = 3
 MAX_TRACKS_PER_MASTER = 5
@@ -142,7 +141,7 @@ class IolwTransferModel:
     residual-error accounting).
     """
 
-    completion_offset_us: Duration
+    completion_offset_us: int
     per_subcycle_error_prob: float = 0.0
     max_attempts: int = DEFAULT_SUBCYCLES_PER_CYCLE
 

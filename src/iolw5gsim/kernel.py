@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Durations are plain ints (microseconds); the alias is kept for
-# readability in signatures.
-Duration = int
-
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent, reproducible RNG stream.

@@ -75,6 +75,12 @@ def build_report(
     return report
 
 
+def write_json(path: Path, obj) -> Path:
+    """The one layout of every JSON file a run writes: sorted keys, 2-space indent."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return path
+
+
 def _write_csv(path: Path, header: str, rows) -> Path:
     path.write_text("\n".join([header, *rows]) + "\n")
     return path
@@ -85,19 +91,12 @@ def write_report(
 ) -> list[Path]:
     """Write summary.json plus per-panel tables; returns the written paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     if fmt == "json":
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        written.append(path)
-        return written
+        return [write_json(out_dir / "report.json", report)]
 
     # csv: summary stays JSON (without the bulky tables), one CSV per panel
     summary = {k: v for k, v in report.items() if k not in ("histograms", "cdf")}
-    path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    written.append(path)
+    written = [write_json(out_dir / "summary.json", summary)]
     panels = [(name, result.segment_stats[name]) for name in sorted(result.segment_stats)]
     panels.append(("end_to_end", result.end_to_end))
     for name, stats in panels:

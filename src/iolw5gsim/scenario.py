@@ -37,7 +37,7 @@ import numpy as np
 from . import plc as plcmod
 from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies
-from .kernel import Duration, rng_stream
+from .kernel import rng_stream
 from .plc import PlcConfig
 from .stats import LatencyStats, SafetyParams
 
@@ -66,7 +66,7 @@ class SignalSource:
     # Per-toggle uniform time dither standing in for free-running clock
     # drift: the toggle period is an exact multiple of the query and task
     # cycles, so without dither the grids phase-lock and structural waits
-    # stop averaging out. Default one query cycle.
+    # stop averaging out. The loader defaults it to one [plc] query cycle.
     dither_us: int = 10_000
 
     def validate(self) -> list[str]:
@@ -79,6 +79,9 @@ class SignalSource:
             v.append("sequence_length must be >= toggle_period")
         if not 0 <= self.dither_us < self.toggle_period_us:
             v.append("dither must lie in [0, toggle_period)")
+        # toggle times, and the latencies added to them, stay in int64
+        if self.sequences * self.sequence_length_us >= 2**53:
+            v.append("sequences * sequence_length must be < 2**53 us")
         return v
 
     @property
@@ -172,7 +175,7 @@ class RunResult:
             components=self.components,
         )
 
-    def observed_worst_case_us(self) -> Duration:
+    def observed_worst_case_us(self) -> int:
         """Sum of per-component maxima over one full traversal."""
         total = 0
         for name in self.components:

@@ -16,7 +16,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .kernel import Duration
 
 BIN_WIDTH_US = 100
 
@@ -29,8 +28,8 @@ class EmptyStatsError(ValueError):
 class LatencyStats:
     count: int = 0
     total_us: int = 0
-    min_us: Duration | None = None
-    max_us: Duration | None = None
+    min_us: int | None = None
+    max_us: int | None = None
     bins: dict[int, int] = field(default_factory=dict)
     losses: int = 0
 
@@ -93,7 +92,7 @@ class LatencyStats:
             losses=self.losses + other.losses,
         )
 
-    def percentile(self, p: float) -> Duration:
+    def percentile(self, p: float) -> int:
         """Smallest bin upper edge whose cumulative frequency reaches p percent."""
         cumulative = self._cumulative()
         if not 0 <= p <= 100:
@@ -102,18 +101,18 @@ class LatencyStats:
         # the running sum ends at count, so some bin always reaches p <= 100
         return next(edge for edge, c in cumulative if c * 100 >= threshold)
 
-    def cdf(self) -> list[tuple[Duration, float]]:
+    def cdf(self) -> list[tuple[int, float]]:
         """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""
         return [(edge, c / self.count) for edge, c in self._cumulative()]
 
-    def histogram(self) -> list[tuple[Duration, int]]:
+    def histogram(self) -> list[tuple[int, int]]:
         """(bin upper edge, frequency) pairs in ascending order."""
         return [
             ((idx + 1) * BIN_WIDTH_US, self.bins[idx])
             for idx in sorted(self.bins)
         ]
 
-    def _cumulative(self) -> Iterator[tuple[Duration, int]]:
+    def _cumulative(self) -> Iterator[tuple[int, int]]:
         """(bin upper edge, cumulative frequency) pairs in ascending order."""
         if self.count == 0:
             raise EmptyStatsError("no samples")
@@ -124,7 +123,7 @@ class LatencyStats:
 @dataclass(frozen=True)
 class SafetyParams:
     approach_speed_mps: float = 2.0
-    segment_maxima: tuple[tuple[str, Duration], ...] = ()
+    segment_maxima: tuple[tuple[str, int], ...] = ()
 
     def validate(self) -> list[str]:
         v = []
@@ -135,7 +134,7 @@ class SafetyParams:
         return v
 
 
-def worst_case_sfrt(params: SafetyParams) -> Duration:
+def worst_case_sfrt(params: SafetyParams) -> int:
     """Sum of per-segment maximum latencies: upper bound on any response."""
     if not params.segment_maxima:
         raise ValueError("need at least one segment maximum")
@@ -148,7 +147,7 @@ class SafetyDistance:
     presented_m: float  # rounded up to 0.1 m, never down
 
 
-def safety_distance(sfrt_us: Duration, speed_mps: float) -> SafetyDistance:
+def safety_distance(sfrt_us: int, speed_mps: float) -> SafetyDistance:
     """Minimum separation from moving machinery at the given approach speed."""
     if not 0 < speed_mps < math.inf:
         raise ValueError("approach speed must be finite and > 0")

@@ -185,3 +185,18 @@ def test_cli_import_leaves_multiprocessing_out():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_root_holds_only_its_version():
+    # every name is imported from the module that defines it
+    code = (
+        "import sys, iolw5gsim as m; "
+        "print([n for n in vars(m) if not n.startswith('__')], "
+        "sorted(k for k in sys.modules if k.startswith('iolw5gsim')), m.__version__)"
+    )
+    src = str(Path(iolw5gsim.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == f"[] ['iolw5gsim'] {iolw5gsim.__version__}"

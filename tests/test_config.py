@@ -310,6 +310,43 @@ def test_duration_just_below_2_53_loads():
     assert sc.segments["eth"].model.value_us == 2**53 - 1
 
 
+HUGE_SOURCE = (
+    "toggle_period = 4000000000000000 us\nsequences = 5000\n"
+    "sequence_length = 4000000000000000 us"
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_source_spanning_2_53_rejected_at_source(default_config_text, command, tmp_path, capsys):
+    # every duration is below 2**53, but 5000 sequences of 4e15 us once
+    # wrapped the toggle times past int64 and crashed the run
+    bad = patch(default_config_text, "toggle_period = 200 ms\nsequences = 540\nsequence_length = 5 s",
+                HUGE_SOURCE)
+    line = bad.splitlines().index("[source]") + 1
+    message = "[source]: sequences * sequence_length must be < 2**53 us"
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+    path = tmp_path / "huge.scenario"
+    path.write_text(bad)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: {message}" in capsys.readouterr().err
+
+
+def test_source_span_just_below_2_53_loads():
+    length = f"{(2**53 - 1) // 3} us"
+    sc = load_scenario(patch(MINIMAL, "toggle_period = 200 ms\nsequences = 1\nsequence_length = 1 s",
+                             f"toggle_period = {length}\nsequences = 3\nsequence_length = {length}"))
+    assert sc.source.sequences * sc.source.sequence_length_us == 2**53 - 2
+
+
+def test_dither_defaults_to_one_query_cycle():
+    sc = load_scenario(patch(MINIMAL, "query_cycle = 10 ms", "query_cycle = 20 ms"))
+    assert sc.source.dither_us == 20_000
+    kept = patch(MINIMAL, "sequence_length = 1 s", "sequence_length = 1 s\ndither = 3 ms")
+    sc = load_scenario(patch(kept, "query_cycle = 10 ms", "query_cycle = 20 ms"))
+    assert sc.source.dither_us == 3_000
+
+
 def test_empirical_weight_sum_must_not_overflow():
     huge = EMPIRICAL_ETH.replace(":1,", ":1e308,").replace(":3", ":1e308")
     bad = patch(MINIMAL, "model = constant\nvalue = 1200 us", huge)
