@@ -192,7 +192,6 @@ _SOURCE_FIELDS = {
     "toggle_period": ("toggle_period_us", _duration_us),
     "sequences": ("sequences", _int),
     "sequence_length": ("sequence_length_us", _duration_us),
-    "dither": ("dither_us", _duration_us),
 }
 _PLC_FIELDS = {
     "task_cycle": ("task_cycle_us", _duration_us),
@@ -331,6 +330,10 @@ def _build_paths(
             diags.append(
                 Diagnostic(r.line, r.col, "forward path must end in a plc segment")
             )
+        if any(segments[sid].kind == "plc" for sid in forward[:-1]):
+            diags.append(
+                Diagnostic(r.line, r.col, "forward path may hold a plc segment only at its end")
+            )
     rr = raw.get("return")
     if ret and all(sid in segments for sid in ret):
         for sid in ret:
@@ -405,12 +408,12 @@ def load_scenario(text: str) -> Scenario:
     for msg in plc_cfg.validate():
         diags.append(sections["plc"].at(f"[plc]: {msg}"))
     kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
-    source = (
-        SignalSource() if kw is None
-        else SignalSource(**{"dither_us": plc_cfg.query_cycle_us, **kw})
-    )
+    source = SignalSource() if kw is None else SignalSource(**kw)
     for msg in source.validate():
         diags.append(sections["source"].at(f"[source]: {msg}"))
+    if 0 < source.toggle_period_us <= plc_cfg.query_cycle_us:  # the dither's span
+        msg = "[source]: toggle_period must exceed the [plc] query_cycle"
+        diags.append(sections["source"].at(msg))
     components = set(path_components(segments, forward, ret))
     safety = _build_safety(sections["safety"], components, diags)
     for msg in safety.validate():
@@ -418,7 +421,7 @@ def load_scenario(text: str) -> Scenario:
 
     if diags:
         raise ScenarioError(diags)
-    return Scenario(
+    scenario = Scenario(
         cell=cell,
         segments=segments,
         forward=forward,
@@ -427,6 +430,16 @@ def load_scenario(text: str) -> Scenario:
         plc=plc_cfg,
         safety=safety,
     )
+    # a run's int64 times reach at most the last toggle start, plus the
+    # largest dither and every component's largest duration
+    per_seq = source.sequence_length_us // source.toggle_period_us
+    latest = (source.sequences - 1) * source.sequence_length_us
+    latest += (per_seq - 1) * source.toggle_period_us + plc_cfg.query_cycle_us - 1
+    latest += sum(scenario.upper_bounds_us())
+    if latest >= 2**63:
+        msg = f"[path]: toggle times can reach {latest} us, past int64"
+        raise ScenarioError([sections["path"].at(msg)])
+    return scenario
 
 
 def decode_scenario(data: bytes) -> str:

@@ -158,6 +158,15 @@ class IolwTransferModel:
             v.append(f"max_attempts must be 1..{MAX_ATTEMPTS}, got {self.max_attempts}")
         return v
 
+    def upper_bound_us(self, cell: IolwCellConfig) -> int:
+        """The largest latency transfer_latencies gives a delivered transfer,
+        in Python ints: k - 1 retries, starting on a cycle start or 1 us past
+        sub-cycle boundary s, for k = max_attempts."""
+        k, per_cycle, sub = self.max_attempts, cell.subcycles_per_cycle, cell.subcycle_us
+        slot = [s // per_cycle * cell.cycle_us + s % per_cycle * sub for s in range(per_cycle + k)]
+        worst = max([slot[k - 1]] + [slot[s + k] - s * sub - 1 for s in range(per_cycle)])
+        return self.completion_offset_us + worst
+
 
 def draw_retries(
     model: IolwTransferModel,

@@ -63,11 +63,6 @@ class SignalSource:
     toggle_period_us: int = 200_000
     sequences: int = 540
     sequence_length_us: int = 5_000_000
-    # Per-toggle uniform time dither standing in for free-running clock
-    # drift: the toggle period is an exact multiple of the query and task
-    # cycles, so without dither the grids phase-lock and structural waits
-    # stop averaging out. The loader defaults it to one [plc] query cycle.
-    dither_us: int = 10_000
 
     def validate(self) -> list[str]:
         v = []
@@ -77,9 +72,7 @@ class SignalSource:
             v.append("sequences must be >= 1")
         if self.sequence_length_us < self.toggle_period_us:
             v.append("sequence_length must be >= toggle_period")
-        if not 0 <= self.dither_us < self.toggle_period_us:
-            v.append("dither must lie in [0, toggle_period)")
-        # toggle times, and the latencies added to them, stay in int64
+        # toggle times stay in int64 (the loader checks the latencies added)
         if self.sequences * self.sequence_length_us >= 2**53:
             v.append("sequences * sequence_length must be < 2**53 us")
         return v
@@ -122,6 +115,23 @@ class Scenario:
     def components(self) -> list[str]:
         """Ordered component names a toggle traverses (stats keys)."""
         return path_components(self.segments, self.forward, self.ret)
+
+    def upper_bounds_us(self) -> list[int]:
+        """Each component's largest duration on a delivered toggle, aligned
+        with components(), in Python ints."""
+        plc = self.plc
+        bounds = []
+        for name in self.components():
+            seg = self.segments.get(name)
+            if seg is None:  # the poll wait
+                bounds.append(plc.query_cycle_us - 1)
+            elif seg.kind == "plc":
+                bounds.append(2 * plc.task_cycle_us - 1 + plc.jitter_us)
+            elif seg.kind == "iolw-air":
+                bounds.append(seg.transfer.upper_bound_us(self.cell))
+            else:
+                bounds.append(seg.model.upper_bound_us())
+        return bounds
 
 
 def path_components(
@@ -253,8 +263,8 @@ def run(scenario: Scenario, seed: int) -> RunResult:
             a[:m] for a in (ws.ramp, ws.t0, ws.t, ws.d, ws.ints, ws.floats, ws.mask, ws.delivered)
         )
         source.toggle_times(first, t0, ramp, ints)
-        if source.dither_us > 0:  # integers(0, 0) raises
-            t0 += dither_rng.integers(0, source.dither_us, size=m)
+        # one query cycle of dither, or the grids phase-lock with the toggles
+        t0 += dither_rng.integers(0, plc_cfg.query_cycle_us, size=m)
 
         # losses first: each iolw-air traversal, keyed by its index since a
         # segment may be crossed twice, draws its retries in path order; a

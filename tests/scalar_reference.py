@@ -278,8 +278,7 @@ def run_via_matrix(scenario, seed):
     end."""
     dither_rng, iolw_phase, plc_phase, rngs = _start(scenario, seed)
     t0 = toggle_times(scenario.source)
-    if scenario.source.dither_us > 0:
-        t0 += dither_rng.integers(0, scenario.source.dither_us, size=len(t0))
+    t0 += dither_rng.integers(0, scenario.plc.query_cycle_us, size=len(t0))
     parts, lost_at = trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs)
     delivered = lost_at < 0
     components = tuple(scenario.components())

@@ -190,6 +190,57 @@ def test_every_diagnostic_has_a_location(old, new):
     assert all(d.line >= 1 and d.col >= 1 for d in diags), diags
 
 
+LINK_ETH = "model = constant\nvalue = 1200 us"
+
+
+@pytest.mark.parametrize(
+    "old, new, at, message",
+    [
+        ("task_cycle = 5 ms", "task_cycle = 0", "[plc]", "[plc]: task_cycle must be > 0"),
+        ("query_cycle = 10 ms", "query_cycle = 0", "[plc]", "[plc]: query_cycle must be > 0"),
+        ("[cell]", "[cell]\ncycle = 0", "[cell]", "[cell]: cycle must be > 0"),
+        ("[cell]", "[cell]\nsubcycle = 0", "[cell]", "[cell]: subcycle must be > 0"),
+        ("[cell]", "[cell]\nsubcycles = 0", "[cell]", "[cell]: subcycles_per_cycle must be >= 1"),
+        ("devices = 8", "devices = 0", "[cell]", "[cell]: devices must be >= 1"),
+        ("masters = 1", "masters = x", "masters = x", "invalid integer 'x'"),
+        ("[cell]", "[cell]\nblocklist = a", "blocklist = a", "invalid blocklist 'a'"),
+        ("[segment.wire]", "[cell]\n[segment.wire]", "[cell]", "duplicate section [cell]"),
+        ("toggle_period = 200 ms", "toggle_period = 0", "[source]",
+         "[source]: toggle_period must be > 0"),
+        ("sequence_length = 1 s", "sequence_length = 100 ms", "[source]",
+         "[source]: sequence_length must be >= toggle_period"),
+        ("toggle_period = 200 ms", "toggle_period = 10 ms", "[source]",
+         "[source]: toggle_period must exceed the [plc] query_cycle"),
+        (LINK_ETH, "model = uniform\nlow = -1 us\nhigh = 2 ms", "kind = ethernet",
+         "segment 'eth': uniform low must be >= 0"),
+        (LINK_ETH, "model = truncnorm\nmean = 1 ms\nstddev = 1 ms\nlow = 3 ms\nhigh = 2 ms",
+         "kind = ethernet", "segment 'eth': truncnorm low must be <= high"),
+        (LINK_ETH, "model = empirical\nbins = -1 ms:1, 2 ms:3", "kind = ethernet",
+         "segment 'eth': empirical durations must be >= 0"),
+        (LINK_ETH, "model = empirical\nbins = 5 ms", "bins = 5 ms", "invalid empirical bin '5 ms'"),
+        (LINK_ETH, "model = gamma", "model = gamma", "unknown model kind 'gamma'"),
+        (LINK_ETH, "model = truncnorm\nmean = 1 ms", "model = truncnorm",
+         "segment 'eth': model 'truncnorm' is missing keys ['high', 'low', 'stddev']"),
+        ("completion_offset = 667 us", "completion_offset = 667 us\nerror_prob = 1.5",
+         "kind = iolw-air", "segment 'air': error_prob must be within [0, 1]"),
+        ("completion_offset = 667 us", "completion_offset = 2 ms", "kind = iolw-air",
+         "segment 'air': completion_offset 2000 us must lie in [0, 1664)"),
+        ("[cell]", "bogus = 1\n[cell]", "bogus = 1", "key outside any section"),
+    ],
+    ids=["task-cycle-0", "query-cycle-0", "cycle-0", "subcycle-0", "subcycles-0", "devices-0",
+         "masters-not-int", "blocklist-not-int", "duplicate-cell", "toggle-period-0",
+         "sequence-shorter-than-period", "period-equals-query-cycle", "uniform-negative-low",
+         "truncnorm-low-above-high", "empirical-negative-duration", "bin-without-weight",
+         "unknown-model", "truncnorm-missing-keys", "error-prob-above-1",
+         "completion-offset-past-subcycle", "key-before-any-section"],
+)
+def test_diagnostic_at_its_location(old, new, at, message):
+    bad = patch(MINIMAL, old, new)
+    lines = bad.splitlines()
+    line = len(lines) - lines[::-1].index(at)  # the last line reading `at`
+    assert Diagnostic(line, 1, message) in diagnostics_of(bad)
+
+
 @pytest.mark.parametrize(
     "settings, message",
     [
@@ -339,12 +390,53 @@ def test_source_span_just_below_2_53_loads():
     assert sc.source.sequences * sc.source.sequence_length_us == 2**53 - 2
 
 
-def test_dither_defaults_to_one_query_cycle():
-    sc = load_scenario(patch(MINIMAL, "query_cycle = 10 ms", "query_cycle = 20 ms"))
-    assert sc.source.dither_us == 20_000
-    kept = patch(MINIMAL, "sequence_length = 1 s", "sequence_length = 1 s\ndither = 3 ms")
-    sc = load_scenario(patch(kept, "query_cycle = 10 ms", "query_cycle = 20 ms"))
-    assert sc.source.dither_us == 3_000
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_dither_key_rejected_as_unknown(command, tmp_path, capsys):
+    # the dither is always one [plc] query cycle
+    bad = patch(MINIMAL, "sequence_length = 1 s", "sequence_length = 1 s\ndither = 3 ms")
+    line = bad.splitlines().index("dither = 3 ms") + 1
+    message = "unknown key 'dither' in section [source]"
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+    path = tmp_path / "dither.scenario"
+    path.write_text(bad)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: {message}" in capsys.readouterr().err
+
+
+def long_eth_path(traversals):
+    """MINIMAL with eth a constant of 2**53 - 1 us crossed traversals times
+    on the forward path."""
+    text = patch(MINIMAL, "value = 1200 us", f"value = {2**53 - 1} us")
+    return patch(text, "forward = wire, air, eth, plc",
+                 "forward = wire, air, " + "eth, " * traversals + "plc")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_path_past_int64_rejected_at_path(command, tmp_path, capsys):
+    # each duration is below 2**53, but 1 100 of them once wrapped the
+    # int64 times and crashed the run with a traceback
+    bad = long_eth_path(1100)
+    line = bad.splitlines().index("[path]") + 1
+    [d] = diagnostics_of(bad)
+    assert (d.line, d.col) == (line, 1)
+    assert d.message.startswith("[path]: toggle times can reach ")
+    path = tmp_path / "long.scenario"
+    path.write_text(bad)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: [path]: toggle times can reach " in capsys.readouterr().err
+
+
+def test_path_just_within_int64_loads():
+    sc = load_scenario(long_eth_path(1000))
+    assert sc.forward.count("eth") == 1000
+
+
+def test_shipped_component_bounds_sum_to_the_derived_figure(default_scenario):
+    bounds = dict(zip(default_scenario.components(), default_scenario.upper_bounds_us()))
+    assert (bounds["air_up"], bounds["poll_wait"], bounds["plc"]) == (5666, 9999, 9999)
+    assert sum(default_scenario.upper_bounds_us()) == 148_930
 
 
 def test_empirical_weight_sum_must_not_overflow():
@@ -361,6 +453,21 @@ def test_unknown_segment_kind_rejected():
 def test_forward_path_must_end_in_plc():
     bad = patch(MINIMAL, "forward = wire, air, eth, plc", "forward = wire, air, eth")
     assert any("must end in a plc" in d.message for d in diagnostics_of(bad))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("forward", ["wire, plc, air, eth, plc", "wire, air, eth, plc, plc"])
+def test_plc_before_the_end_of_the_forward_path_rejected(forward, command, tmp_path, capsys):
+    # such a path once ran the PLC stage twice per toggle
+    bad = patch(MINIMAL, "forward = wire, air, eth, plc", f"forward = {forward}")
+    line = bad.splitlines().index(f"forward = {forward}") + 1
+    message = "forward path may hold a plc segment only at its end"
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+    path = tmp_path / "plc.scenario"
+    path.write_text(bad)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: {message}" in capsys.readouterr().err
 
 
 def test_return_path_must_not_contain_plc():

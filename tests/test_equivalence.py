@@ -471,7 +471,7 @@ def traced_samples(scenario, seed):
     plc_phase = rnd.randrange(scenario.plc.task_cycle_us)
     iolw_phase = rnd.randrange(scenario.cell.cycle_us)
     t0 = ref.toggle_times(scenario.source)
-    t0 = t0 + rng_stream(seed, 0).integers(0, scenario.source.dither_us, size=len(t0))
+    t0 = t0 + rng_stream(seed, 0).integers(0, scenario.plc.query_cycle_us, size=len(t0))
     ids = sorted(scenario.segments)
 
     *_, streams = scenario_mod._start(scenario, seed)

@@ -134,6 +134,22 @@ class TestTransferLatency:
             f"max_attempts must be 1..{MAX_ATTEMPTS}, got {MAX_ATTEMPTS + 1}"
         ]
 
+    def test_upper_bound_is_the_largest_latency_over_one_cycle(self):
+        # k - 1 retries at every offset into one cycle of small random cells
+        assert IolwTransferModel(667, 0.001, 3).upper_bound_us(CELL) == 5666  # the shipped hop
+        rnd = random.Random(7)
+        for _ in range(200):
+            per_cycle, sub = rnd.randint(1, 4), rnd.randint(1, 6)
+            cell = IolwCellConfig(
+                cycle_us=per_cycle * sub + rnd.randint(0, 8),
+                subcycles_per_cycle=per_cycle, subcycle_us=sub,
+            )
+            model = IolwTransferModel(rnd.randrange(sub), 0.5, rnd.randint(1, 7))
+            t = np.arange(cell.cycle_us)
+            retries = np.full(len(t), model.max_attempts - 1, dtype=np.intp)
+            worst = int(transfer_latencies(t, retries, model, cell).max())
+            assert model.upper_bound_us(cell) == worst, (cell, model)
+
     def test_mean_over_uniform_arrivals_matches_enumeration_oracle(self):
         model = IolwTransferModel(completion_offset_us=667)
         draws = rng_stream(3, 0).integers(0, CELL.cycle_us, size=100_000)

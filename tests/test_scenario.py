@@ -57,10 +57,7 @@ def random_scenario(rnd: random.Random) -> Scenario:
         segments=segments,
         forward=["wire", "air", "eth", "nr", "nr", "eth", "plc"],
         ret=["eth", "nr", "nr", "eth", "air", "wire"],
-        source=SignalSource(
-            toggle_period_us=100_000, sequences=1, sequence_length_us=1_000_000,
-            dither_us=50_000,
-        ),
+        source=SignalSource(toggle_period_us=100_000, sequences=1, sequence_length_us=1_000_000),
         plc=PlcConfig(
             task_cycle_us=(task := rnd.choice([2000, 5000])),
             query_cycle_us=task * rnd.choice([1, 2]),
@@ -91,8 +88,7 @@ def mixed_scenario(sequences: int = 500) -> Scenario:
         forward=["wire", "air_up", "eth", "nr_up", "plc"],
         ret=["nr_down", "air_down"],
         source=SignalSource(
-            toggle_period_us=300_000, sequences=sequences, sequence_length_us=5_200_000,
-            dither_us=10_000,
+            toggle_period_us=300_000, sequences=sequences, sequence_length_us=5_200_000
         ),
         plc=PlcConfig(),
         safety=SafetyParams(),
