@@ -323,5 +323,5 @@ class Empirical:
 # delays drawn in blocks are the n drawn at once, and a stream advanced by
 # n outputs starts where they end.
 # Every model is frozen: the loader gives segments with equal parameters one
-# shared model, and a threaded sweep shares it across its threads.
+# shared model, and run() callers on several threads at once share it.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

@@ -161,8 +161,10 @@ class IolwTransferModel:
     def upper_bound_us(self, cell: IolwCellConfig) -> int:
         """The largest latency transfer_latencies gives a delivered transfer,
         in Python ints: k - 1 retries, starting on a cycle start or 1 us past
-        sub-cycle boundary s, for k = max_attempts."""
-        k, per_cycle, sub = self.max_attempts, cell.subcycles_per_cycle, cell.subcycle_us
+        sub-cycle boundary s, for k = max_attempts, or k = 1 when
+        error_prob = 0, as no attempt then fails."""
+        k = self.max_attempts if self.per_subcycle_error_prob > 0 else 1
+        per_cycle, sub = cell.subcycles_per_cycle, cell.subcycle_us
         slot = [s // per_cycle * cell.cycle_us + s % per_cycle * sub for s in range(per_cycle + k)]
         worst = max([slot[k - 1]] + [slot[s + k] - s * sub - 1 for s in range(per_cycle)])
         return self.completion_offset_us + worst

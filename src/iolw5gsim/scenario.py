@@ -26,11 +26,9 @@ is drawn from in toggle order: a run's report does not depend on BLOCK.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -239,9 +237,14 @@ def _start(
     rngs = [None] * len(components)
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)
-        if seg is not None and seg.kind != "plc":
-            rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
+        if seg is None or seg.kind == "plc":
+            continue
+        first = components.index(name)
+        if first < i:  # reusing the first traversal's seed sequence saves hashing it
+            rngs[i] = np.random.Generator(np.random.PCG64(rngs[first].bit_generator.seed_seq))
             rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
+        else:
+            rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
     return dither_rng, iolw_phase, plc_phase, rngs
 
 
@@ -305,30 +308,17 @@ def run(scenario: Scenario, seed: int) -> RunResult:
 
 
 def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
-    """Run once per distinct seed and merge; the merge is order-independent.
-
-    Up to `parallel` seeds, and no more than the CPUs, run at once: the
-    calling thread runs every parallel-th seed and a pool of parallel - 1
-    threads the rest, all sharing the scenario (the numpy work that dominates
-    a run releases the GIL, and every seed draws from its own streams), so a
-    serial or one-seed sweep starts no thread. The merged result carries the
-    per-seed results, sorted by seed, in its per_seed field, and is the same
-    for any `parallel`.
-    """
+    """Run each distinct seed in sorted order on the calling thread, and
+    merge; the merged result carries the per-seed results in per_seed.
+    `parallel` must be >= 1 and changes nothing (the benchmark still passes
+    it): threads bought nothing for seeds of up to two blocks, as the bulk
+    of a run holds the GIL."""
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValueError("sweep seeds must be distinct")
     if parallel < 1:
         raise ValueError("sweep parallel must be >= 1")
-    # each thread holds a workspace; more threads than CPUs only add those
-    parallel = min(parallel, os.cpu_count() or 1)
-    # the caller's share saves a thread and the workspace it would build;
-    # the pool starts threads only when seeds are submitted
-    with ThreadPoolExecutor(max_workers=max(parallel - 1, 1)) as pool:
-        theirs = [s for i, s in enumerate(seeds) if i % parallel]
-        pending = pool.map(partial(run, scenario), theirs)
-        results = [run(scenario, s) for s in seeds[::parallel]] + list(pending)
-    results.sort(key=lambda r: r.seeds)
+    results = [run(scenario, s) for s in sorted(seeds)]
     merged = reduce(RunResult.merge, results)
     return dataclasses.replace(merged, per_seed=tuple(results))

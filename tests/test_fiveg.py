@@ -179,7 +179,7 @@ class TestSampling:
 
     def test_every_link_model_is_frozen(self):
         # the loader hands one model to every segment with equal parameters,
-        # and a threaded sweep shares it, so no model may change in place
+        # and run() callers on several threads share it, so none may change in place
         for cls in typing.get_args(fiveg.LatencyModel):
             assert cls.__dataclass_params__.frozen, cls
 

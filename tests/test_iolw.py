@@ -135,18 +135,21 @@ class TestTransferLatency:
         ]
 
     def test_upper_bound_is_the_largest_latency_over_one_cycle(self):
-        # k - 1 retries at every offset into one cycle of small random cells
+        # k - 1 retries at every offset into one cycle of small random cells,
+        # or none on a hop with error_prob = 0, which never retries
         assert IolwTransferModel(667, 0.001, 3).upper_bound_us(CELL) == 5666  # the shipped hop
+        assert IolwTransferModel(667, 0.0, 3).upper_bound_us(CELL) == 2338
         rnd = random.Random(7)
-        for _ in range(200):
+        for _ in range(300):
             per_cycle, sub = rnd.randint(1, 4), rnd.randint(1, 6)
             cell = IolwCellConfig(
                 cycle_us=per_cycle * sub + rnd.randint(0, 8),
                 subcycles_per_cycle=per_cycle, subcycle_us=sub,
             )
-            model = IolwTransferModel(rnd.randrange(sub), 0.5, rnd.randint(1, 7))
+            p = rnd.choice((0.0, 0.5))
+            model = IolwTransferModel(rnd.randrange(sub), p, rnd.randint(1, 7))
             t = np.arange(cell.cycle_us)
-            retries = np.full(len(t), model.max_attempts - 1, dtype=np.intp)
+            retries = np.full(len(t), model.max_attempts - 1 if p else 0, dtype=np.intp)
             worst = int(transfer_latencies(t, retries, model, cell).max())
             assert model.upper_bound_us(cell) == worst, (cell, model)
 

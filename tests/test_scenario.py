@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -215,19 +217,25 @@ class TestRun:
 
     def test_segments_that_draw_keep_their_stream_ids(self, default_scenario):
         # one stream per component, none for the poll wait and the plc
-        # segment, which draw nothing; "wire" sorts after "plc", its first
-        # traversal still draws from stream 1 + its sorted index, and its
-        # second from that stream one traversal's toggles on
+        # segment, which draw nothing; a segment's first traversal starts on
+        # stream 1 + its sorted index ("wire" sorts after "plc"), and a later
+        # one, which reuses the first's seed sequence, on that stream
+        # advanced by the toggles of the traversals before it
         _, _, _, rngs = scenario_mod._start(default_scenario, 7)
         components = default_scenario.components()
         ids = sorted(default_scenario.segments)
-        assert "plc" in ids
+        assert "plc" in ids and components.count("wire") == 2
         assert [rng is None for rng in rngs] == [name in (POLL_WAIT, "plc") for name in components]
-        first, second = (i for i, name in enumerate(components) if name == "wire")
-        stream = rng_stream(7, 1 + ids.index("wire"))
-        assert rngs[first].random(8).tolist() == stream.random(8).tolist()
-        stream.bit_generator.advance(default_scenario.source.toggles - 8)
-        assert rngs[second].random(8).tolist() == stream.random(8).tolist()
+        later = 0
+        for i, (name, rng) in enumerate(zip(components, rngs)):
+            if rng is None:
+                continue
+            before = components[:i].count(name)
+            stream = rng_stream(7, 1 + ids.index(name))
+            stream.bit_generator.advance(before * default_scenario.source.toggles)
+            assert rng.bit_generator.state == stream.bit_generator.state, (i, name)
+            later += before > 0
+        assert later == 5
 
 
 def lossy_empirical_scenario(sequences: int) -> Scenario:
@@ -329,8 +337,7 @@ class TestWorkspace:
         for sc in (default_scenario, lossy, default_scenario, lossy, more_air, default_scenario):
             assert run(sc, seed=2) == first[id(sc)]
 
-    def test_interleaved_threaded_sweeps_keep_their_results(self, default_scenario, monkeypatch):
-        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 8)
+    def test_interleaved_sweeps_keep_their_results(self, default_scenario):
         lossy = lossy_small_scenario(sequences=7)
         seeds = [1, 2, 3, 4, 5]
         first = {id(sc): sweep(sc, seeds, parallel=3) for sc in (default_scenario, lossy)}
@@ -339,6 +346,34 @@ class TestWorkspace:
         for sc in (lossy, default_scenario, lossy):
             merged = sweep(sc, seeds, parallel=3)
             assert merged == first[id(sc)] and merged.per_seed == first[id(sc)].per_seed
+
+    def test_concurrent_runs_keep_their_results(self, default_scenario):
+        # run() is public API: callers on two threads at once, each with its
+        # own scenario and seed, must not share buffers; equal toggle counts
+        # and air traversals, so one shared workspace would fit both runs
+        lossy = lossy_empirical_scenario(sequences=default_scenario.source.sequences)
+        jobs = [(default_scenario, 3), (lossy, 8)]
+        expected = [[run(sc, seed)] * 5 for sc, seed in jobs]
+        barrier = threading.Barrier(len(jobs), timeout=60)
+        got: list[list] = [[] for _ in jobs]
+
+        def work(k):
+            sc, seed = jobs[k]
+            barrier.wait()
+            got[k].extend(run(sc, seed) for _ in range(5))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside a run
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
 
     def test_run_raising_part_way_leaves_the_next_run_correct(self, monkeypatch):
         sc = small_scenario(sequences=3)
@@ -394,39 +429,18 @@ class TestSweep:
             sweep(small_scenario(), [1, 2], parallel=parallel)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # enough CPUs that every pool size below is used as asked
-        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 8)
+        # the seeds run one after another on the calling thread, whatever
+        # parallel asks for
         sc = small_scenario(sequences=2)
-        assert sweep(sc, [1, 2], parallel=2) == sweep(sc, [1, 2], parallel=1)
-        # the calling thread's share and the pool's, for several pool sizes
-        serial = sweep(sc, [1, 2, 3, 4, 5], parallel=1)
-        for parallel in (2, 3, 8):
-            merged = sweep(sc, [1, 2, 3, 4, 5], parallel=parallel)
+        serial = sweep(sc, [5, 1, 4, 2, 3], parallel=1)
+
+        def refuse(self):
+            raise AssertionError("sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for parallel in (2, 4, 8):
+            merged = sweep(sc, [5, 1, 4, 2, 3], parallel=parallel)
             assert merged == serial and merged.per_seed == serial.per_seed
-
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        requested, started = [], []
-
-        class RecordingPool(scenario_mod.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 1))
-
-            def shutdown(self, *args, **kwargs):
-                started.append(len(self._threads))
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(scenario_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(scenario_mod, "ThreadPoolExecutor", RecordingPool)
-        sc = small_scenario(sequences=2)
-        seeds = [1, 2, 3, 4, 5, 6]
-        assert sweep(sc, seeds, parallel=10**6) == sweep(sc, seeds)
-        # two CPUs: the calling thread and one pool thread; the serial sweep
-        # builds a pool too, but hands it no seed, so it starts no thread
-        assert requested == [1, 1]
-        assert started == [1, 0]
-        sweep(sc, [1], parallel=2)
-        assert requested[-1] == 1 and started[-1] == 0
 
 
 class TestDominance:
