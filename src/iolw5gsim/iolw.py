@@ -83,8 +83,6 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
             f"slots_per_track must be 1..{MAX_SLOTS_PER_TRACK}, "
             f"got {config.slots_per_track}"
         )
-    if not v and config.capacity > MAX_DEVICES:
-        v.append(f"cell capacity {config.capacity} exceeds {MAX_DEVICES} devices")
     if config.devices is not None:
         if config.devices < 1:
             v.append("devices must be >= 1")

@@ -10,8 +10,8 @@ a bin upper edge, because the downstream use is safety margins.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -43,13 +43,10 @@ class LatencyStats:
         lo, hi = int(values_us.min()), int(values_us.max())
         if lo < 0:
             raise ValueError("latency samples must be >= 0")
-        self.count += values_us.size
         if hi * values_us.size < 1 << 63:
-            self.total_us += int(values_us.sum(dtype=np.int64))
+            total = int(values_us.sum(dtype=np.int64))
         else:  # the int64 sum could wrap
-            self.total_us += sum(values_us.tolist())
-        self.min_us = lo if self.min_us is None else min(self.min_us, lo)
-        self.max_us = hi if self.max_us is None else max(self.max_us, hi)
+            total = sum(values_us.tolist())
         first = lo // BIN_WIDTH_US
         q = values_us // BIN_WIDTH_US
         if hi // BIN_WIDTH_US - first < values_us.size:
@@ -61,12 +58,7 @@ class LatencyStats:
             idx += first
         else:  # sparse: memory stays O(batch)
             idx, counts = np.unique(q, return_counts=True)
-        pairs = zip(idx.tolist(), counts.tolist())
-        if not self.bins:
-            self.bins.update(pairs)
-        else:
-            for i, n in pairs:
-                self.bins[i] = self.bins.get(i, 0) + n
+        self._fold(values_us.size, total, lo, hi, zip(idx.tolist(), counts.tolist()))
 
     def add_loss(self, n: int = 1) -> None:
         self.losses += n
@@ -78,19 +70,23 @@ class LatencyStats:
         return self.total_us / self.count
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
-        merged_bins = dict(self.bins)
-        for idx, n in other.bins.items():
-            merged_bins[idx] = merged_bins.get(idx, 0) + n
-        mins = [m for m in (self.min_us, other.min_us) if m is not None]
-        maxs = [m for m in (self.max_us, other.max_us) if m is not None]
-        return LatencyStats(
-            count=self.count + other.count,
-            total_us=self.total_us + other.total_us,
-            min_us=min(mins) if mins else None,
-            max_us=max(maxs) if maxs else None,
-            bins=merged_bins,
-            losses=self.losses + other.losses,
-        )
+        merged = replace(self, bins=dict(self.bins), losses=self.losses + other.losses)
+        if other.count:
+            merged._fold(other.count, other.total_us, other.min_us, other.max_us,
+                         other.bins.items())
+        return merged
+
+    def _fold(self, count: int, total_us: int, lo: int, hi: int, bins: Iterable) -> None:
+        """The one combine rule of add and merge; bins yields (bin, frequency) pairs."""
+        self.count += count
+        self.total_us += total_us
+        self.min_us = lo if self.min_us is None else min(self.min_us, lo)
+        self.max_us = hi if self.max_us is None else max(self.max_us, hi)
+        if not self.bins:
+            self.bins.update(bins)
+        else:
+            for i, n in bins:
+                self.bins[i] = self.bins.get(i, 0) + n
 
     def percentile(self, p: float) -> int:
         """Smallest bin upper edge whose cumulative frequency reaches p percent."""

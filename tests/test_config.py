@@ -487,6 +487,12 @@ def test_duration_suffixes():
     assert sc.segments["eth"].model.value_us == 1200
 
 
+def test_empirical_bins_allow_a_trailing_comma():
+    sc = load_scenario(patch(MINIMAL, "model = constant\nvalue = 1200 us",
+                             "model = empirical\nbins = 5 ms:1, 7 ms:4,"))
+    assert sc.segments["eth"].model.bins == ((5000, 1.0), (7000, 4.0))
+
+
 def test_fractional_microseconds_rejected():
     bad = patch(MINIMAL, "value = 1200 us", "value = 1200.5 us")
     assert any("whole microsecond" in d.message for d in diagnostics_of(bad))

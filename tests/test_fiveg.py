@@ -150,6 +150,7 @@ class TestSampling:
     def test_validation_catches_bad_parameters(self):
         assert Uniform(20, 10).validate()
         assert TruncNormal(0.0, -1.0, 0, 10).validate()
+        assert TruncNormal(5000.0, 100.0, -1, 9000).validate() == ["truncnorm low must be >= 0"]
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_truncnorm_rejects_non_finite_parameters(self, bad):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -44,7 +45,22 @@ class TestValidateCell:
     def test_full_cell_is_ok_at_120_devices(self):
         cfg = IolwCellConfig(masters=3, tracks_per_master=5, slots_per_track=8)
         assert validate_cell(cfg) == []
+        assert validate_cell(dataclasses.replace(cfg, devices=120)) == []
         assert cfg.capacity == 120
+
+    # the largest topology holds exactly 120 devices, so a cell cannot
+    # exceed the limit except through `devices`
+    @pytest.mark.parametrize(
+        "masters, expected",
+        [
+            (3, ["devices 121 exceed cell capacity 120", "devices must be <= 120, got 121"]),
+            (4, ["masters must be 1..3, got 4", "devices must be <= 120, got 121"]),
+        ],
+        ids=["full-topology", "four-masters"],
+    )
+    def test_devices_past_120_violate(self, masters, expected):
+        cfg = IolwCellConfig(masters=masters, tracks_per_master=5, slots_per_track=8, devices=121)
+        assert validate_cell(cfg) == expected
 
     def test_six_tracks_violates(self):
         cfg = IolwCellConfig(masters=1, tracks_per_master=6)
@@ -176,6 +192,15 @@ class TestResidualErrorProb:
         assert probs == sorted(probs)
         by_k = [residual_error_prob(0.3, k) for k in range(1, 6)]
         assert by_k == sorted(by_k, reverse=True)
+
+    @pytest.mark.parametrize(
+        "p, k, message",
+        [(1.5, 3, "error_prob must be within"), (0.1, 0, "max_attempts must be >= 1")],
+        ids=["p-above-1", "no-attempts"],
+    )
+    def test_bad_arguments_rejected(self, p, k, message):
+        with pytest.raises(ValueError, match=message):
+            residual_error_prob(p, k)
 
 
 class TestHopPlan:

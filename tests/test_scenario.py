@@ -413,6 +413,12 @@ class TestSweep:
         merged = sweep(quarter, [1, 2, 3, 4])
         assert merged.toggles == run(whole, 1).toggles
 
+    def test_results_of_different_scenarios_do_not_merge(self):
+        sc = small_scenario(sequences=2)
+        more_air = dataclasses.replace(sc, ret=sc.ret + ["air"])
+        with pytest.raises(ValueError, match="different scenarios"):
+            run(sc, 1).merge(run(more_air, 1))
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_scenario(), [])

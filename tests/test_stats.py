@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 
@@ -16,6 +17,11 @@ from iolw5gsim.stats import (
 )
 
 samples_strategy = st.lists(st.integers(min_value=0, max_value=500_000), min_size=1, max_size=400)
+# one side of a merge: samples, possibly none, and 0..5 losses
+side_strategy = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=500_000), max_size=400),
+    st.integers(min_value=0, max_value=5),
+)
 
 
 def fill(values):
@@ -23,6 +29,22 @@ def fill(values):
     for v in values:
         s.add(v)
     return s
+
+
+def fill_side(side):
+    values, losses = side
+    s = fill(values)
+    s.add_loss(losses)
+    return s
+
+
+def merge(a, b):
+    """a.merge(b), checking that it is a new object and changes neither side."""
+    before = copy.deepcopy((a, b))
+    merged = a.merge(b)
+    assert (a, b) == before
+    assert merged is not a and merged is not b and merged.bins is not a.bins
+    return merged
 
 
 class TestAccumulation:
@@ -76,23 +98,23 @@ class TestAccumulation:
 
 
 class TestMerge:
-    @given(samples_strategy, samples_strategy)
+    @given(side_strategy, side_strategy)
     @settings(max_examples=100, deadline=None)
     def test_merge_equals_whole_set(self, a, b):
-        merged = fill(a).merge(fill(b))
-        whole = fill(a + b)
+        merged = merge(fill_side(a), fill_side(b))
+        whole = fill_side((a[0] + b[0], a[1] + b[1]))
         assert merged == whole
 
-    @given(samples_strategy, samples_strategy)
+    @given(side_strategy, side_strategy)
     @settings(max_examples=50, deadline=None)
     def test_merge_commutative(self, a, b):
-        assert fill(a).merge(fill(b)) == fill(b).merge(fill(a))
+        assert merge(fill_side(a), fill_side(b)) == merge(fill_side(b), fill_side(a))
 
-    @given(samples_strategy, samples_strategy, samples_strategy)
+    @given(side_strategy, side_strategy, side_strategy)
     @settings(max_examples=50, deadline=None)
     def test_merge_associative(self, a, b, c):
-        sa, sb, sc = fill(a), fill(b), fill(c)
-        assert sa.merge(sb).merge(sc) == sa.merge(sb.merge(sc))
+        sa, sb, sc = fill_side(a), fill_side(b), fill_side(c)
+        assert merge(merge(sa, sb), sc) == merge(sa, merge(sb, sc))
 
 
 class TestPercentile:
@@ -124,6 +146,11 @@ class TestPercentile:
     def test_empty_raises(self):
         with pytest.raises(EmptyStatsError):
             LatencyStats().percentile(50)
+
+    @pytest.mark.parametrize("p", [-1, 100.5])
+    def test_p_outside_0_to_100_rejected(self, p):
+        with pytest.raises(ValueError, match="within"):
+            fill([100]).percentile(p)
 
 
 class TestCdf:
@@ -183,6 +210,14 @@ class TestSafety:
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
             safety_distance(1000, 0.0)
+
+    def test_negative_response_time_rejected(self):
+        with pytest.raises(ValueError, match="response time must be >= 0"):
+            safety_distance(-1, 2.0)
+
+    def test_negative_segment_maximum_rejected(self):
+        params = SafetyParams(segment_maxima=(("wire", -1),))
+        assert params.validate() == ["segment maxima must be >= 0"]
 
     @pytest.mark.parametrize("speed", [math.inf, -math.inf, math.nan])
     def test_non_finite_speed_rejected(self, speed):
