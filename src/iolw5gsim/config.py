@@ -432,13 +432,25 @@ def load_scenario(text: str) -> Scenario:
     )
     # a run's int64 times reach at most the last toggle start, plus the
     # largest dither and every component's largest duration
+    bounds = scenario.upper_bounds_us()
     per_seq = source.sequence_length_us // source.toggle_period_us
     latest = (source.sequences - 1) * source.sequence_length_us
     latest += (per_seq - 1) * source.toggle_period_us + plc_cfg.query_cycle_us - 1
-    latest += sum(scenario.upper_bounds_us())
+    latest += sum(bounds)
     if latest >= 2**63:
         msg = f"[path]: toggle times can reach {latest} us, past int64"
-        raise ScenarioError([sections["path"].at(msg)])
+        diags.append(sections["path"].at(msg))
+    # a budget covers every traversal of its component
+    derived: dict[str, int] = {}
+    for name, bound in zip(scenario.components(), bounds):
+        derived[name] = derived.get(name, 0) + bound
+    for name, budget in safety.segment_maxima:
+        if budget < derived[name]:
+            r = sections["safety"][f"budget.{name}"]
+            msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
+            diags.append(Diagnostic(r.line, r.col, msg))
+    if diags:
+        raise ScenarioError(diags)
     return scenario
 
 

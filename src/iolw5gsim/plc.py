@@ -2,12 +2,14 @@
 
 The PLC executes its program every task_cycle (default 5 ms) and polls the
 W-Master process image every query_cycle (default 10 ms, an integer multiple
-of the task cycle). Inputs are sampled at cycle start: a value arriving
-mid-cycle is processed in the following cycle, and outputs publish at the
-end of the processing cycle, plus a fixed jitter added to every
-publication. Task cycles and polls start on one grid, offset by a phase
-the caller passes. Both timing rules map arrays of arrival times
-element-wise, into an array the caller passes.
+of the task cycle). Task cycles and polls start on one grid, offset by a
+phase the caller passes, and both waits follow one rule: grid_wait, the
+wait from an arrival to the first grid point at or after it. A change
+waits that long for the next poll. An input waits that long for the next
+cycle start, as one arriving mid-cycle is processed in the following
+cycle; its output publishes at the end of that cycle, plus a fixed jitter,
+so the caller adds task_cycle + jitter to the wait. The kernel maps arrays
+of arrival times element-wise, into an array the caller passes.
 """
 
 from __future__ import annotations
@@ -46,34 +48,16 @@ class PlcConfig:
         return v
 
 
-def align_to_task_cycle(
-    arrival: np.ndarray, cfg: PlcConfig, phase: int, out: np.ndarray
+def grid_wait(
+    t: np.ndarray, period: int, phase: int, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Output publication times for inputs arriving at `arrival`, into the
-    int64 out, on the task grid whose cycles start at phase + k*task_cycle.
-
-    An arrival exactly on a cycle start is processed in that cycle and
-    publishes one task cycle later; any later arrival waits for the next
-    cycle start and publishes at its end (two task cycles after the
-    preceding start). Every publication is then delayed by the fixed
-    jitter_us. So a publication is one task cycle plus the jitter after the
-    first cycle start at or after the arrival.
-    """
-    task = cfg.task_cycle_us
-    # the first cycle start at or after arrival: phase - (phase - arrival) // task * task
-    np.subtract(phase, arrival, out=out)
-    out //= task
-    out *= -task
-    out += phase + task + cfg.jitter_us
-    return out
-
-
-def next_poll(t: np.ndarray, cfg: PlcConfig, phase: int, out: np.ndarray) -> np.ndarray:
-    """First poll times >= t, into the int64 out; polls occur at
-    phase + k*query_cycle, k >= 0."""
-    np.subtract(phase, t, out=out)
-    out //= cfg.query_cycle_us
-    np.minimum(out, 0, out=out)  # k >= 0
-    out *= -cfg.query_cycle_us
-    out += phase
+    """Waits from each t to the first grid point phase + k*period at or
+    after it, (phase - t) mod period, into the int64 out; scratch is int64
+    of t's length."""
+    # taken as x - x // period * period: the same for a positive period at
+    # a fraction of np.remainder's cost on int64
+    np.subtract(phase, t, out=scratch)
+    np.floor_divide(scratch, period, out=out)
+    out *= period
+    np.subtract(scratch, out, out=out)
     return out

@@ -32,11 +32,10 @@ from functools import reduce
 
 import numpy as np
 
-from . import plc as plcmod
 from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies
 from .kernel import rng_stream
-from .plc import PlcConfig
+from .plc import PlcConfig, grid_wait
 from .stats import LatencyStats, SafetyParams
 
 NETWORK_KINDS = ("ethernet", "fiveg")
@@ -121,10 +120,10 @@ class Scenario:
         bounds = []
         for name in self.components():
             seg = self.segments.get(name)
-            if seg is None:  # the poll wait
+            if seg is None:  # the poll wait: grid_wait's range on the query grid
                 bounds.append(plc.query_cycle_us - 1)
-            elif seg.kind == "plc":
-                bounds.append(2 * plc.task_cycle_us - 1 + plc.jitter_us)
+            elif seg.kind == "plc":  # on the task grid, plus what run() adds
+                bounds.append(plc.task_cycle_us - 1 + plc.task_cycle_us + plc.jitter_us)
             elif seg.kind == "iolw-air":
                 bounds.append(seg.transfer.upper_bound_us(self.cell))
             else:
@@ -290,11 +289,10 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         np.copyto(t, t0)
         for i, (name, seg) in enumerate(zip(components, segs)):
             if name == POLL_WAIT:
-                plcmod.next_poll(t, plc_cfg, plc_phase, d)
-                d -= t
+                grid_wait(t, plc_cfg.query_cycle_us, plc_phase, d, ints)
             elif seg.kind == "plc":
-                plcmod.align_to_task_cycle(t, plc_cfg, plc_phase, d)
-                d -= t
+                grid_wait(t, plc_cfg.task_cycle_us, plc_phase, d, ints)
+                d += plc_cfg.task_cycle_us + plc_cfg.jitter_us
             elif seg.kind == "iolw-air":
                 transfer_latencies(t, retries[i], seg.transfer, cell, iolw_phase, d, ints)
             else:

@@ -32,14 +32,22 @@ def transfer_latencies(t_change, retries, model, cell, phase=0):
     )
 
 
-def next_poll(t, cfg, phase=0):
+def grid_wait(t, period, phase=0):
     t = np.asarray(t, dtype=np.int64)
-    return plc.next_poll(t, cfg, phase, np.empty_like(t))
+    return plc.grid_wait(t, period, phase, np.empty_like(t), np.empty_like(t))
+
+
+def next_poll(t, cfg, phase=0):
+    """First poll times at or after t, on the grid phase + k*query_cycle."""
+    return t + grid_wait(t, cfg.query_cycle_us, phase)
 
 
 def align_to_task_cycle(arrival, cfg, phase=0):
-    arrival = np.asarray(arrival, dtype=np.int64)
-    return plc.align_to_task_cycle(arrival, cfg, phase, np.empty_like(arrival))
+    """Output publication times for inputs arriving at `arrival`, on the task
+    grid phase + k*task_cycle: one task cycle plus the jitter after the
+    first cycle start at or after the arrival."""
+    wait = grid_wait(arrival, cfg.task_cycle_us, phase)
+    return arrival + wait + cfg.task_cycle_us + cfg.jitter_us
 
 
 def toggle_times(source, first=0, n=None):

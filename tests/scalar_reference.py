@@ -170,9 +170,7 @@ def transfer_latency(t_change, model, cell, rng):
 
 
 def next_poll(t, cfg, phase):
-    """First poll time >= t on the grid phase + k*query_cycle, k >= 0."""
-    if t <= phase:
-        return phase
+    """First poll time >= t on the grid phase + k*query_cycle."""
     k = -((phase - t) // cfg.query_cycle_us)
     return phase + k * cfg.query_cycle_us
 

@@ -549,6 +549,47 @@ def test_negative_budget_rejected_at_its_key(default_config_text, tmp_path, caps
     assert f"{path}:{line}:1: budget 'wire' must be >= 0" in capsys.readouterr().err
 
 
+PLC_JITTER = ("query_cycle = 10 ms", "query_cycle = 10 ms\njitter = 100 ms")
+# above one traversal's 1 300 us, below both traversals' 2 600 us
+WIRE_ONE_TRAVERSAL = ("budget.wire = 2600 us", "budget.wire = 2000 us")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "old, new, key, message",
+    [
+        pytest.param(*PLC_JITTER, "budget.plc = 10 ms",
+                     "budget 'plc' of 10000 us is below its derived bound of 109999 us",
+                     id="plc-jitter"),
+        pytest.param(*WIRE_ONE_TRAVERSAL, "budget.wire = 2000 us",
+                     "budget 'wire' of 2000 us is below its derived bound of 2600 us",
+                     id="wire-one-traversal"),
+    ],
+)
+def test_budget_below_its_derived_bound_rejected_at_its_key(
+    default_config_text, old, new, key, message, command, tmp_path, capsys
+):
+    # a hand-typed budget below what the component can take made the
+    # reported SFRT and safety distance unsafe
+    bad = patch(default_config_text, old, new)
+    line = bad.splitlines().index(key) + 1
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+    path = tmp_path / "budget.scenario"
+    path.write_text(bad)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: {message}" in capsys.readouterr().err
+
+
+def test_budgets_below_their_bounds_reported_together(default_config_text):
+    bad = patch(patch(default_config_text, *PLC_JITTER), *WIRE_ONE_TRAVERSAL)
+    lines = bad.splitlines()
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col) for d in diags] == [
+        (lines.index("budget.wire = 2000 us") + 1, 1), (lines.index("budget.plc = 10 ms") + 1, 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "cls, table",
     [

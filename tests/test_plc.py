@@ -1,9 +1,12 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig
-from tests.fresh import align_to_task_cycle, next_poll
+from tests.fresh import align_to_task_cycle, grid_wait, next_poll
 
 CFG = PlcConfig()  # 5 ms task cycle, 10 ms query cycle
 
@@ -66,3 +69,22 @@ class TestPolling:
     def test_poll_grid_respects_phase(self):
         t = np.array([0, 3000, 3001, 13_000, 23_000])
         assert next_poll(t, CFG, phase=3000).tolist() == [3000, 3000, 13_000, 13_000, 23_000]
+
+
+class TestDerivedBounds:
+    def test_largest_waits_over_one_period_are_the_derived_bounds(self, default_scenario):
+        # at the phases a run draws, below the task cycle: the poll wait's
+        # bound is the kernel's largest wait on the query grid, the plc's
+        # the largest on the task grid plus the task cycle and jitter
+        rnd = random.Random(11)
+        for _ in range(200):
+            task = rnd.randint(1, 2000)
+            cfg = PlcConfig(task, task * rnd.randint(1, 4), rnd.randint(0, 500))
+            phase = rnd.randrange(task)
+            scenario = dataclasses.replace(default_scenario, plc=cfg)
+            bounds = dict(zip(scenario.components(), scenario.upper_bounds_us()))
+            start = rnd.randrange(10**6)
+            poll = grid_wait(np.arange(start, start + cfg.query_cycle_us), cfg.query_cycle_us, phase)
+            assert int(poll.max()) == bounds["poll_wait"], (cfg, phase)
+            wait = grid_wait(np.arange(start, start + task), task, phase)
+            assert int(wait.max()) + task + cfg.jitter_us == bounds["plc"], (cfg, phase)
