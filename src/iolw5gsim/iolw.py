@@ -10,9 +10,8 @@ and retried on subsequent sub-cycle boundaries (continuing across the cycle
 boundary) up to max_attempts times. Whether an attempt fails never depends
 on time, so the model comes in two parts: draw_retries draws the failed
 attempts of a block of transfers, one uniform each, and transfer_latencies
-turns given retries into latencies for an array of transfer start times,
-on a cycle grid whose phase the caller passes. Both write into arrays the
-caller passes.
+maps each transfer's wait to the cell's next cycle start, with its given
+retries, to a latency. Both write into arrays the caller passes.
 """
 
 from __future__ import annotations
@@ -39,9 +38,11 @@ DEFAULT_MIN_HOP_DISTANCE = 12
 # the 2 400-2 483.5 MHz band fits no more channels, even 1 MHz wide ones
 MAX_CHANNELS = 83
 # a transfer still failing after 1 000 sub-cycles (1.66 s at the default
-# timing) has long missed any cycle budget; the ceiling bounds
-# draw_retries' threshold table and transfer_latencies' slot table
+# timing) has long missed any cycle budget; with MAX_SUBCYCLES the ceiling
+# keeps draw_retries' threshold table and the slot tables of
+# transfer_latencies and upper_bound_us at 2 000 entries or fewer
 MAX_ATTEMPTS = 1000
+MAX_SUBCYCLES = 1000
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,10 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
         v.append("subcycle must be > 0")
     if config.subcycles_per_cycle < 1:
         v.append("subcycles_per_cycle must be >= 1")
+    elif config.subcycles_per_cycle > MAX_SUBCYCLES:
+        v.append(
+            f"subcycles_per_cycle must be <= {MAX_SUBCYCLES}, got {config.subcycles_per_cycle}"
+        )
     if config.min_hop_distance < 0:
         v.append(f"min_hop_distance must be >= 0, got {config.min_hop_distance}")
     stray = sorted(c for c in config.blocklist if not 0 <= c < config.channel_count)
@@ -196,40 +201,32 @@ def draw_retries(
 
 
 def transfer_latencies(
-    t_change: np.ndarray,
+    wait: np.ndarray,
     retries: np.ndarray,
     model: IolwTransferModel,
     cell: IolwCellConfig,
-    phase: int,
     out: np.ndarray,
     first: np.ndarray,
 ) -> np.ndarray:
-    """Latencies of transfers starting at t_change, in a cell whose cycles
-    start at phase + k*cycle, each ending on the attempt that follows its
-    given retries, into the int64 out, which may be t_change itself; first
+    """Latencies of transfers that wait wait (0 <= wait < cycle) for their
+    cell's next cycle start, each ending on the attempt that follows its
+    given retries, into the int64 out, which may be wait itself; first
     (int64, same length) is scratch."""
-    if len(t_change) and t_change.min() < 0:
-        raise ValueError("time must be non-negative")
-    # slot s is the s-th sub-cycle boundary from the start of t_change's
-    # cycle (slot subcycles_per_cycle is slot 0 of the next cycle); the first
-    # attempt rides the first slot at or after t_change, each retry the next;
+    # slot s is the s-th sub-cycle boundary from the cycle start cycle - wait
+    # before the transfer, one whole cycle back for wait 0 (slot
+    # subcycles_per_cycle is slot 0 of the next cycle); the first attempt
+    # rides the first slot at or after the transfer, each retry the next;
     # the latency runs to the completion offset past the attempt's slot
     per_cycle = cell.subcycles_per_cycle
     s = np.arange(per_cycle + model.max_attempts)
     slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
-    # offset = (t_change - phase) % cycle, taken as x - x // cycle * cycle:
-    # the same for a positive cycle at half the cost on int64
-    np.subtract(t_change, phase, out=first)
-    np.floor_divide(first, cell.cycle_us, out=out)
-    out *= cell.cycle_us
-    offset = np.subtract(first, out, out=out)
-    np.negative(offset, out=first)
+    np.subtract(wait, cell.cycle_us, out=first)
     first //= cell.subcycle_us
     np.negative(first, out=first)
     np.minimum(first, per_cycle, out=first)
     first += retries
-    np.subtract(slot_start.take(first), offset, out=out)
-    out += model.completion_offset_us
+    np.add(slot_start.take(first), wait, out=out)
+    out += model.completion_offset_us - cell.cycle_us
     return out
 
 

@@ -294,7 +294,8 @@ def run(scenario: Scenario, seed: int) -> RunResult:
                 grid_wait(t, plc_cfg.task_cycle_us, plc_phase, d, ints)
                 d += plc_cfg.task_cycle_us + plc_cfg.jitter_us
             elif seg.kind == "iolw-air":
-                transfer_latencies(t, retries[i], seg.transfer, cell, iolw_phase, d, ints)
+                grid_wait(t, cell.cycle_us, iolw_phase, d, ints)
+                transfer_latencies(d, retries[i], seg.transfer, cell, d, ints)
             else:
                 seg.model.sample(rngs[i], d, u, mask)
             seg_stats[name].add(d[keep])

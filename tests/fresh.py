@@ -26,10 +26,10 @@ def draw_retries(n, model, rng):
 
 
 def transfer_latencies(t_change, retries, model, cell, phase=0):
-    t_change = np.asarray(t_change, dtype=np.int64)
-    return iolw.transfer_latencies(
-        t_change, retries, model, cell, phase, np.empty_like(t_change), np.empty_like(t_change)
-    )
+    """Latencies of transfers starting at t_change, in a cell whose cycles
+    start at phase + k*cycle: run()'s grid wait, then the kernel."""
+    wait = grid_wait(t_change, cell.cycle_us, phase)
+    return iolw.transfer_latencies(wait, retries, model, cell, wait, np.empty_like(wait))
 
 
 def grid_wait(t, period, phase=0):

@@ -201,6 +201,8 @@ LINK_ETH = "model = constant\nvalue = 1200 us"
         ("[cell]", "[cell]\ncycle = 0", "[cell]", "[cell]: cycle must be > 0"),
         ("[cell]", "[cell]\nsubcycle = 0", "[cell]", "[cell]: subcycle must be > 0"),
         ("[cell]", "[cell]\nsubcycles = 0", "[cell]", "[cell]: subcycles_per_cycle must be >= 1"),
+        ("[cell]", "[cell]\ncycle = 1 s\nsubcycle = 1 us\nsubcycles = 1001", "[cell]",
+         "[cell]: subcycles_per_cycle must be <= 1000, got 1001"),
         ("devices = 8", "devices = 0", "[cell]", "[cell]: devices must be >= 1"),
         ("masters = 1", "masters = x", "masters = x", "invalid integer 'x'"),
         ("[cell]", "[cell]\nblocklist = a", "blocklist = a", "invalid blocklist 'a'"),
@@ -227,8 +229,8 @@ LINK_ETH = "model = constant\nvalue = 1200 us"
          "segment 'air': completion_offset 2000 us must lie in [0, 1664)"),
         ("[cell]", "bogus = 1\n[cell]", "bogus = 1", "key outside any section"),
     ],
-    ids=["task-cycle-0", "query-cycle-0", "cycle-0", "subcycle-0", "subcycles-0", "devices-0",
-         "masters-not-int", "blocklist-not-int", "duplicate-cell", "toggle-period-0",
+    ids=["task-cycle-0", "query-cycle-0", "cycle-0", "subcycle-0", "subcycles-0",
+         "subcycles-past-ceiling", "devices-0", "masters-not-int", "blocklist-not-int", "duplicate-cell", "toggle-period-0",
          "sequence-shorter-than-period", "period-equals-query-cycle", "uniform-negative-low",
          "truncnorm-low-above-high", "empirical-negative-duration", "bin-without-weight",
          "unknown-model", "truncnorm-missing-keys", "error-prob-above-1",

@@ -385,24 +385,20 @@ def test_transfer_latencies_match_boundary_form(
     assert transfer_latencies(t, retries, model, cell).tolist() == expected.tolist()
 
 
-@given(cells, st.integers(0, 10**6), periods_in, st.integers(1, 5), st.integers(0, 2**32 - 1))
+@given(
+    cells, st.integers(0, 10**6), periods_in, st.integers(1, 5), st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=100, deadline=None)
-def test_transfer_latencies_phase_matches_pre_shift(cell, phase, k, attempts, seed):
-    # reference: the times shifted into the cell's grid by hand, plus one
-    # cycle to keep them non-negative, at phase 0
+def test_transfer_latencies_phase_matches_pre_shift(cell, phase, k, attempts, cycles, seed):
+    # reference: the times shifted into the cell's grid by hand, plus any
+    # whole number of cycles (negative times included), at phase 0
     phase %= cell.cycle_us
     model = IolwTransferModel(completion_offset_us=cell.subcycle_us // 2, max_attempts=attempts)
     t = window(0, cell.cycle_us, k)
     retries = rng_stream(seed, 0).integers(0, attempts, size=len(t))
-    expected = transfer_latencies(t - phase + cell.cycle_us, retries, model, cell, 0)
+    expected = transfer_latencies(t - phase + cycles * cell.cycle_us, retries, model, cell, 0)
     assert transfer_latencies(t, retries, model, cell, phase).tolist() == expected.tolist()
-
-
-def test_transfer_latencies_reject_negative_times():
-    with pytest.raises(ValueError):
-        transfer_latencies(
-            np.array([5, -1]), np.zeros(2, dtype=int), IolwTransferModel(0), IolwCellConfig()
-        )
 
 
 def retry_outcomes(retries, lost, k):

@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from iolw5gsim import iolw
 from iolw5gsim.iolw import (
     MAX_ATTEMPTS,
     MAX_CHANNELS,
+    MAX_SUBCYCLES,
     IolwCellConfig,
     IolwTransferModel,
     residual_error_prob,
@@ -78,6 +80,14 @@ class TestValidateCell:
         cfg = IolwCellConfig(cycle_us=4000, subcycle_us=1664, subcycles_per_cycle=3)
         assert any("do not fit" in v for v in validate_cell(cfg))
 
+    def test_subcycle_count_ceiling(self):
+        # the slot tables hold subcycles_per_cycle + max_attempts entries
+        cfg = IolwCellConfig(cycle_us=10**6, subcycle_us=1, subcycles_per_cycle=MAX_SUBCYCLES)
+        assert validate_cell(cfg) == []
+        assert validate_cell(dataclasses.replace(cfg, subcycles_per_cycle=MAX_SUBCYCLES + 1)) == [
+            f"subcycles_per_cycle must be <= 1000, got {MAX_SUBCYCLES + 1}"
+        ]
+
 
 class TestNextSubcycleStart:
     def test_zero_is_a_boundary(self):
@@ -116,6 +126,15 @@ class TestTransferLatency:
         latency, lost = draw_latencies(np.array([0, 1664]), model, rng_stream(1, 0))
         assert latency.tolist() == [667, 667]
         assert not lost.any()
+
+    def test_kernel_maps_cycle_waits_to_latencies(self):
+        # wait 0, a start on a cycle boundary, rides that boundary's slot;
+        # wait 4 999, 1 us past it, the sub-cycle at 1 664 us; out may be wait
+        wait = np.array([0, 4999, 0], dtype=np.int64)
+        retries = np.array([0, 0, 1], dtype=np.intp)
+        out = iolw.transfer_latencies(wait, retries, WAIT_MODEL, CELL, wait, np.empty_like(wait))
+        assert out is wait
+        assert wait.tolist() == [667, 2330, 2331]
 
     def test_certain_error_always_loses(self):
         model = IolwTransferModel(
