@@ -25,7 +25,9 @@ from __future__ import annotations
 import codecs
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
@@ -38,6 +40,8 @@ _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
 _DURATION_RE = re.compile(r"^(?P<num>-?\d+(\.\d+)?)\s*(?P<unit>us|ms|s)?$")
 
 _DURATION_SCALE = {"us": 1, "ms": 1000, "s": 1_000_000, None: 1}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,9 @@ class _Raw:
     value: str
     line: int
     col: int
+
+    def at(self, message: str) -> Diagnostic:
+        return Diagnostic(self.line, self.col, message)
 
 
 class _Section(dict):
@@ -108,18 +115,16 @@ def _parse_sections(text: str, diags: list[Diagnostic]) -> dict[str, _Section]:
 def _duration_us(raw: _Raw, diags: list[Diagnostic]) -> int | None:
     m = _DURATION_RE.match(raw.value)
     if not m:
-        diags.append(Diagnostic(raw.line, raw.col, f"invalid duration {raw.value!r}"))
+        diags.append(raw.at(f"invalid duration {raw.value!r}"))
         return None
     us = float(m.group("num")) * _DURATION_SCALE[m.group("unit")]
     # past 2**53 a double cannot tell whole microseconds apart (and hundreds
     # of digits overflow to inf)
     if not abs(us) < 2**53:
-        diags.append(Diagnostic(raw.line, raw.col, f"duration {raw.value!r} is out of range"))
+        diags.append(raw.at(f"duration {raw.value!r} is out of range"))
         return None
     if abs(us - round(us)) > 1e-6:
-        diags.append(
-            Diagnostic(raw.line, raw.col, f"duration {raw.value!r} is not a whole microsecond")
-        )
+        diags.append(raw.at(f"duration {raw.value!r} is not a whole microsecond"))
         return None
     return int(round(us))
 
@@ -128,7 +133,7 @@ def _int(raw: _Raw, diags: list[Diagnostic]) -> int | None:
     try:
         return int(raw.value)
     except ValueError:
-        diags.append(Diagnostic(raw.line, raw.col, f"invalid integer {raw.value!r}"))
+        diags.append(raw.at(f"invalid integer {raw.value!r}"))
         return None
 
 
@@ -136,35 +141,33 @@ def _float(raw: _Raw, diags: list[Diagnostic]) -> float | None:
     try:
         x = float(raw.value)
     except ValueError:
-        diags.append(Diagnostic(raw.line, raw.col, f"invalid number {raw.value!r}"))
+        diags.append(raw.at(f"invalid number {raw.value!r}"))
         return None
     if not math.isfinite(x):  # nan, inf, or a literal past the float range
-        diags.append(Diagnostic(raw.line, raw.col, f"number {raw.value!r} is not finite"))
+        diags.append(raw.at(f"number {raw.value!r} is not finite"))
         return None
     return x
 
 
+def _items(raw: _Raw, diags: list[Diagnostic] | None = None) -> list[str]:
+    """The items of a comma-separated list, stripped; empty ones are dropped."""
+    return [tok.strip() for tok in raw.value.split(",") if tok.strip()]
+
+
 def _blocklist(raw: _Raw, diags: list[Diagnostic]) -> frozenset[int] | None:
     try:
-        return frozenset(int(tok) for tok in raw.value.split(",") if tok.strip())
+        return frozenset(map(int, _items(raw)))
     except ValueError:
-        diags.append(Diagnostic(raw.line, raw.col, f"invalid blocklist {raw.value!r}"))
+        diags.append(raw.at(f"invalid blocklist {raw.value!r}"))
         return None
-
-
-def _ids(raw: _Raw, diags: list[Diagnostic]) -> list[str]:
-    return [tok.strip() for tok in raw.value.split(",") if tok.strip()]
 
 
 def _bins(raw: _Raw, diags: list[Diagnostic]) -> tuple[tuple[int, float], ...] | None:
     """Empirical bins: "duration:weight, duration:weight, ..."."""
     bins = []
-    for tok in raw.value.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _items(raw):
         if ":" not in tok:
-            diags.append(Diagnostic(raw.line, raw.col, f"invalid empirical bin {tok!r}"))
+            diags.append(raw.at(f"invalid empirical bin {tok!r}"))
             return None
         dur_s, weight_s = tok.split(":", 1)
         d = _duration_us(_Raw(dur_s.strip(), raw.line, raw.col), diags)
@@ -199,7 +202,7 @@ _PLC_FIELDS = {
     "jitter": ("jitter_us", _duration_us),
 }
 _SAFETY_FIELDS = {"approach_speed": ("approach_speed_mps", _float)}  # + budget.<name>
-_PATH_FIELDS = {"forward": ("forward", _ids), "return": ("return", _ids)}
+_PATH_FIELDS = {"forward": ("forward", _items), "return": ("return", _items)}
 _IOLW_AIR_FIELDS = {
     "completion_offset": ("completion_offset_us", _duration_us),
     "error_prob": ("per_subcycle_error_prob", _float),
@@ -214,6 +217,14 @@ _MODELS = {
     "empirical": (Empirical, ("bins",)),
 }
 _LINK_KINDS = ("iol-wire", "ethernet", "fiveg")
+# where a plc segment may sit: (path key, test of its segment kinds, message);
+# the forward path ends in its only plc segment, the return path has none
+_PLC_RULES = (
+    ("forward", lambda kinds: kinds[-1:] != ["plc"], "forward path must end in a plc segment"),
+    ("forward", lambda kinds: "plc" in kinds[:-1],
+     "forward path may hold a plc segment only at its end"),
+    ("return", lambda kinds: "plc" in kinds, "return path must not contain a plc segment"),
+)
 # component names a run and its report use besides the segment ids
 _RESERVED_IDS = (POLL_WAIT, "end_to_end")
 
@@ -225,11 +236,27 @@ def _fields(
     kw = {}
     for key, r in raw.items():
         if key not in table:
-            diags.append(Diagnostic(r.line, r.col, f"unknown key {key!r} in section [{name}]"))
+            diags.append(r.at(f"unknown key {key!r} in section [{name}]"))
             continue
         keyword, parse = table[key]
         kw[keyword] = parse(r, diags)
     return None if any(v is None for v in kw.values()) else kw
+
+
+def _build_section(
+    sections: dict[str, _Section],
+    name: str,
+    cls: type[_T],
+    table: dict,
+    check: Callable[[_T], list[str]],
+    diags: list[Diagnostic],
+) -> _T:
+    """A cls of the keys of [name], all defaults if one failed to parse;
+    what check finds wrong with it is reported at the section's header."""
+    raw = sections[name]
+    obj = cls(**(_fields(name, raw, table, diags) or {}))
+    diags.extend(raw.at(f"[{name}]: {msg}") for msg in check(obj))
+    return obj
 
 
 def _build_model(
@@ -242,9 +269,7 @@ def _build_model(
         diags.append(raw.at(f"segment {sid!r} is missing a latency model"))
         return None
     if kind_raw.value not in _MODELS:
-        diags.append(
-            Diagnostic(kind_raw.line, kind_raw.col, f"unknown model kind {kind_raw.value!r}")
-        )
+        diags.append(kind_raw.at(f"unknown model kind {kind_raw.value!r}"))
         return None
     cls, keys = _MODELS[kind_raw.value]
     table = {k: (k, _bins if k == "bins" else _duration_us) for k in keys}
@@ -252,12 +277,8 @@ def _build_model(
     kw = _fields(f"segment.{sid}", body, table, diags)
     missing = [k for k in sorted(keys) if k not in raw]
     if missing:
-        diags.append(
-            Diagnostic(
-                kind_raw.line, kind_raw.col,
-                f"segment {sid!r}: model {kind_raw.value!r} is missing keys {missing}",
-            )
-        )
+        msg = f"segment {sid!r}: model {kind_raw.value!r} is missing keys {missing}"
+        diags.append(kind_raw.at(msg))
         return None
     if kw is None:
         return None
@@ -275,73 +296,52 @@ def _build_segment(
         diags.append(raw.at(f"segment {sid!r} has no kind"))
         return None
     kind = kind_raw.value
+    body = {k: r for k, r in raw.items() if k != "kind"}
     if kind in _LINK_KINDS:
         model = _build_model(sid, raw, models, diags)
         if model is None:
             return None
-        for msg in model.validate():
-            diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(kind, model=model)
-    body = {k: r for k, r in raw.items() if k != "kind"}
-    if kind == "iolw-air":
+        spec, problems = SegmentSpec(kind, model=model), model.validate()
+    elif kind == "iolw-air":
         kw = _fields(f"segment.{sid}", body, _IOLW_AIR_FIELDS, diags)
         if kw is None:
             return None
         transfer = IolwTransferModel(
             **{"completion_offset_us": 0, "max_attempts": cell.subcycles_per_cycle, **kw}
         )
-        for msg in transfer.validate(cell):
-            diags.append(Diagnostic(kind_raw.line, kind_raw.col, f"segment {sid!r}: {msg}"))
-        return SegmentSpec(kind, transfer=transfer)
-    if kind == "plc":
+        spec, problems = SegmentSpec(kind, transfer=transfer), transfer.validate(cell)
+    elif kind == "plc":
         _fields(f"segment.{sid}", body, {}, diags)
         return SegmentSpec(kind)
-    diags.append(
-        Diagnostic(kind_raw.line, kind_raw.col, f"unknown segment kind {kind!r}")
-    )
-    return None
+    else:
+        diags.append(kind_raw.at(f"unknown segment kind {kind!r}"))
+        return None
+    diags.extend(kind_raw.at(f"segment {sid!r}: {msg}") for msg in problems)
+    return spec
 
 
 def _build_paths(
     raw: _Section,
     segments: dict[str, SegmentSpec],
-    declared: set[str],
+    declared: dict[str, _Section],
     diags: list[Diagnostic],
 ) -> tuple[list[str], list[str]]:
     """Forward and return ids; a declared segment that failed to build has
-    its own diagnostic, so only ids without a [segment.<id>] are unresolved."""
+    its own diagnostic, so only ids without a [segment.<id>] are unresolved,
+    and the plc rules apply to a path whose segments all built."""
     paths = _fields("path", raw, _PATH_FIELDS, diags)
-
-    def resolve(key: str) -> list[str]:
+    for key in _PATH_FIELDS:
         if key not in paths:
             diags.append(raw.at(f"[path] is missing {key!r}"))
-            return []
-        r, ids = raw[key], paths[key]
-        for sid in ids:
+        for sid in paths.get(key, ()):
             if sid not in declared:
-                diags.append(Diagnostic(r.line, r.col, f"unresolved segment id {sid!r}"))
-        return ids
-
-    forward = resolve("forward")
-    ret = resolve("return")
-    r = raw.get("forward")
-    if r is not None and all(sid in segments for sid in forward):
-        if not forward or segments[forward[-1]].kind != "plc":
-            diags.append(
-                Diagnostic(r.line, r.col, "forward path must end in a plc segment")
-            )
-        if any(segments[sid].kind == "plc" for sid in forward[:-1]):
-            diags.append(
-                Diagnostic(r.line, r.col, "forward path may hold a plc segment only at its end")
-            )
-    rr = raw.get("return")
-    if ret and all(sid in segments for sid in ret):
-        for sid in ret:
-            if segments[sid].kind == "plc":
-                diags.append(
-                    Diagnostic(rr.line, rr.col, "return path must not contain a plc segment")
-                )
-    return forward, ret
+                diags.append(raw[key].at(f"unresolved segment id {sid!r}"))
+    for key, broken, message in _PLC_RULES:
+        ids = paths.get(key)
+        if ids is not None and all(sid in segments for sid in ids):
+            if broken([segments[sid].kind for sid in ids]):
+                diags.append(raw[key].at(message))
+    return paths.get("forward", []), paths.get("return", [])
 
 
 def _build_safety(
@@ -359,11 +359,11 @@ def _build_safety(
                 if name != POLL_WAIT
                 else f"budget {name!r}: the forward path has no network segment to poll for"
             )
-            diags.append(Diagnostic(r.line, r.col, msg))
+            diags.append(r.at(msg))
             continue
         d = _duration_us(r, diags)
         if d is not None and d < 0:
-            diags.append(Diagnostic(r.line, r.col, f"budget {name!r} must be >= 0"))
+            diags.append(r.at(f"budget {name!r} must be >= 0"))
         elif d is not None:
             maxima.append((name, d))
     return SafetyParams(**kw, segment_maxima=tuple(maxima))
@@ -374,24 +374,19 @@ def load_scenario(text: str) -> Scenario:
     diags: list[Diagnostic] = []
     sections = _parse_sections(text, diags)
     known_plain = ("cell", "path", "source", "plc", "safety")
+    declared: dict[str, _Section] = {}  # [segment.<id>] sections by id
     for name, raw in sections.items():
-        if name not in known_plain and not name.startswith("segment."):
+        if name.startswith("segment."):
+            declared[name[len("segment."):]] = raw
+        elif name not in known_plain:
             diags.append(raw.at(f"unknown section [{name}]"))
     for name in known_plain:
         sections.setdefault(name, _Section())
 
-    kw = _fields("cell", sections["cell"], _CELL_FIELDS, diags)
-    cell = IolwCellConfig() if kw is None else IolwCellConfig(**kw)
-    for msg in validate_cell(cell):
-        diags.append(sections["cell"].at(f"[cell]: {msg}"))
-
+    cell = _build_section(sections, "cell", IolwCellConfig, _CELL_FIELDS, validate_cell, diags)
     segments: dict[str, SegmentSpec] = {}
     models: dict[tuple, LatencyModel] = {}
-    declared = {name[len("segment."):] for name in sections if name.startswith("segment.")}
-    for name, raw in sections.items():
-        if not name.startswith("segment."):
-            continue
-        sid = name[len("segment."):]
+    for sid, raw in declared.items():
         if not sid:
             diags.append(raw.at("segment section with empty id"))
             continue
@@ -403,21 +398,16 @@ def load_scenario(text: str) -> Scenario:
             segments[sid] = seg
 
     forward, ret = _build_paths(sections["path"], segments, declared, diags)
-    kw = _fields("plc", sections["plc"], _PLC_FIELDS, diags)
-    plc_cfg = PlcConfig() if kw is None else PlcConfig(**kw)
-    for msg in plc_cfg.validate():
-        diags.append(sections["plc"].at(f"[plc]: {msg}"))
-    kw = _fields("source", sections["source"], _SOURCE_FIELDS, diags)
-    source = SignalSource() if kw is None else SignalSource(**kw)
-    for msg in source.validate():
-        diags.append(sections["source"].at(f"[source]: {msg}"))
+    plc_cfg = _build_section(sections, "plc", PlcConfig, _PLC_FIELDS, PlcConfig.validate, diags)
+    source = _build_section(
+        sections, "source", SignalSource, _SOURCE_FIELDS, SignalSource.validate, diags
+    )
     if 0 < source.toggle_period_us <= plc_cfg.query_cycle_us:  # the dither's span
         msg = "[source]: toggle_period must exceed the [plc] query_cycle"
         diags.append(sections["source"].at(msg))
     components = set(path_components(segments, forward, ret))
     safety = _build_safety(sections["safety"], components, diags)
-    for msg in safety.validate():
-        diags.append(sections["safety"].at(f"[safety]: {msg}"))
+    diags.extend(sections["safety"].at(f"[safety]: {msg}") for msg in safety.validate())
 
     if diags:
         raise ScenarioError(diags)
@@ -446,9 +436,8 @@ def load_scenario(text: str) -> Scenario:
         derived[name] = derived.get(name, 0) + bound
     for name, budget in safety.segment_maxima:
         if budget < derived[name]:
-            r = sections["safety"][f"budget.{name}"]
             msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
-            diags.append(Diagnostic(r.line, r.col, msg))
+            diags.append(sections["safety"][f"budget.{name}"].at(msg))
     if diags:
         raise ScenarioError(diags)
     return scenario

@@ -259,7 +259,9 @@ class TruncNormal:
         return v
 
     def upper_bound_us(self) -> int:
-        return self.high_us
+        """The top of the table: min(high, ceil(clip(mean) + 9 sd)), or its
+        one point rint(clip(mean)) when the pmf has no spread."""
+        return self._a + len(self._table.thr) - 1
 
     def sample(
         self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray

@@ -71,19 +71,15 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
     Violations are data, not exceptions: the scenario loader aggregates
     them into diagnostics.
     """
-    v: list[str] = []
-    if not 1 <= config.masters <= MAX_MASTERS:
-        v.append(f"masters must be 1..{MAX_MASTERS}, got {config.masters}")
-    if not 1 <= config.tracks_per_master <= MAX_TRACKS_PER_MASTER:
-        v.append(
-            f"tracks_per_master must be 1..{MAX_TRACKS_PER_MASTER}, "
-            f"got {config.tracks_per_master}"
+    v = [
+        f"{name} must be 1..{limit}, got {value}"
+        for name, value, limit in (
+            ("masters", config.masters, MAX_MASTERS),
+            ("tracks_per_master", config.tracks_per_master, MAX_TRACKS_PER_MASTER),
+            ("slots_per_track", config.slots_per_track, MAX_SLOTS_PER_TRACK),
         )
-    if not 1 <= config.slots_per_track <= MAX_SLOTS_PER_TRACK:
-        v.append(
-            f"slots_per_track must be 1..{MAX_SLOTS_PER_TRACK}, "
-            f"got {config.slots_per_track}"
-        )
+        if not 1 <= value <= limit
+    ]
     if config.devices is not None:
         if config.devices < 1:
             v.append("devices must be >= 1")

@@ -477,6 +477,13 @@ def test_return_path_must_not_contain_plc():
     assert any("must not contain a plc" in d.message for d in diagnostics_of(bad))
 
 
+def test_return_path_plc_reported_once():
+    bad = patch(MINIMAL, "return = eth, air, wire", "return = eth, plc, plc, wire")
+    line = bad.splitlines().index("return = eth, plc, plc, wire") + 1
+    message = "return path must not contain a plc segment"
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+
+
 def test_all_problems_reported_together():
     bad = patch(MINIMAL, "tracks = 2", "tracks = 6")
     bad = patch(bad, "value = 700 us", "value = banana")
@@ -590,6 +597,18 @@ def test_budgets_below_their_bounds_reported_together(default_config_text):
     assert [(d.line, d.col) for d in diags] == [
         (lines.index("budget.wire = 2000 us") + 1, 1), (lines.index("budget.plc = 10 ms") + 1, 1)
     ]
+
+
+def test_budget_at_a_truncnorm_bound_below_its_high_loads(default_config_text):
+    # the wire's table ends 9 sd above its mean, at 2 050 us a traversal,
+    # far below a high of 100 ms
+    text = patch(default_config_text, "high = 1300 us", "high = 100 ms")
+    sc = load_scenario(patch(text, "budget.wire = 2600 us", "budget.wire = 4100 us"))
+    assert sc.segments["wire"].model.upper_bound_us() == 2050
+    bad = patch(text, "budget.wire = 2600 us", "budget.wire = 4099 us")
+    line = bad.splitlines().index("budget.wire = 4099 us") + 1
+    message = "budget 'wire' of 4099 us is below its derived bound of 4100 us"
+    assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
 
 
 @pytest.mark.parametrize(

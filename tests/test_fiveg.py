@@ -147,6 +147,19 @@ class TestSampling:
         v = sample(model, rng, 100_000)
         assert lo <= v.min() and v.max() <= hi
 
+    @pytest.mark.parametrize(
+        "model, bound",
+        [
+            (TruncNormal(700.0, 150.0, 300, 100_000), 2050),  # 9 sd above the mean
+            (TruncNormal(700.0, 0.0, 300, 1300), 700),  # sd 0: one point
+            (TruncNormal(0.0, 1.0, 1000, 1001), 1000),  # no mass a double holds
+        ],
+        ids=["nine-sd-below-high", "zero-sd", "far-tail"],
+    )
+    def test_truncnorm_bound_is_the_top_of_its_table(self, model, bound):
+        assert model.upper_bound_us() == bound
+        assert sample(model, rng_stream(6, 0), 100_000).max() <= bound
+
     def test_validation_catches_bad_parameters(self):
         assert Uniform(20, 10).validate()
         assert TruncNormal(0.0, -1.0, 0, 10).validate()

@@ -458,3 +458,17 @@ class TestDominance:
             if result.end_to_end.count == 0:
                 continue
             assert result.observed_worst_case_us() >= result.end_to_end.max_us
+
+    def test_observed_maxima_within_derived_bounds(self):
+        # each component stays within the largest bound among its
+        # traversals, and a toggle within the sum of all of them: the
+        # bounds the loader holds the [safety] budgets to
+        rnd = random.Random(25)
+        for sc in [random_scenario(rnd) for _ in range(30)] + [mixed_scenario()]:
+            result = run(sc, seed=1)
+            bounds: dict[str, int] = {}
+            for name, bound in zip(sc.components(), sc.upper_bounds_us()):
+                bounds[name] = max(bounds.get(name, 0), bound)
+            for name, stats in result.segment_stats.items():
+                assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
+            assert result.end_to_end.max_us <= sum(sc.upper_bounds_us()), sc
