@@ -422,7 +422,7 @@ def load_scenario(text: str) -> Scenario:
     )
     # a run's int64 times reach at most the last toggle start, plus the
     # largest dither and every component's largest duration
-    bounds = scenario.upper_bounds_us()
+    bounds = [stage.upper_bound_us() for stage in scenario.stages()]
     per_seq = source.sequence_length_us // source.toggle_period_us
     latest = (source.sequences - 1) * source.sequence_length_us
     latest += (per_seq - 1) * source.toggle_period_us + plc_cfg.query_cycle_us - 1

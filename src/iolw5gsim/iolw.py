@@ -8,10 +8,9 @@ only has to admit a hop plan. A W-Master cell runs a fixed cycle (default
 cycle start; a process-data change is transmitted with the next sub-cycle
 and retried on subsequent sub-cycle boundaries (continuing across the cycle
 boundary) up to max_attempts times. Whether an attempt fails never depends
-on time, so the model comes in two parts: draw_retries draws the failed
-attempts of a block of transfers, one uniform each, and transfer_latencies
-maps each transfer's wait to the cell's next cycle start, with its given
-retries, to a latency. Both write into arrays the caller passes.
+on time, so draw_retries draws the failed attempts of a block of transfers,
+one uniform each, into an array the caller passes; the run's Air stage
+(iolw5gsim.scenario) maps a transfer's arrival and retries to a latency.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ DEFAULT_MIN_HOP_DISTANCE = 12
 MAX_CHANNELS = 83
 # a transfer still failing after 1 000 sub-cycles (1.66 s at the default
 # timing) has long missed any cycle budget; with MAX_SUBCYCLES the ceiling
-# keeps draw_retries' threshold table and the slot tables of
-# transfer_latencies and upper_bound_us at 2 000 entries or fewer
+# keeps draw_retries' threshold table and the Air stage's slot table at
+# 2 000 entries or fewer
 MAX_ATTEMPTS = 1000
 MAX_SUBCYCLES = 1000
 
@@ -71,22 +70,20 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
     Violations are data, not exceptions: the scenario loader aggregates
     them into diagnostics.
     """
-    v = [
-        f"{name} must be 1..{limit}, got {value}"
-        for name, value, limit in (
-            ("masters", config.masters, MAX_MASTERS),
-            ("tracks_per_master", config.tracks_per_master, MAX_TRACKS_PER_MASTER),
-            ("slots_per_track", config.slots_per_track, MAX_SLOTS_PER_TRACK),
-        )
-        if not 1 <= value <= limit
-    ]
+    ranges = (
+        ("masters", config.masters, MAX_MASTERS),
+        ("tracks_per_master", config.tracks_per_master, MAX_TRACKS_PER_MASTER),
+        ("slots_per_track", config.slots_per_track, MAX_SLOTS_PER_TRACK),
+        ("channels", config.channel_count, MAX_CHANNELS),
+    )
+    bad = {name: f"{name} must be 1..{limit}, got {value}" for name, value, limit in ranges
+           if not 1 <= value <= limit}
+    v = list(bad.values())
     if config.devices is not None:
         if config.devices < 1:
             v.append("devices must be >= 1")
-        elif not v and config.devices > config.capacity:
-            v.append(
-                f"devices {config.devices} exceed cell capacity {config.capacity}"
-            )
+        elif bad.keys() <= {"channels"} and config.devices > config.capacity:
+            v.append(f"devices {config.devices} exceed cell capacity {config.capacity}")
         if config.devices > MAX_DEVICES:
             v.append(f"devices must be <= {MAX_DEVICES}, got {config.devices}")
     if config.cycle_us <= 0:
@@ -101,11 +98,6 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
         )
     if config.min_hop_distance < 0:
         v.append(f"min_hop_distance must be >= 0, got {config.min_hop_distance}")
-    stray = sorted(c for c in config.blocklist if not 0 <= c < config.channel_count)
-    if stray:
-        v.append(
-            f"blocklist channels {stray} lie outside 0..{config.channel_count - 1}"
-        )
     if (
         config.cycle_us > 0
         and config.subcycle_us > 0
@@ -115,9 +107,10 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
             f"{config.subcycles_per_cycle} sub-cycles of {config.subcycle_us} us "
             f"do not fit in a {config.cycle_us} us cycle"
         )
-    if config.channel_count > MAX_CHANNELS:
-        v.append(f"channels must be <= {MAX_CHANNELS}, got {config.channel_count}")
-    else:
+    if "channels" not in bad:
+        stray = sorted(c for c in config.blocklist if not 0 <= c < config.channel_count)
+        if stray:
+            v.append(f"blocklist channels {stray} lie outside 0..{config.channel_count - 1}")
         # a plan exists iff two allowed channels lie min_hop_distance apart:
         # the lowest and highest allowed channels then always have a next hop
         allowed = [c for c in range(config.channel_count) if c not in config.blocklist]
@@ -157,17 +150,6 @@ class IolwTransferModel:
             v.append(f"max_attempts must be 1..{MAX_ATTEMPTS}, got {self.max_attempts}")
         return v
 
-    def upper_bound_us(self, cell: IolwCellConfig) -> int:
-        """The largest latency transfer_latencies gives a delivered transfer,
-        in Python ints: k - 1 retries, starting on a cycle start or 1 us past
-        sub-cycle boundary s, for k = max_attempts, or k = 1 when
-        error_prob = 0, as no attempt then fails."""
-        k = self.max_attempts if self.per_subcycle_error_prob > 0 else 1
-        per_cycle, sub = cell.subcycles_per_cycle, cell.subcycle_us
-        slot = [s // per_cycle * cell.cycle_us + s % per_cycle * sub for s in range(per_cycle + k)]
-        worst = max([slot[k - 1]] + [slot[s + k] - s * sub - 1 for s in range(per_cycle)])
-        return self.completion_offset_us + worst
-
 
 def draw_retries(
     model: IolwTransferModel,
@@ -194,36 +176,6 @@ def draw_retries(
     fails = k - np.searchsorted(thresholds, u[failing], side="right")
     retries[failing] = np.minimum(fails, k - 1)
     return failing[fails == k]
-
-
-def transfer_latencies(
-    wait: np.ndarray,
-    retries: np.ndarray,
-    model: IolwTransferModel,
-    cell: IolwCellConfig,
-    out: np.ndarray,
-    first: np.ndarray,
-) -> np.ndarray:
-    """Latencies of transfers that wait wait (0 <= wait < cycle) for their
-    cell's next cycle start, each ending on the attempt that follows its
-    given retries, into the int64 out, which may be wait itself; first
-    (int64, same length) is scratch."""
-    # slot s is the s-th sub-cycle boundary from the cycle start cycle - wait
-    # before the transfer, one whole cycle back for wait 0 (slot
-    # subcycles_per_cycle is slot 0 of the next cycle); the first attempt
-    # rides the first slot at or after the transfer, each retry the next;
-    # the latency runs to the completion offset past the attempt's slot
-    per_cycle = cell.subcycles_per_cycle
-    s = np.arange(per_cycle + model.max_attempts)
-    slot_start = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
-    np.subtract(wait, cell.cycle_us, out=first)
-    first //= cell.subcycle_us
-    np.negative(first, out=first)
-    np.minimum(first, per_cycle, out=first)
-    first += retries
-    np.add(slot_start.take(first), wait, out=out)
-    out += model.completion_offset_us - cell.cycle_us
-    return out
 
 
 def residual_error_prob(per_subcycle_error_prob: float, max_attempts: int) -> float:

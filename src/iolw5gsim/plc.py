@@ -4,14 +4,10 @@ The PLC executes its program every task_cycle (default 5 ms) and polls the
 W-Master process image every query_cycle (default 10 ms, an integer multiple
 of the task cycle). Task cycles and polls start on one grid, offset by a
 phase the caller passes. grid_wait, the wait from an arrival to the first
-grid point at or after it, is the loop's one clock rule: the run takes the
-W-Master cycle wait, the task-cycle wait and the poll wait from it, each on
-its own grid and phase. A change waits that long for the next poll. An
-input waits that long for the next cycle start, as one arriving mid-cycle
-is processed in the following cycle; its output publishes at the end of
-that cycle, plus a fixed jitter, so the caller adds task_cycle + jitter to
-the wait. The kernel maps arrays of arrival times element-wise, into an
-array the caller passes.
+grid point at or after it, is the loop's one clock rule: the run's Grid and
+Air stages (iolw5gsim.scenario) take the poll wait, the task-cycle wait and
+the W-Master cycle wait from it, each on its own grid and phase. The kernel
+maps arrays of arrival times element-wise, into an array the caller passes.
 """
 
 from __future__ import annotations

@@ -1,26 +1,28 @@
 """Scenario composition and execution.
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
-return path (PLC -> actuator). A boolean signal source toggles periodically.
-Toggles never interact (no queue, no shared medium), so a run works
-column-wise, on BLOCK toggles at a time, and streams the blocks through
-buffers that the calling thread keeps from run to run: a run holds
-O(BLOCK) memory whatever its toggle count or path length, and a warm run
-allocates no toggle-sized array beyond numpy's gathers and integer draws.
-Within a block, whether an IO-Link Wireless hop loses a toggle depends only
-on that hop's own draws, never on time, so the losses come first: each
-iolw-air traversal draws its retries, which fixes the toggles that are
-delivered. Then one pass advances the block's toggle times through the
-chain a component at a time; each component draws or computes the
-durations of the whole block and records those of the delivered toggles
-in its statistics straight away. The poll wait is inserted immediately
-before the first network segment of the forward path (the point where the
-process-image change sits at the W-Master waiting to be queried).
+return path (PLC -> actuator), one stage per component: a Grid waits for the
+next point of a clock grid, plus a fixed extra (the poll wait, a plc
+segment); an Air hop waits for its cell's next cycle start, then rides the
+slot its retries reach; a Link draws from its model. The poll wait comes
+right before the forward path's first network segment, where the
+process-image change waits at the W-Master to be queried.
 
-Every random draw takes exactly one output of its stream, and traversal j
-of a segment reads the segment's stream from output j * toggles on, so
-each traversal draws one contiguous run of outputs and the dither stream
-is drawn from in toggle order: a run's report does not depend on BLOCK.
+A boolean signal source toggles periodically. Toggles never interact (no
+queue, no shared medium), so a run works column-wise, on BLOCK toggles at a
+time, through buffers that the calling thread keeps from run to run: a run
+holds O(BLOCK) memory whatever its toggle count or path length. Whether an
+Air hop loses a toggle depends only on its own draws, never on time, so the
+losses come first: each Air traversal draws its retries. Then one pass
+advances the block's toggle times through the stages, and each stage's
+durations of the delivered toggles go to its statistics straight away.
+
+Each draw from a segment's stream takes one output of it, and traversal j
+of a segment reads its stream from output j * toggles on. The phases and
+the dither are bounded integers, which numpy draws from 32-bit halves of
+the outputs with rejection, so they take no fixed count of outputs; the
+generator keeps a spare half between calls, so the dither drawn block by
+block equals one draw. A run's report does not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import reduce
 import numpy as np
 
 from .fiveg import LatencyModel
-from .iolw import IolwCellConfig, IolwTransferModel, draw_retries, transfer_latencies
+from .iolw import IolwCellConfig, IolwTransferModel, draw_retries
 from .kernel import rng_stream
 from .plc import PlcConfig, grid_wait
 from .stats import LatencyStats, SafetyParams
@@ -99,6 +101,84 @@ class SignalSource:
         return out
 
 
+# A stage's durations(t, draws, out, ints, u, mask) writes into the int64 out
+# and returns the durations of arrivals at t: draws is a Link's stream, an
+# Air hop's retries or None; ints, u and mask are int64, float64 and bool
+# scratch. Its upper_bound_us() is its largest duration, in Python ints.
+
+
+@dataclass
+class Grid:
+    """The wait for the first point of the grid phase + k*period at or after
+    the arrival, plus extra: the poll wait (query grid, extra 0), or a plc
+    segment (task grid: an input runs in the next cycle, which publishes at
+    its end, plus the jitter)."""
+
+    period: int
+    phase: int
+    extra: int = 0
+
+    def upper_bound_us(self) -> int:
+        return self.period - 1 + self.extra
+
+    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
+        grid_wait(t, self.period, self.phase, out, ints)
+        if self.extra:  # the poll wait adds nothing: skip a pass over the block
+            out += self.extra
+        return out
+
+
+@dataclass
+class Air:
+    """An IO-Link Wireless hop: the wait for its cell's next cycle start (on
+    the grid phase + k*cycle), then slots counted from one cycle before it:
+    the first attempt rides the first sub-cycle boundary at or after the
+    arrival, each retry the next, and the latency ends the completion
+    offset past the last. A valid cell's slots stay inside int64."""
+
+    transfer: IolwTransferModel
+    cell: IolwCellConfig
+    phase: int
+
+    def upper_bound_us(self) -> int:
+        """The latency after k - 1 retries of the latest arrival for each
+        slot (1 us past the boundary before it), for k = max_attempts, or
+        k = 1 when error_prob = 0, as no attempt then fails."""
+        k = self.transfer.max_attempts if self.transfer.per_subcycle_error_prob > 0 else 1
+        t = self.phase + np.arange(self.cell.subcycles_per_cycle) * self.cell.subcycle_us + 1
+        return int(self.durations(t, k - 1, np.empty_like(t), np.empty_like(t), None, None).max())
+
+    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
+        cell, per_cycle = self.cell, self.cell.subcycles_per_cycle
+        s = np.arange(per_cycle + self.transfer.max_attempts)
+        slot = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
+        wait = grid_wait(t, cell.cycle_us, self.phase, out, ints)
+        np.subtract(wait, cell.cycle_us, out=ints)
+        ints //= cell.subcycle_us
+        np.negative(ints, out=ints)
+        np.minimum(ints, per_cycle, out=ints)
+        ints += draws
+        np.add(slot.take(ints), wait, out=out)
+        out += self.transfer.completion_offset_us - cell.cycle_us
+        return out
+
+
+@dataclass
+class Link:
+    """A link segment: durations drawn from its model, on the segment's stream."""
+
+    model: LatencyModel
+
+    def upper_bound_us(self) -> int:
+        return self.model.upper_bound_us()
+
+    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
+        return self.model.sample(draws, out, u, mask)
+
+
+Stage = Grid | Air | Link
+
+
 @dataclass
 class Scenario:
     cell: IolwCellConfig
@@ -113,22 +193,21 @@ class Scenario:
         """Ordered component names a toggle traverses (stats keys)."""
         return path_components(self.segments, self.forward, self.ret)
 
-    def upper_bounds_us(self) -> list[int]:
-        """Each component's largest duration on a delivered toggle, aligned
-        with components(), in Python ints."""
-        plc = self.plc
-        bounds = []
+    def stages(self, iolw_phase: int = 0, plc_phase: int = 0) -> list[Stage]:
+        """One stage per component, aligned with components(), on the cell
+        and PLC grids at the given phases."""
+        plc, stages = self.plc, []
         for name in self.components():
             seg = self.segments.get(name)
-            if seg is None:  # the poll wait: grid_wait's range on the query grid
-                bounds.append(plc.query_cycle_us - 1)
-            elif seg.kind == "plc":  # on the task grid, plus what run() adds
-                bounds.append(plc.task_cycle_us - 1 + plc.task_cycle_us + plc.jitter_us)
+            if seg is None:  # the poll wait
+                stages.append(Grid(plc.query_cycle_us, plc_phase))
+            elif seg.kind == "plc":
+                stages.append(Grid(plc.task_cycle_us, plc_phase, plc.task_cycle_us + plc.jitter_us))
             elif seg.kind == "iolw-air":
-                bounds.append(seg.transfer.upper_bound_us(self.cell))
+                stages.append(Air(seg.transfer, self.cell, iolw_phase))
             else:
-                bounds.append(seg.model.upper_bound_us())
-        return bounds
+                stages.append(Link(seg.model))
+        return stages
 
 
 def path_components(
@@ -221,22 +300,22 @@ def _workspace(size: int, traversals: int) -> _Workspace:
 
 def _start(
     scenario: Scenario, seed: int
-) -> tuple[np.random.Generator, int, int, list[np.random.Generator | None]]:
-    """A seed's dither stream, iolw and PLC grid phases, and one stream per
-    component, aligned with scenario.components(): None for the poll wait
-    and a plc segment, which draw nothing. Traversal j of a segment reads
-    the stream of its sorted index from output j * toggles on, so first
-    traversals keep that stream id."""
+) -> tuple[np.random.Generator, list[Stage], list[np.random.Generator | None]]:
+    """A seed's dither stream, its stages on the iolw and PLC grid phases
+    drawn from that stream first, and one stream per stage: None for a
+    Grid, which draws nothing. Traversal j of a segment reads the stream of
+    its sorted index from output j * toggles on, so first traversals keep
+    that stream id."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
     dither_rng = rng_stream(seed, _PHASE_STREAM)
     iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
     plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
+    stages = scenario.stages(iolw_phase, plc_phase)
     ids = sorted(scenario.segments)
     components = scenario.components()
     rngs = [None] * len(components)
-    for i, name in enumerate(components):
-        seg = scenario.segments.get(name)
-        if seg is None or seg.kind == "plc":
+    for i, (name, stage) in enumerate(zip(components, stages)):
+        if isinstance(stage, Grid):
             continue
         first = components.index(name)
         if first < i:  # reusing the first traversal's seed sequence saves hashing it
@@ -244,16 +323,15 @@ def _start(
             rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
         else:
             rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
-    return dither_rng, iolw_phase, plc_phase, rngs
+    return dither_rng, stages, rngs
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
     """Trace every toggle of every source sequence; fully deterministic."""
-    dither_rng, iolw_phase, plc_phase, rngs = _start(scenario, seed)
-    cell, plc_cfg, source = scenario.cell, scenario.plc, scenario.source
+    dither_rng, stages, rngs = _start(scenario, seed)
+    source, query_cycle = scenario.source, scenario.plc.query_cycle_us
     components = tuple(scenario.components())
-    segs = [scenario.segments.get(name) for name in components]  # None for the poll wait
-    air = [i for i, seg in enumerate(segs) if seg is not None and seg.kind == "iolw-air"]
+    air = [i for i, stage in enumerate(stages) if isinstance(stage, Air)]
     seg_stats = {name: LatencyStats() for name in components}
     e2e = LatencyStats()
     n = source.toggles
@@ -266,16 +344,17 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         )
         source.toggle_times(first, t0, ramp, ints)
         # one query cycle of dither, or the grids phase-lock with the toggles
-        t0 += dither_rng.integers(0, plc_cfg.query_cycle_us, size=m)
+        t0 += dither_rng.integers(0, query_cycle, size=m)
 
-        # losses first: each iolw-air traversal, keyed by its index since a
-        # segment may be crossed twice, draws its retries in path order; a
-        # toggle counts as lost on the first hop that loses it
-        retries = {i: r[:m] for i, r in zip(air, ws.retries)}
+        # losses first: each Air traversal draws its retries in path order,
+        # which stand in for its stream in the pass below; a toggle counts
+        # as lost on the first hop that loses it
+        draws = list(rngs)
         delivered.fill(True)
         block_losses = 0
-        for i in air:
-            lost = draw_retries(segs[i].transfer, rngs[i], retries[i], u, mask)
+        for i, r in zip(air, ws.retries):
+            draws[i] = r[:m]
+            lost = draw_retries(stages[i].transfer, rngs[i], draws[i], u, mask)
             if lost.size:
                 newly = int(np.count_nonzero(delivered[lost]))
                 delivered[lost] = False
@@ -287,17 +366,8 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         # then stream: a lost toggle keeps moving so the arrays stay aligned,
         # but only delivered toggles are recorded
         np.copyto(t, t0)
-        for i, (name, seg) in enumerate(zip(components, segs)):
-            if name == POLL_WAIT:
-                grid_wait(t, plc_cfg.query_cycle_us, plc_phase, d, ints)
-            elif seg.kind == "plc":
-                grid_wait(t, plc_cfg.task_cycle_us, plc_phase, d, ints)
-                d += plc_cfg.task_cycle_us + plc_cfg.jitter_us
-            elif seg.kind == "iolw-air":
-                grid_wait(t, cell.cycle_us, iolw_phase, d, ints)
-                transfer_latencies(d, retries[i], seg.transfer, cell, d, ints)
-            else:
-                seg.model.sample(rngs[i], d, u, mask)
+        for name, stage, draw in zip(components, stages, draws):
+            stage.durations(t, draw, d, ints, u, mask)
             seg_stats[name].add(d[keep])
             t += d
         np.subtract(t, t0, out=d)

@@ -2,7 +2,9 @@
 
 Every kernel writes into arrays its caller passes, so that a run reuses one
 set of buffers for all its blocks. These wrappers allocate those arrays and
-return the result, for tests that check a kernel on its own.
+return the result, for tests that check a kernel on its own. The grid
+waits and the iolw-air latencies go through the stages Scenario.stages()
+builds, so the tests run the code run() runs.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from iolw5gsim import iolw, plc
+from iolw5gsim.fiveg import Constant
+from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
+from iolw5gsim.plc import PlcConfig
+from iolw5gsim.scenario import Scenario, SegmentSpec, SignalSource
+from iolw5gsim.stats import SafetyParams
 
 
 def sample(model, rng, n):
@@ -25,11 +32,31 @@ def draw_retries(n, model, rng):
     return retries, lost
 
 
+def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase=0, plc_phase=0):
+    """The air, poll-wait and plc stages Scenario.stages() builds for the
+    forward path air, eth, plc on the given cell, PLC and phases."""
+    segments = {
+        "air": SegmentSpec("iolw-air", transfer=transfer or IolwTransferModel(0)),
+        "eth": SegmentSpec("ethernet", Constant(0)),
+        "plc": SegmentSpec("plc"),
+    }
+    path = ["air", "eth", "plc"]
+    scenario = Scenario(cell, segments, path, [], SignalSource(), plc_cfg, SafetyParams())
+    air, poll, _, plc_stage = scenario.stages(iolw_phase, plc_phase)
+    return air, poll, plc_stage
+
+
+def durations(stage, t, draws=None):
+    """A stage's durations for arrivals at t."""
+    t = np.asarray(t, dtype=np.int64)
+    scratch = np.empty_like(t), np.empty(t.shape), np.empty(t.shape, dtype=bool)
+    return stage.durations(t, draws, np.empty_like(t), *scratch)
+
+
 def transfer_latencies(t_change, retries, model, cell, phase=0):
     """Latencies of transfers starting at t_change, in a cell whose cycles
-    start at phase + k*cycle: run()'s grid wait, then the kernel."""
-    wait = grid_wait(t_change, cell.cycle_us, phase)
-    return iolw.transfer_latencies(wait, retries, model, cell, wait, np.empty_like(wait))
+    start at phase + k*cycle."""
+    return durations(stages(cell, transfer=model, iolw_phase=phase)[0], t_change, retries)
 
 
 def grid_wait(t, period, phase=0):
@@ -39,15 +66,14 @@ def grid_wait(t, period, phase=0):
 
 def next_poll(t, cfg, phase=0):
     """First poll times at or after t, on the grid phase + k*query_cycle."""
-    return t + grid_wait(t, cfg.query_cycle_us, phase)
+    return t + durations(stages(plc_cfg=cfg, plc_phase=phase)[1], t)
 
 
 def align_to_task_cycle(arrival, cfg, phase=0):
     """Output publication times for inputs arriving at `arrival`, on the task
     grid phase + k*task_cycle: one task cycle plus the jitter after the
     first cycle start at or after the arrival."""
-    wait = grid_wait(arrival, cfg.task_cycle_us, phase)
-    return arrival + wait + cfg.task_cycle_us + cfg.jitter_us
+    return arrival + durations(stages(plc_cfg=cfg, plc_phase=phase)[2], arrival)
 
 
 def toggle_times(source, first=0, n=None):

@@ -32,6 +32,7 @@ import numpy as np
 
 from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
+from iolw5gsim.kernel import rng_stream
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
 from iolw5gsim.stats import LatencyStats
 from tests import fresh
@@ -239,7 +240,7 @@ def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     the index of the component where a toggle was lost, or -1. A lost
     toggle keeps moving so the arrays stay aligned.
     """
-    cell = scenario.cell
+    cell, plc = scenario.cell, scenario.plc
     components = scenario.components()
     parts = np.empty((len(components), len(t0)), dtype=np.int64)
     lost_at = np.full(len(t0), -1, dtype=np.int64)
@@ -247,12 +248,13 @@ def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     for i, name in enumerate(components):
         seg = scenario.segments.get(name)
         if name == POLL_WAIT:
-            d = fresh.next_poll(t, scenario.plc, plc_phase) - t
+            d = fresh.grid_wait(t, plc.query_cycle_us, plc_phase)
         elif seg.kind == "plc":
-            d = fresh.align_to_task_cycle(t, scenario.plc, plc_phase) - t
+            d = fresh.grid_wait(t, plc.task_cycle_us, plc_phase) + plc.task_cycle_us + plc.jitter_us
         elif seg.kind == "iolw-air":
             retries, lost = fresh.draw_retries(len(t), seg.transfer, rngs[i])
-            d = fresh.transfer_latencies(t, retries, seg.transfer, cell, iolw_phase)
+            rel = t - iolw_phase + cell.cycle_us
+            d = transfer_latencies_via_boundary(rel, retries, seg.transfer, cell)
             lost_at[lost & (lost_at < 0)] = i
         else:
             d = fresh.sample(seg.model, rngs[i], len(t))
@@ -274,7 +276,11 @@ def run_via_matrix(scenario, seed):
     """run() through trace_matrix in one pass over all toggles: the lost
     toggles are dropped from the whole matrix by one boolean index at the
     end."""
-    dither_rng, iolw_phase, plc_phase, rngs = _start(scenario, seed)
+    *_, rngs = _start(scenario, seed)
+    # the phases, then the dither, from the phase stream, as _start draws them
+    dither_rng = rng_stream(seed, 0)
+    iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
+    plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
     t0 = toggle_times(scenario.source)
     t0 += dither_rng.integers(0, scenario.plc.query_cycle_us, size=len(t0))
     parts, lost_at = trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs)

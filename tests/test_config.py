@@ -249,16 +249,27 @@ def test_diagnostic_at_its_location(old, new, at, message):
         ("min_hop_distance = -5", "min_hop_distance must be >= 0, got -5"),
         ("blocklist = 99, -3", "blocklist channels [-3, 99] lie outside 0..39"),
         ("channels = 40\nblocklist = 40, 41, 42", "blocklist channels [40, 41, 42] lie outside 0..39"),
-        ("channels = 1000000000", "channels must be <= 83, got 1000000000"),
+        ("channels = 1000000000", "channels must be 1..83, got 1000000000"),
+        ("channels = 0", "channels must be 1..83, got 0"),
+        ("channels = -5\nblocklist = 3", "channels must be 1..83, got -5"),
     ],
     ids=["negative-hop-distance", "blocklist-out-of-range", "blocklist-past-last-channel",
-         "channels-past-ism-band"],
+         "channels-past-ism-band", "channels-0", "channels-negative"],
 )
 def test_bad_channel_settings_rejected_at_cell(settings, message):
     bad = patch(MINIMAL, "[cell]", "[cell]\n" + settings)
     line = bad.splitlines().index("[cell]") + 1
     assert [(d.line, d.col, d.message) for d in diagnostics_of(bad)] == [
         (line, 1, f"[cell]: {message}")
+    ]
+
+
+def test_capacity_checked_when_only_the_channel_count_is_bad():
+    # the channel count does not change the topology's capacity
+    bad = patch(patch(MINIMAL, "devices = 8", "devices = 20"), "[cell]", "[cell]\nchannels = 0")
+    assert [d.message for d in diagnostics_of(bad)] == [
+        "[cell]: channels must be 1..83, got 0",
+        "[cell]: devices 20 exceed cell capacity 16",
     ]
 
 
@@ -436,9 +447,10 @@ def test_path_just_within_int64_loads():
 
 
 def test_shipped_component_bounds_sum_to_the_derived_figure(default_scenario):
-    bounds = dict(zip(default_scenario.components(), default_scenario.upper_bounds_us()))
+    stage_bounds = [stage.upper_bound_us() for stage in default_scenario.stages()]
+    bounds = dict(zip(default_scenario.components(), stage_bounds))
     assert (bounds["air_up"], bounds["poll_wait"], bounds["plc"]) == (5666, 9999, 9999)
-    assert sum(default_scenario.upper_bounds_us()) == 148_930
+    assert sum(stage_bounds) == 148_930
 
 
 def test_empirical_weight_sum_must_not_overflow():

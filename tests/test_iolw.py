@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from iolw5gsim import iolw
 from iolw5gsim.iolw import (
     MAX_ATTEMPTS,
     MAX_CHANNELS,
@@ -15,11 +14,16 @@ from iolw5gsim.iolw import (
     validate_cell,
 )
 from iolw5gsim.kernel import rng_stream
-from tests.fresh import draw_retries, transfer_latencies
+from tests.fresh import draw_retries, stages, transfer_latencies
 from tests.scalar_reference import mean_boundary_wait_us, usable_channels
 
 CELL = IolwCellConfig()
 WAIT_MODEL = IolwTransferModel(completion_offset_us=667)
+
+
+def air(model, cell=CELL, phase=0):
+    """The Air stage Scenario.stages() builds for a hop."""
+    return stages(cell, transfer=model, iolw_phase=phase)[0]
 
 
 def next_subcycle_start(t, cell=CELL):
@@ -128,13 +132,14 @@ class TestTransferLatency:
         assert not lost.any()
 
     def test_kernel_maps_cycle_waits_to_latencies(self):
-        # wait 0, a start on a cycle boundary, rides that boundary's slot;
-        # wait 4 999, 1 us past it, the sub-cycle at 1 664 us; out may be wait
-        wait = np.array([0, 4999, 0], dtype=np.int64)
+        # t 0, on a cycle start (wait 0), rides that start's slot; t 1, 1 us
+        # past it (wait 4 999), the sub-cycle at 1 664 us; durations writes
+        # into out and returns it
+        t = np.array([0, 1, 0], dtype=np.int64)
         retries = np.array([0, 0, 1], dtype=np.intp)
-        out = iolw.transfer_latencies(wait, retries, WAIT_MODEL, CELL, wait, np.empty_like(wait))
-        assert out is wait
-        assert wait.tolist() == [667, 2330, 2331]
+        out = np.empty_like(t)
+        assert air(WAIT_MODEL).durations(t, retries, out, np.empty_like(t), None, None) is out
+        assert out.tolist() == [667, 2330, 2331]
 
     def test_certain_error_always_loses(self):
         model = IolwTransferModel(
@@ -171,9 +176,10 @@ class TestTransferLatency:
 
     def test_upper_bound_is_the_largest_latency_over_one_cycle(self):
         # k - 1 retries at every offset into one cycle of small random cells,
-        # or none on a hop with error_prob = 0, which never retries
-        assert IolwTransferModel(667, 0.001, 3).upper_bound_us(CELL) == 5666  # the shipped hop
-        assert IolwTransferModel(667, 0.0, 3).upper_bound_us(CELL) == 2338
+        # or none on a hop with error_prob = 0, which never retries; the
+        # bound does not depend on the cell's phase
+        assert air(IolwTransferModel(667, 0.001, 3)).upper_bound_us() == 5666  # the shipped hop
+        assert air(IolwTransferModel(667, 0.0, 3)).upper_bound_us() == 2338
         rnd = random.Random(7)
         for _ in range(300):
             per_cycle, sub = rnd.randint(1, 4), rnd.randint(1, 6)
@@ -186,7 +192,8 @@ class TestTransferLatency:
             t = np.arange(cell.cycle_us)
             retries = np.full(len(t), model.max_attempts - 1 if p else 0, dtype=np.intp)
             worst = int(transfer_latencies(t, retries, model, cell).max())
-            assert model.upper_bound_us(cell) == worst, (cell, model)
+            phase = rnd.randrange(cell.cycle_us)
+            assert air(model, cell, phase).upper_bound_us() == worst, (cell, model, phase)
 
     def test_mean_over_uniform_arrivals_matches_enumeration_oracle(self):
         model = IolwTransferModel(completion_offset_us=667)

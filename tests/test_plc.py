@@ -82,7 +82,10 @@ class TestDerivedBounds:
             cfg = PlcConfig(task, task * rnd.randint(1, 4), rnd.randint(0, 500))
             phase = rnd.randrange(task)
             scenario = dataclasses.replace(default_scenario, plc=cfg)
-            bounds = dict(zip(scenario.components(), scenario.upper_bounds_us()))
+            bounds = {
+                name: stage.upper_bound_us()
+                for name, stage in zip(scenario.components(), scenario.stages(0, phase))
+            }
             start = rnd.randrange(10**6)
             poll = grid_wait(np.arange(start, start + cfg.query_cycle_us), cfg.query_cycle_us, phase)
             assert int(poll.max()) == bounds["poll_wait"], (cfg, phase)

@@ -14,7 +14,9 @@ from iolw5gsim.kernel import rng_stream
 from iolw5gsim import scenario as scenario_mod
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import (
-    POLL_WAIT,
+    Air,
+    Grid,
+    Link,
     Scenario,
     SegmentSpec,
     SignalSource,
@@ -216,16 +218,19 @@ class TestRun:
         assert result.segment_stats["air"].losses == result.toggles
 
     def test_segments_that_draw_keep_their_stream_ids(self, default_scenario):
-        # one stream per component, none for the poll wait and the plc
-        # segment, which draw nothing; a segment's first traversal starts on
-        # stream 1 + its sorted index ("wire" sorts after "plc"), and a later
-        # one, which reuses the first's seed sequence, on that stream
+        # one stream per stage, none for a Grid (the poll wait and the plc
+        # segment), which draws nothing; a segment's first traversal starts
+        # on stream 1 + its sorted index ("wire" sorts after "plc"), and a
+        # later one, which reuses the first's seed sequence, on that stream
         # advanced by the toggles of the traversals before it
-        _, _, _, rngs = scenario_mod._start(default_scenario, 7)
+        _, stages, rngs = scenario_mod._start(default_scenario, 7)
         components = default_scenario.components()
         ids = sorted(default_scenario.segments)
         assert "plc" in ids and components.count("wire") == 2
-        assert [rng is None for rng in rngs] == [name in (POLL_WAIT, "plc") for name in components]
+        kinds = [type(stage) for stage in stages]
+        forward = [Link, Air, Grid, Link, Link, Link, Link, Grid]
+        assert kinds == forward + [Link, Link, Link, Link, Air, Link]
+        assert [rng is None for rng in rngs] == [kind is Grid for kind in kinds]
         later = 0
         for i, (name, rng) in enumerate(zip(components, rngs)):
             if rng is None:
@@ -467,8 +472,9 @@ class TestDominance:
         for sc in [random_scenario(rnd) for _ in range(30)] + [mixed_scenario()]:
             result = run(sc, seed=1)
             bounds: dict[str, int] = {}
-            for name, bound in zip(sc.components(), sc.upper_bounds_us()):
+            stage_bounds = [stage.upper_bound_us() for stage in sc.stages()]
+            for name, bound in zip(sc.components(), stage_bounds):
                 bounds[name] = max(bounds.get(name, 0), bound)
             for name, stats in result.segment_stats.items():
                 assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
-            assert result.end_to_end.max_us <= sum(sc.upper_bounds_us()), sc
+            assert result.end_to_end.max_us <= sum(stage_bounds), sc
