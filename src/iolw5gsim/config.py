@@ -344,13 +344,14 @@ def _build_paths(
     return paths.get("forward", []), paths.get("return", [])
 
 
-def _build_safety(
+def _safety_keys(
     raw: _Section, components: set[str], diags: list[Diagnostic]
-) -> SafetyParams:
+) -> tuple[dict, dict[str, int]]:
+    """SafetyParams keywords of [safety] but the maxima, and its budgets by name."""
     budgets = {k: r for k, r in raw.items() if k.startswith("budget.")}
     rest = {k: r for k, r in raw.items() if k not in budgets}
     kw = _fields("safety", rest, _SAFETY_FIELDS, diags) or {}
-    maxima: list[tuple[str, int]] = []
+    maxima: dict[str, int] = {}
     for key, r in budgets.items():
         name = key[len("budget."):]
         if name not in components:
@@ -365,8 +366,8 @@ def _build_safety(
         if d is not None and d < 0:
             diags.append(r.at(f"budget {name!r} must be >= 0"))
         elif d is not None:
-            maxima.append((name, d))
-    return SafetyParams(**kw, segment_maxima=tuple(maxima))
+            maxima[name] = d
+    return kw, maxima
 
 
 def load_scenario(text: str) -> Scenario:
@@ -406,8 +407,7 @@ def load_scenario(text: str) -> Scenario:
         msg = "[source]: toggle_period must exceed the [plc] query_cycle"
         diags.append(sections["source"].at(msg))
     components = set(path_components(segments, forward, ret))
-    safety = _build_safety(sections["safety"], components, diags)
-    diags.extend(sections["safety"].at(f"[safety]: {msg}") for msg in safety.validate())
+    safety_kw, budgets = _safety_keys(sections["safety"], components, diags)
 
     if diags:
         raise ScenarioError(diags)
@@ -418,7 +418,7 @@ def load_scenario(text: str) -> Scenario:
         ret=ret,
         source=source,
         plc=plc_cfg,
-        safety=safety,
+        safety=None,  # set below, once the bounds are known
     )
     # a run's int64 times reach at most the last toggle start, plus the
     # largest dither and every component's largest duration
@@ -430,14 +430,17 @@ def load_scenario(text: str) -> Scenario:
     if latest >= 2**63:
         msg = f"[path]: toggle times can reach {latest} us, past int64"
         diags.append(sections["path"].at(msg))
-    # a budget covers every traversal of its component
+    # a component's maximum covers every traversal of it: its derived bound,
+    # or a budget at or above that bound
     derived: dict[str, int] = {}
     for name, bound in zip(scenario.components(), bounds):
         derived[name] = derived.get(name, 0) + bound
-    for name, budget in safety.segment_maxima:
+    for name, budget in budgets.items():
         if budget < derived[name]:
             msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
+    scenario.safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
+    diags.extend(sections["safety"].at(f"[safety]: {msg}") for msg in scenario.safety.validate())
     if diags:
         raise ScenarioError(diags)
     return scenario

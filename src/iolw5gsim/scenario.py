@@ -262,7 +262,8 @@ class RunResult:
         )
 
     def observed_worst_case_us(self) -> int:
-        """Sum of per-component maxima over one full traversal."""
+        """Sum of per-component maxima over one full traversal, which may come
+        from different toggles: neither an observed response nor a bound."""
         total = 0
         for name in self.components:
             s = self.segment_stats[name]

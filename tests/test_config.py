@@ -1,14 +1,16 @@
 import dataclasses
+import json
 
 import pytest
 
 from iolw5gsim import config
-from iolw5gsim.cli import EXIT_INVALID, main
+from iolw5gsim.cli import EXIT_INVALID, EXIT_OK, main
 from iolw5gsim.config import Diagnostic, ScenarioError, load_scenario
 from iolw5gsim.fiveg import _AliasTable
 from iolw5gsim.iolw import IolwCellConfig
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import SignalSource
+from iolw5gsim.stats import worst_case_sfrt
 
 MINIMAL = """
 [cell]
@@ -621,6 +623,32 @@ def test_budget_at_a_truncnorm_bound_below_its_high_loads(default_config_text):
     line = bad.splitlines().index("budget.wire = 4099 us") + 1
     message = "budget 'wire' of 4099 us is below its derived bound of 4100 us"
     assert diagnostics_of(bad) == [Diagnostic(line, 1, message)]
+
+
+def test_component_without_a_budget_takes_its_derived_bound(default_config_text):
+    # the wire once dropped out of the sum, for a worst case of 147 000 us
+    sc = load_scenario(patch(default_config_text, "budget.wire = 2600 us\n", ""))
+    maxima = dict(sc.safety.segment_maxima)
+    assert set(maxima) == set(sc.components())
+    assert maxima["wire"] == 2600  # 1 300 us on each of its two traversals
+    assert worst_case_sfrt(sc.safety) == 149_600
+    # a budget above its derived bound still overrides it
+    air_up = sc.stages()[sc.components().index("air_up")]
+    assert (air_up.upper_bound_us(), maxima["air_up"]) == (5666, 6000)
+
+
+def test_scenario_without_budgets_reports_the_derived_sum(default_config_text, tmp_path):
+    text = "".join(
+        line for line in default_config_text.splitlines(keepends=True)
+        if not line.startswith("budget.")
+    )
+    path = tmp_path / "unbudgeted.scenario"
+    path.write_text(text)
+    assert main(["run", str(path), "--deterministic", "--out", str(tmp_path / "o")]) == EXIT_OK
+    safety = json.loads((tmp_path / "o" / "report.json").read_text())["safety"]
+    assert set(safety["budget_us"]) == set(load_scenario(text).components())
+    assert safety["worst_case_sfrt_us"] == 148_930
+    assert safety["observed_max_us"] <= 148_930
 
 
 @pytest.mark.parametrize(

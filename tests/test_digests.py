@@ -92,10 +92,14 @@ def report_digest(config_path, seed, out):
 # Ethernet delay is floor(u*K) of one double, not a bounded integer, the
 # retries are inverted from one uniform a transfer, not drawn in rounds,
 # and the second traversal of each link reads its own part of the stream.
+# Re-pinned when a component without a budget came to take its derived
+# bound: this scenario budgets only the wire, so its safety block went from
+# a worst case of 1 400 us (the wire alone) to the derived sum of 143 702 us;
+# nothing outside the safety block changed.
 # Keyed by seed alone, so that a re-pin keeps the tests' names.
 LOSSY_EMPIRICAL_DIGESTS = {
-    1: "5f6cc9354e4bfe2aaaa333c9d89c207382180c681d754cb406b86672d5b4faaf",
-    2: "53d33a10e5fd54a71512f50abcbadefba428f87c0ec496af87e9ca1e99e66feb",
+    1: "ac36ca3a99df25131fcbb6e0275d7fac506feea450afbbaf7f376848fcbd99ba",
+    2: "0dc994a36124efbc19fb56cd74d482468ddbabe6da995e8a7b7d4224aadf83e2",
 }
 
 

@@ -219,3 +219,23 @@ class TestSampling:
             assert (new_draws == 1200).all() and old_draws.std() > 100
         else:
             assert new_draws.min() >= 1500 and old_draws.min() < 1500
+
+
+# Known difference: the shipped 5G legs' comment calls each leg "half the
+# measured 20.4 ms router round trip", but `mean = 10200 us` is the location
+# of the normal before truncation to [5 ms, 26 750 us]. Each leg's realised
+# mean is 10 478 us, so the simulated round trip is 20.96 ms.
+KNOWN_5G_LEG_MEAN_US = 10_478
+
+
+def test_shipped_5g_leg_mean_is_a_known_difference_from_its_comment(default_scenario):
+    for sid in ("nr_up", "nr_down"):
+        m = default_scenario.segments[sid].model
+        assert (m.mean_target_us, m.low_us, m.high_us) == (10_200, 5000, 26_750)
+        a, p = fiveg._truncnorm_pmf(m.mean_target_us, m.stddev_us, m.low_us, m.high_us)
+        pmf_mean = a + float(np.arange(len(p)) @ p)
+        alpha, beta = ((x - m.mean_target_us) / m.stddev_us for x in (m.low_us, m.high_us))
+        mass = sps.norm.cdf(beta) - sps.norm.cdf(alpha)
+        closed = m.mean_target_us + m.stddev_us * (sps.norm.pdf(alpha) - sps.norm.pdf(beta)) / mass
+        assert abs(pmf_mean - closed) < 1.0
+        assert round(closed) == KNOWN_5G_LEG_MEAN_US

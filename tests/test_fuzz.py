@@ -3,20 +3,23 @@
 Each mutant changes one to three lines of the shipped file: a key's value
 from a pool of edge values, a duplicated line or a dropped one (a dropped
 header moves its keys into the section before it). The loader must either
-accept the copy or raise ScenarioError; one it accepts of at most
-MAX_TOGGLES toggles must run, and each component's observed maximum must
-stay within its stages' largest bound, the bound the loader checks the
-budgets and the int64 range against.
+accept the copy or raise ScenarioError. One it accepts must hold a maximum
+for every component and a worst case of at least the sum of its stages'
+bounds, whether or not its budgets were dropped. One of at most MAX_TOGGLES
+toggles must run, and each component's observed maximum must stay within
+its stages' largest bound, the bound the loader checks the budgets and the
+int64 range against.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iolw5gsim.cli import default_scenario_path
 from iolw5gsim.config import ScenarioError, load_scenario
 from iolw5gsim.scenario import run
+from iolw5gsim.stats import worst_case_sfrt
 
 SHIPPED = default_scenario_path().read_text().splitlines()
 
@@ -48,17 +51,21 @@ def mutants(draw) -> str:
 
 
 @given(mutants())
+@example("\n".join(line for line in SHIPPED if line != "budget.wire = 2600 us") + "\n")
 @settings(max_examples=300, deadline=None)
 def test_mutant_loads_or_is_rejected_and_runs_within_its_bounds(text):
     try:
         scenario = load_scenario(text)
     except ScenarioError:
         return
+    stage_bounds = [stage.upper_bound_us() for stage in scenario.stages()]
+    assert worst_case_sfrt(scenario.safety) >= sum(stage_bounds), text
+    assert {name for name, _ in scenario.safety.segment_maxima} == set(scenario.components())
     if scenario.source.toggles > MAX_TOGGLES:
         return
     result = run(scenario, 1)
     bounds: dict[str, int] = {}
-    for name, stage in zip(scenario.components(), scenario.stages()):
-        bounds[name] = max(bounds.get(name, 0), stage.upper_bound_us())
+    for name, bound in zip(scenario.components(), stage_bounds):
+        bounds[name] = max(bounds.get(name, 0), bound)
     for name, stats in result.segment_stats.items():
         assert stats.max_us is None or stats.max_us <= bounds[name], (name, text)
