@@ -351,6 +351,9 @@ def _safety_keys(
     budgets = {k: r for k, r in raw.items() if k.startswith("budget.")}
     rest = {k: r for k, r in raw.items() if k not in budgets}
     kw = _fields("safety", rest, _SAFETY_FIELDS, diags) or {}
+    if kw.get("approach_speed_mps", 1.0) <= 0:  # _float has rejected nan and inf
+        r = rest["approach_speed"]
+        diags.append(r.at(f"approach_speed must be > 0, got {r.value}"))
     maxima: dict[str, int] = {}
     for key, r in budgets.items():
         name = key[len("budget."):]

@@ -5,12 +5,20 @@ bins of BIN_WIDTH_US (100 us, mirroring a 10 kS/s capture). The mean is kept
 as an exact integer sum plus count so that merging partial results is exact,
 associative and commutative. Percentiles are conservative: they round up to
 a bin upper edge, because the downstream use is safety margins.
+
+The bins are counted densely: one int64 array holds the frequency of every
+bin from the lowest occupied one to the highest, so a batch is one
+np.bincount added into an aligned slice, and a merge is one array add. Once
+the occupied bins span more than DENSE_BIN_CAP bins (6.5 s of latency), the
+counts fall back to a {bin: frequency} dict, so memory stays bounded for any
+legal duration (up to 2**53 us). Which storage an object uses follows from
+its min_us and max_us alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -18,23 +26,40 @@ import numpy as np
 
 
 BIN_WIDTH_US = 100
+DENSE_BIN_CAP = 1 << 16  # bins a dense count array may span (512 KiB)
 
 
 class EmptyStatsError(ValueError):
     """Percentile/CDF queried on zero samples."""
 
 
-@dataclass
+def _is_dense(lo: int, hi: int) -> bool:
+    """Whether samples from lo to hi are counted in a dense array."""
+    return hi // BIN_WIDTH_US - lo // BIN_WIDTH_US < DENSE_BIN_CAP
+
+
+def _pairs(counts: np.ndarray | dict[int, int], first: int) -> list[tuple[int, int]]:
+    """(bin, frequency) of the nonzero bins in ascending order; a dense
+    array counts from bin first."""
+    if isinstance(counts, dict):
+        return sorted(counts.items())
+    idx = np.flatnonzero(counts)
+    return list(zip((idx + first).tolist(), counts[idx].tolist()))
+
+
+@dataclass(eq=False)
 class LatencyStats:
     count: int = 0
     total_us: int = 0
     min_us: int | None = None
     max_us: int | None = None
-    bins: dict[int, int] = field(default_factory=dict)
+    # the frequency of bin min_us // BIN_WIDTH_US + i at i while the occupied
+    # bins span at most DENSE_BIN_CAP bins, else a {bin: frequency} dict
+    counts: np.ndarray | dict[int, int] = field(default_factory=lambda: np.zeros(0, np.int64))
     losses: int = 0
 
     def add(self, values_us: np.ndarray) -> None:
-        """Record a batch of samples; every field stays a Python int."""
+        """Record a batch of samples; every scalar field stays a Python int."""
         values_us = np.asarray(values_us).ravel()
         if values_us.dtype.kind != "i":
             values_us = values_us.astype(np.int64)
@@ -47,18 +72,14 @@ class LatencyStats:
             total = int(values_us.sum(dtype=np.int64))
         else:  # the int64 sum could wrap
             total = sum(values_us.tolist())
-        first = lo // BIN_WIDTH_US
         q = values_us // BIN_WIDTH_US
-        if hi // BIN_WIDTH_US - first < values_us.size:
-            # the occupied bins span no more than the batch: count densely
-            q -= first
+        if _is_dense(lo, hi):
+            q -= lo // BIN_WIDTH_US
             counts = np.bincount(q)
-            idx = np.flatnonzero(counts)
-            counts = counts[idx]
-            idx += first
         else:  # sparse: memory stays O(batch)
-            idx, counts = np.unique(q, return_counts=True)
-        self._fold(values_us.size, total, lo, hi, zip(idx.tolist(), counts.tolist()))
+            idx, freq = np.unique(q, return_counts=True)
+            counts = dict(zip(idx.tolist(), freq.tolist()))
+        self._fold(values_us.size, total, lo, hi, counts)
 
     def add_loss(self, n: int = 1) -> None:
         self.losses += n
@@ -70,23 +91,47 @@ class LatencyStats:
         return self.total_us / self.count
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
-        merged = replace(self, bins=dict(self.bins), losses=self.losses + other.losses)
+        merged = replace(self, counts=self.counts.copy(), losses=self.losses + other.losses)
         if other.count:
             merged._fold(other.count, other.total_us, other.min_us, other.max_us,
-                         other.bins.items())
+                         other.counts.copy())
         return merged
 
-    def _fold(self, count: int, total_us: int, lo: int, hi: int, bins: Iterable) -> None:
-        """The one combine rule of add and merge; bins yields (bin, frequency) pairs."""
+    def _fold(self, count: int, total_us: int, lo: int, hi: int,
+              counts: np.ndarray | dict[int, int]) -> None:
+        """The one combine rule of add and merge. counts holds the bins of
+        samples from lo to hi in the storage that span calls for; an empty
+        self takes it as its own."""
         self.count += count
         self.total_us += total_us
-        self.min_us = lo if self.min_us is None else min(self.min_us, lo)
-        self.max_us = hi if self.max_us is None else max(self.max_us, hi)
-        if not self.bins:
-            self.bins.update(bins)
+        if self.min_us is None:
+            self.min_us, self.max_us, self.counts = lo, hi, counts
+            return
+        old = self.min_us // BIN_WIDTH_US
+        self.min_us, self.max_us = min(self.min_us, lo), max(self.max_us, hi)
+        first = self.min_us // BIN_WIDTH_US
+        if _is_dense(self.min_us, self.max_us):  # so both sides are dense
+            span = self.max_us // BIN_WIDTH_US - first + 1
+            if span > self.counts.size:  # the batch falls outside: reallocate
+                grown = np.zeros(span, np.int64)
+                grown[old - first:old - first + self.counts.size] = self.counts
+                self.counts = grown
+            start = lo // BIN_WIDTH_US - first
+            self.counts[start:start + counts.size] += counts
         else:
-            for i, n in bins:
-                self.bins[i] = self.bins.get(i, 0) + n
+            if not isinstance(self.counts, dict):
+                self.counts = dict(_pairs(self.counts, old))
+            for i, n in _pairs(counts, lo // BIN_WIDTH_US):
+                self.counts[i] = self.counts.get(i, 0) + n
+
+    def __eq__(self, other: object) -> bool:
+        """Equal samples and losses, whichever storage holds the counts."""
+        if not isinstance(other, LatencyStats):
+            return NotImplemented
+        fields = ("count", "total_us", "min_us", "max_us", "losses")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and (
+            self.histogram() == other.histogram()
+        )
 
     def percentile(self, p: float) -> int:
         """Smallest bin upper edge whose cumulative frequency reaches p percent."""
@@ -102,11 +147,14 @@ class LatencyStats:
         return [(edge, c / self.count) for edge, c in self._cumulative()]
 
     def histogram(self) -> list[tuple[int, int]]:
-        """(bin upper edge, frequency) pairs in ascending order."""
-        return [
-            ((idx + 1) * BIN_WIDTH_US, self.bins[idx])
-            for idx in sorted(self.bins)
-        ]
+        """(bin upper edge, frequency) pairs of the nonzero bins in ascending order."""
+        if not self.count:
+            return []
+        if isinstance(self.counts, dict):
+            return [((i + 1) * BIN_WIDTH_US, n) for i, n in sorted(self.counts.items())]
+        idx = np.flatnonzero(self.counts)
+        edges = (idx + (self.min_us // BIN_WIDTH_US + 1)) * BIN_WIDTH_US
+        return list(zip(edges.tolist(), self.counts[idx].tolist()))
 
     def _cumulative(self) -> Iterator[tuple[int, int]]:
         """(bin upper edge, cumulative frequency) pairs in ascending order."""

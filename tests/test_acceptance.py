@@ -123,7 +123,7 @@ def test_07_determinism(tmp_path):
     assert merged[0] == merged[1] == merged[2]
     blobs = {
         json.dumps(
-            {n: s.bins for n, s in m.segment_stats.items()}, sort_keys=True
+            {n: s.histogram() for n, s in m.segment_stats.items()}, sort_keys=True
         )
         for m in merged
     }
@@ -176,6 +176,6 @@ def test_10_statistics_merge():
     assert merged.count == whole.count
     assert merged.min_us == whole.min_us
     assert merged.max_us == whole.max_us
-    assert merged.bins == whole.bins
+    assert merged.histogram() == whole.histogram()
     assert abs(merged.mean_us - whole.mean_us) < 1.0
     verdict(10, "10-way partition merges to whole-set statistics exactly")

@@ -505,6 +505,18 @@ def test_all_problems_reported_together():
     assert len(diags) >= 2
 
 
+def test_bad_approach_speed_reported_with_the_first_batch(default_config_text):
+    # a bad speed once waited for every other fault of the file to be fixed
+    bad = patch(default_config_text, "approach_speed = 2.0", "approach_speed = -1")
+    bad = patch(bad, "channels = 40", "channels = 0")
+    lines = bad.splitlines()
+    diags = diagnostics_of(bad)
+    assert [(d.line, d.col, d.message) for d in diags] == [
+        (lines.index("[cell]") + 1, 1, "[cell]: channels must be 1..83, got 0"),
+        (lines.index("approach_speed = -1") + 1, 1, "approach_speed must be > 0, got -1"),
+    ]
+
+
 def test_duration_suffixes():
     sc = load_scenario(patch(MINIMAL, "value = 1200 us", "value = 1.2 ms"))
     assert sc.segments["eth"].model.value_us == 1200

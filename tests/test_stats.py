@@ -1,6 +1,8 @@
 import copy
 import math
+import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from iolw5gsim.stats import (
     BIN_WIDTH_US,
+    DENSE_BIN_CAP,
     EmptyStatsError,
     LatencyStats,
     SafetyParams,
@@ -39,12 +42,37 @@ def fill_side(side):
 
 
 def merge(a, b):
-    """a.merge(b), checking that it is a new object and changes neither side."""
+    """a.merge(b), checking that it is a new object that changes neither side
+    and shares no counts with either: one more sample in each of its
+    occupied bins leaves both sides as they were."""
     before = copy.deepcopy((a, b))
     merged = a.merge(b)
     assert (a, b) == before
-    assert merged is not a and merged is not b and merged.bins is not a.bins
-    return merged
+    assert merged is not a and merged is not b
+    result = copy.deepcopy(merged)
+    merged.add(np.array([edge - 1 for edge, _ in merged.histogram()], dtype=np.int64))
+    assert (a, b) == before
+    return result
+
+
+def reference_histogram(values):
+    """(bin upper edge, frequency) pairs of values, counted with a Counter."""
+    counter = Counter(v // BIN_WIDTH_US for v in values)
+    return [((i + 1) * BIN_WIDTH_US, n) for i, n in sorted(counter.items())]
+
+
+def assert_matches_reference(s, values):
+    """s holds exactly values: moments, bins, percentiles and CDF as a Counter gives them."""
+    hist = reference_histogram(values)
+    assert s.histogram() == hist
+    moments = (len(values), sum(values), min(values), max(values))
+    assert (s.count, s.total_us, s.min_us, s.max_us) == moments
+    cumulative = list(accumulate(n for _, n in hist))
+    assert s.cdf() == [(edge, c / len(values)) for (edge, _), c in zip(hist, cumulative)]
+    for p in (0, 1, 50, 99, 99.9, 100):
+        assert s.percentile(p) == next(
+            edge for (edge, _), c in zip(hist, cumulative) if c * 100 >= p * len(values)
+        )
 
 
 class TestAccumulation:
@@ -57,7 +85,7 @@ class TestAccumulation:
 
     def test_histogram_totals_match_count(self):
         s = fill([0, 99, 100, 5500, 5501])
-        assert sum(s.bins.values()) == s.count
+        assert sum(n for _, n in s.histogram()) == s.count
 
     def test_losses_tracked_separately(self):
         s = fill([100])
@@ -85,9 +113,9 @@ class TestAccumulation:
                 s.add(np.int32(v))
         else:
             s.add(np.array(values, dtype=form))
-        assert s.bins == Counter(v // BIN_WIDTH_US for v in values)
+        assert s.histogram() == reference_histogram(values)
         assert s.count == len(values) and s.total_us == sum(values)
-        fields = [s.count, s.total_us, *s.bins, *s.bins.values()]
+        fields = [s.count, s.total_us, *(x for pair in s.histogram() for x in pair)]
         if values:
             fields += [s.min_us, s.max_us]
         assert all(type(f) is int for f in fields)
@@ -115,6 +143,87 @@ class TestMerge:
     def test_merge_associative(self, a, b, c):
         sa, sb, sc = fill_side(a), fill_side(b), fill_side(c)
         assert merge(merge(sa, sb), sc) == merge(sa, merge(sb, sc))
+
+
+# the last sample of a batch whose bins span exactly DENSE_BIN_CAP bins from 0
+CAP_EDGE_US = DENSE_BIN_CAP * BIN_WIDTH_US - 1
+# samples spanning three caps, so their counts always take the fallback
+wide_strategy = st.lists(st.integers(0, 3 * CAP_EDGE_US), max_size=200).map(
+    lambda values: [0, *values, 3 * CAP_EDGE_US]
+)
+
+
+class TestStorage:
+    """Dense counts up to DENSE_BIN_CAP bins, a dict past it: same answers."""
+
+    # an offset of 10 s puts every bin past the cap: the span decides the storage
+    @pytest.mark.parametrize("offset", [0, 10**7], ids=["from-0", "offset-10-s"])
+    def test_batches_outside_the_array_grow_it_both_ways(self, offset):
+        s = LatencyStats()
+        batches = [[50_000, 50_050, 52_000], [100, 250], [900_000, 901_234], [0], [950_000]]
+        values = []
+        for batch in batches:
+            batch = [v + offset for v in batch]
+            s.add(np.array(batch))
+            values += batch
+            assert_matches_reference(s, values)
+            assert s.counts.size == s.max_us // BIN_WIDTH_US - s.min_us // BIN_WIDTH_US + 1
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["span-at-cap", "span-a-bin-past-cap"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one-batch", "two-batches"])
+    @pytest.mark.parametrize("offset", [0, 10**7], ids=["from-0", "offset-10-s"])
+    def test_span_at_and_past_the_cap(self, past, split, offset):
+        rng = np.random.default_rng(29)
+        lo, hi = offset, offset + CAP_EDGE_US + past * BIN_WIDTH_US
+        values = [lo, hi, *rng.integers(lo, hi, size=3000).tolist(), lo + 1, hi - 1]
+        s = LatencyStats()
+        if split:  # the second batch pushes the span to or past the cap
+            s.add(np.array(values[:1]))
+            s.add(np.array(values[1:]))
+        else:
+            s.add(np.array(values))
+        assert_matches_reference(s, values)
+        assert isinstance(s.counts, dict) is bool(past)
+
+    @given(st.one_of(samples_strategy, wide_strategy))
+    @settings(max_examples=100, deadline=None)
+    def test_equality_does_not_depend_on_storage(self, values):
+        batch = LatencyStats()
+        batch.add(np.array(values))
+        scalars = fill(values)
+        as_dict = LatencyStats(
+            len(values), sum(values), min(values), max(values),
+            dict(Counter(v // BIN_WIDTH_US for v in values)),
+        )
+        assert batch == scalars == as_dict
+        assert batch.histogram() == scalars.histogram() == as_dict.histogram()
+        assert batch.histogram() == reference_histogram(values)
+
+    @given(samples_strategy, wide_strategy, samples_strategy)
+    @settings(max_examples=50, deadline=None)
+    def test_dense_and_fallback_sides_merge_exactly_in_any_order(self, a, b, c):
+        sa, sb, sc = fill(a), fill(b), fill(c)
+        whole = a + b + c
+        for merged in (merge(merge(sa, sb), sc), merge(sa, merge(sb, sc)),
+                       merge(merge(sb, sc), sa), merge(sc, merge(sb, sa))):
+            assert merged == fill(whole)
+            assert_matches_reference(merged, whole)
+
+    @pytest.mark.parametrize("form", ["one-batch", "scalars"])
+    def test_wide_span_allocates_no_dense_array_past_the_cap(self, form):
+        s = LatencyStats()
+        tracemalloc.start()
+        try:
+            if form == "one-batch":
+                s.add(np.array([0, 2**31 - 1]))
+            else:
+                s.add(0)
+                s.add(2**31 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_BIN_CAP * 8  # a dense array of the span would take 171 MB
+        assert s.histogram() == [(100, 1), ((2**31 - 1) // 100 * 100 + 100, 1)]
 
 
 class TestPercentile:
@@ -239,5 +348,5 @@ def test_ten_way_partition_merges_exactly():
     assert merged.count == whole.count
     assert merged.min_us == whole.min_us
     assert merged.max_us == whole.max_us
-    assert merged.bins == whole.bins
+    assert merged.histogram() == whole.histogram()
     assert abs(merged.mean_us - whole.mean_us) < 1.0
