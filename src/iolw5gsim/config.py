@@ -443,7 +443,6 @@ def load_scenario(text: str) -> Scenario:
             msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
     scenario.safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
-    diags.extend(sections["safety"].at(f"[safety]: {msg}") for msg in scenario.safety.validate())
     if diags:
         raise ScenarioError(diags)
     return scenario

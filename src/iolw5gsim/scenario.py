@@ -17,12 +17,11 @@ losses come first: each Air traversal draws its retries. Then one pass
 advances the block's toggle times through the stages, and each stage's
 durations of the delivered toggles go to its statistics straight away.
 
-Each draw from a segment's stream takes one output of it, and traversal j
-of a segment reads its stream from output j * toggles on. The phases and
-the dither are bounded integers, which numpy draws from 32-bit halves of
-the outputs with rejection, so they take no fixed count of outputs; the
-generator keeps a spare half between calls, so the dither drawn block by
-block equals one draw. A run's report does not depend on BLOCK.
+Every draw takes exactly one output of its stream (an integer is floor(u*K)
+of one double u): the phases are outputs 0 and 1 of stream 0, toggle k's
+dither is its output 2 + k, and traversal j of a segment reads the
+segment's stream from output j * toggles on. A run's report does not
+depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .fiveg import LatencyModel
+from .fiveg import LatencyModel, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries
 from .kernel import rng_stream
 from .plc import PlcConfig, grid_wait
@@ -309,8 +308,8 @@ def _start(
     that stream id."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
     dither_rng = rng_stream(seed, _PHASE_STREAM)
-    iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
-    plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
+    iolw_phase = int(dither_rng.random() * scenario.cell.cycle_us)
+    plc_phase = int(dither_rng.random() * scenario.plc.task_cycle_us)
     stages = scenario.stages(iolw_phase, plc_phase)
     ids = sorted(scenario.segments)
     components = scenario.components()
@@ -330,7 +329,7 @@ def _start(
 def run(scenario: Scenario, seed: int) -> RunResult:
     """Trace every toggle of every source sequence; fully deterministic."""
     dither_rng, stages, rngs = _start(scenario, seed)
-    source, query_cycle = scenario.source, scenario.plc.query_cycle_us
+    source, dither = scenario.source, Uniform(0, scenario.plc.query_cycle_us - 1)
     components = tuple(scenario.components())
     air = [i for i, stage in enumerate(stages) if isinstance(stage, Air)]
     seg_stats = {name: LatencyStats() for name in components}
@@ -345,7 +344,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         )
         source.toggle_times(first, t0, ramp, ints)
         # one query cycle of dither, or the grids phase-lock with the toggles
-        t0 += dither_rng.integers(0, query_cycle, size=m)
+        t0 += dither.sample(dither_rng, ints, u, mask)
 
         # losses first: each Air traversal draws its retries in path order,
         # which stand in for its stream in the pass below; a toggle counts

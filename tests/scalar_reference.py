@@ -33,7 +33,7 @@ import numpy as np
 from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.kernel import rng_stream
-from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult, _start
+from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult
 from iolw5gsim.stats import LatencyStats
 from tests import fresh
 
@@ -234,7 +234,7 @@ def trace_toggle(t0, scenario, iolw_phase, plc_phase, rngs):
 def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     """Push every toggle through every component, one column-wise step each.
 
-    rngs[i] is component i's stream, as scenario._start gives them. Returns
+    rngs[i] is component i's stream, as layout_streams gives them. Returns
     (parts, lost_at): parts[i] holds component i's durations, and the
     columns of parts sum exactly to the end-to-end latencies; lost_at is
     the index of the component where a toggle was lost, or -1. A lost
@@ -272,17 +272,42 @@ def toggle_times(source):
     return (starts[:, None] + offsets).ravel()
 
 
+def layout_streams(scenario, seed):
+    """Component i's stream by the documented layout, not taken from
+    scenario._start: traversal j of a segment reads stream 1 + the
+    segment's sorted index from output j * toggles on; the poll wait gets
+    None."""
+    ids = sorted(scenario.segments)
+    components = scenario.components()
+    rngs = []
+    for i, name in enumerate(components):
+        if name not in scenario.segments:
+            rngs.append(None)
+            continue
+        rng = rng_stream(seed, 1 + ids.index(name))
+        rng.bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
+        rngs.append(rng)
+    return rngs
+
+
+def layout_phases(scenario, seed):
+    """Stream 0 and the (iolw, plc) phases, its outputs 0 and 1, each
+    floor(u*K) of one double u."""
+    rng = rng_stream(seed, 0)
+    iolw_phase = int(rng.random() * scenario.cell.cycle_us)
+    plc_phase = int(rng.random() * scenario.plc.task_cycle_us)
+    return rng, iolw_phase, plc_phase
+
+
 def run_via_matrix(scenario, seed):
     """run() through trace_matrix in one pass over all toggles: the lost
     toggles are dropped from the whole matrix by one boolean index at the
     end."""
-    *_, rngs = _start(scenario, seed)
-    # the phases, then the dither, from the phase stream, as _start draws them
-    dither_rng = rng_stream(seed, 0)
-    iolw_phase = int(dither_rng.integers(0, scenario.cell.cycle_us))
-    plc_phase = int(dither_rng.integers(0, scenario.plc.task_cycle_us))
+    # toggle k's dither is output 2 + k of stream 0, floor(u*K) of one double
+    dither_rng, iolw_phase, plc_phase = layout_phases(scenario, seed)
     t0 = toggle_times(scenario.source)
-    t0 += dither_rng.integers(0, scenario.plc.query_cycle_us, size=len(t0))
+    t0 += (dither_rng.random(len(t0)) * scenario.plc.query_cycle_us).astype(np.int64)
+    rngs = layout_streams(scenario, seed)
     parts, lost_at = trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs)
     delivered = lost_at < 0
     components = tuple(scenario.components())

@@ -96,11 +96,22 @@ def report_digest(config_path, seed, out):
 # bound: this scenario budgets only the wire, so its safety block went from
 # a worst case of 1 400 us (the wire alone) to the derived sum of 143 702 us;
 # nothing outside the safety block changed.
+# Re-pinned when the clock phases and the dither came to be drawn as
+# floor(u*K) of one double, as every other integer is, in place of numpy's
+# bounded integers: each now takes exactly one stream output, so the seeds
+# draw other phases and dither.
 # Keyed by seed alone, so that a re-pin keeps the tests' names.
 LOSSY_EMPIRICAL_DIGESTS = {
-    1: "ac36ca3a99df25131fcbb6e0275d7fac506feea450afbbaf7f376848fcbd99ba",
-    2: "0dc994a36124efbc19fb56cd74d482468ddbabe6da995e8a7b7d4224aadf83e2",
+    1: "d133a566328113969fcc4f09bf916950131352ab9992c6df53434becfa0c24e8",
+    2: "9039f58093c9318daf03f1831ead9f34a4ebe453fceb56c7101180ca87d3d49f",
 }
+
+# The shipped scenario at seed 1, its default; truncnorm delays drawn from
+# the alias table of their integer pmf. Re-pinned when the phases and the
+# dither came to be drawn as floor(u*K) of one double, with the [safety]
+# comment rewritten (only the report's config_sha256 follows the comment).
+# CI checks the installed package's `run --deterministic` against it too.
+SHIPPED_DIGEST = "c14f2a1b6432c53f6dd70f27cde50f7296e7ce8562e05d6f832bbd074ea87384"
 
 
 @pytest.mark.parametrize("seed", LOSSY_EMPIRICAL_DIGESTS)
@@ -111,6 +122,4 @@ def test_lossy_empirical_report_digest(seed, tmp_path, capsys):
 
 
 def test_shipped_scenario_report_digest(tmp_path, capsys):
-    # truncnorm delays drawn from the alias table of their integer pmf
-    digest = report_digest(default_scenario_path(), 1, tmp_path / "out")
-    assert digest == "8b519a65f27e4dcbaa6434ddcb5f47cde1784550d7bbaee83ea1ac5c5efe29f1"
+    assert report_digest(default_scenario_path(), 1, tmp_path / "out") == SHIPPED_DIGEST

@@ -21,11 +21,11 @@ from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim import scenario as scenario_mod
-from iolw5gsim.scenario import run
+from iolw5gsim.scenario import Air, Grid, run
 from iolw5gsim.stats import LatencyStats
 from tests import scalar_reference as ref
 from tests.fresh import align_to_task_cycle, draw_retries, next_poll, sample, transfer_latencies
-from tests.test_scenario import random_scenario
+from tests.test_scenario import random_scenario, small_scenario
 
 # Each KS test compares one fixed-seed pair of samples; with some forty such
 # tests this keeps a false alarm from a correct sampler below 1 %.
@@ -470,7 +470,7 @@ def traced_samples(scenario, seed):
     t0 = t0 + rng_stream(seed, 0).integers(0, scenario.plc.query_cycle_us, size=len(t0))
     ids = sorted(scenario.segments)
 
-    *_, streams = scenario_mod._start(scenario, seed)
+    streams = ref.layout_streams(scenario, seed)
     parts, lost_at = ref.trace_matrix(scenario, t0, iolw_phase, plc_phase, streams)
     delivered = lost_at < 0
     array = {"end_to_end": parts.sum(axis=0)[delivered]}
@@ -553,3 +553,54 @@ def test_lossy_blocks_match_one_block_in_distribution(default_scenario, monkeypa
     assert blocks.keys() == one_block.keys()
     for name in blocks:
         np.testing.assert_array_equal(np.sort(blocks[name]), np.sort(one_block[name]), name)
+
+
+# The phases and the dither, floor(u*K) of one double: uniform on their
+# ranges, and a run agrees in distribution with the dither drawn as numpy's
+# bounded integers. Each fixed-seed check holds at this level.
+DRAW_RULE_ALPHA = 1e-3
+
+
+def test_phases_are_uniform_over_their_ranges():
+    sc = small_scenario()
+    iolw, plc = [], []
+    for seed in range(2000):
+        _, stages, _ = scenario_mod._start(sc, seed)
+        iolw.append(next(s.phase for s in stages if isinstance(s, Air)))
+        plc.append(next(s.phase for s in stages if isinstance(s, Grid)))
+    for phases, k in ((iolw, sc.cell.cycle_us), (plc, sc.plc.task_cycle_us)):
+        assert 0 <= min(phases) and max(phases) < k
+        counts = np.bincount(np.array(phases) * 20 // k, minlength=20)
+        assert sps.chisquare(counts).pvalue > DRAW_RULE_ALPHA
+
+
+def test_dither_is_uniform_over_one_query_cycle():
+    # every toggle starts on the query grid's period, and the poll wait
+    # comes first, so it is (plc phase - dither) mod query_cycle: uniform
+    # over the cycle, in 100 us bins of equal size, iff the dither is
+    sc = small_scenario(sequences=2700)
+    sc.forward = ["eth", "plc"]
+    q = sc.plc.query_cycle_us
+    assert sc.source.toggle_period_us % q == 0 == sc.source.sequence_length_us % q
+    assert sc.components()[0] == "poll_wait"
+    poll = run(sc, seed=3).segment_stats["poll_wait"]
+    width = q // 100
+    counts = dict(poll.histogram())
+    assert max(counts) <= q and poll.count == sc.source.toggles == 13_500
+    observed = [counts.get(width * (i + 1), 0) for i in range(100)]
+    assert sps.chisquare(observed).pvalue > DRAW_RULE_ALPHA
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_matches_the_bounded_integer_dither_in_distribution(default_scenario, seed, monkeypatch):
+    # the oracle runs at the run's phases, with the dither drawn by
+    # Generator.integers (the old rule) and independent segment streams
+    _, e2e = recorded_samples(default_scenario, seed, monkeypatch)
+    _, iolw_phase, plc_phase = ref.layout_phases(default_scenario, seed)
+    t0 = ref.toggle_times(default_scenario.source)
+    q = default_scenario.plc.query_cycle_us
+    t0 += rng_stream(seed + 1000, 0).integers(0, q, size=len(t0))
+    streams = ref.layout_streams(default_scenario, seed + 1000)
+    parts, lost_at = ref.trace_matrix(default_scenario, t0, iolw_phase, plc_phase, streams)
+    oracle = parts.sum(axis=0)[lost_at < 0]
+    assert sps.ks_2samp(e2e["end_to_end"], oracle).pvalue > DRAW_RULE_ALPHA

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -242,6 +243,40 @@ class TestRun:
             later += before > 0
         assert later == 5
 
+    def test_run_leaves_each_stream_where_the_layout_says(self, default_scenario, monkeypatch):
+        # every draw takes one output: after a run the phase stream sits past
+        # the two phases and one dither a toggle, a drawing traversal j at
+        # (j + 1) * toggles, and a Constant link's stream where it started
+        # (the small scenario's wire and eth)
+        start, started = scenario_mod._start, []
+
+        def capturing_start(scenario, seed):
+            started.append(start(scenario, seed))
+            return started[-1]
+
+        monkeypatch.setattr(scenario_mod, "_start", capturing_start)
+
+        def at(seed, stream, outputs):
+            rng = rng_stream(seed, stream)
+            rng.bit_generator.advance(outputs)
+            return rng.bit_generator.state
+
+        for sc in (small_scenario(sequences=7), default_scenario):
+            started.clear()
+            run(sc, seed=4)
+            [(dither_rng, stages, rngs)] = started
+            n, ids, components = sc.source.toggles, sorted(sc.segments), sc.components()
+            assert dither_rng.bit_generator.state == at(4, 0, 2 + n)
+            checked = 0
+            for i, (name, stage, rng) in enumerate(zip(components, stages, rngs)):
+                if rng is None:
+                    continue
+                draws = not isinstance(getattr(stage, "model", None), Constant)
+                outputs = (components[:i].count(name) + draws) * n
+                assert rng.bit_generator.state == at(4, 1 + ids.index(name), outputs), (i, name)
+                checked += 1
+            assert checked == len([s for s in stages if not isinstance(s, Grid)])
+
 
 def lossy_empirical_scenario(sequences: int) -> Scenario:
     """The lossy digest scenario: links crossed twice (a uniform Ethernet
@@ -478,3 +513,26 @@ class TestDominance:
             for name, stats in result.segment_stats.items():
                 assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
             assert result.end_to_end.max_us <= sum(stage_bounds), sc
+
+
+# Acceptance 04 targets an end-to-end mean of 66.8 ms +/- 10 %, and the
+# shipped scenario passes on that tolerance alone. Its mean over the clock
+# phases (seeds 0-199, pooled) is 63 618 us, about 3.2 ms short, and no
+# seed's mean reaches the target. The component means its comments state
+# sum to 62.5 ms, so the gap is in no stated number: a known difference,
+# not a parameter to tune. The per-seed means have an sd of 502 us.
+ACCEPTANCE_04_TARGET_US = 66_800
+KNOWN_E2E_MEAN_US = 63_618
+KNOWN_E2E_GAP_US = 3_200
+BETWEEN_SEED_SD_US = 502
+
+
+def test_shipped_end_to_end_mean_is_a_known_difference_from_acceptance_04(default_scenario):
+    seeds = list(range(200, 240))  # none of the seeds that gave the mean
+    result = sweep(default_scenario, seeds)
+    se = BETWEEN_SEED_SD_US / math.sqrt(len(seeds))
+    mean = result.end_to_end.mean_us
+    assert abs(mean - KNOWN_E2E_MEAN_US) <= 5 * se
+    assert abs(ACCEPTANCE_04_TARGET_US - mean - KNOWN_E2E_GAP_US) <= 5 * se
+    per_seed = [r.end_to_end.mean_us for r in result.per_seed]
+    assert 0.9 * ACCEPTANCE_04_TARGET_US <= min(per_seed) <= max(per_seed) < ACCEPTANCE_04_TARGET_US
