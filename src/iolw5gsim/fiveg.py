@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import floor_draws
 
 ALLOWED_SCS_KHZ = (15, 30, 60, 120, 240)
 SUBCARRIERS_PER_SYMBOL = 12
@@ -87,11 +88,8 @@ class Uniform:
     def sample(
         self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
-        # floor(u*K) over the K = high - low + 1 integers, as in
-        # _AliasTable.slots; the loader keeps K <= 2**53
-        rng.random(out=u)
-        u *= self.high_us - self.low_us + 1
-        np.copyto(out, u, casting="unsafe")
+        # the loader keeps the high - low + 1 integers within 2**53
+        floor_draws(rng, self.high_us - self.low_us + 1, out, u)
         out += self.low_us
         return out
 
@@ -184,10 +182,9 @@ class _AliasTable:
     """Walker's alias table of a finite pmf (Walker, ACM TOMS 1977; Vose,
     IEEE TSE 1991), held as one threshold and one jump per slot.
 
-    A uniform u picks slot i = floor(u*K) of the K slots, and x = u*K
-    against the slot's threshold picks the slot itself or its alias
-    (_threshold_table): one uniform, one compare, one gather a draw, with
-    no branch.
+    kernel.floor_draws picks slot i = floor(u*K) of the K slots, and the
+    x = u*K it leaves against the slot's threshold picks the slot or its
+    alias (_threshold_table): one uniform, one compare, one gather a draw.
     """
 
     thr: np.ndarray
@@ -204,10 +201,7 @@ class _AliasTable:
     ) -> np.ndarray:
         """Slot indices into the int64 out, each drawn with its pmf mass; u
         (float64) and mask (bool) of out's length are scratch."""
-        # u <= 1 - 2**-53, so u*K rounds below K for every K < 2**53
-        rng.random(out=u)
-        u *= len(self.thr)
-        np.copyto(out, u, casting="unsafe")  # truncates, as astype does
+        floor_draws(rng, len(self.thr), out, u)
         np.greater_equal(u, self.thr.take(out), out=mask)
         j = self.jump.take(out)
         j *= mask
@@ -320,10 +314,10 @@ class Empirical:
 
 # Every model's sample(rng, out, u, mask) draws len(out) delays within its
 # support into the int64 out and returns it; u (float64) and mask (bool), of
-# out's length, are scratch it may overwrite. A model that draws takes
-# exactly one 64-bit output of rng per delay (Constant takes none), so n
-# delays drawn in blocks are the n drawn at once, and a stream advanced by
-# n outputs starts where they end.
+# out's length, are scratch it may overwrite. A model that draws takes one
+# kernel.floor_draws draw per delay (Constant takes none), so n delays drawn
+# in blocks are the n drawn at once, and a stream advanced by n outputs
+# starts where they end.
 # Every model is frozen: the loader gives segments with equal parameters one
 # shared model, and run() callers on several threads at once share it.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import uniforms
 
 MAX_MASTERS = 3
 MAX_TRACKS_PER_MASTER = 5
@@ -170,7 +171,7 @@ def draw_retries(
     """
     p, k = model.per_subcycle_error_prob, model.max_attempts
     retries.fill(0)
-    rng.random(out=u)
+    uniforms(rng, u)
     failing = np.flatnonzero(np.less(u, p, out=mask))
     thresholds = p ** np.arange(k, 0, -1, dtype=float)
     fails = k - np.searchsorted(thresholds, u[failing], side="right")

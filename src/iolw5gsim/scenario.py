@@ -17,11 +17,10 @@ losses come first: each Air traversal draws its retries. Then one pass
 advances the block's toggle times through the stages, and each stage's
 durations of the delivered toggles go to its statistics straight away.
 
-Every draw takes exactly one output of its stream (an integer is floor(u*K)
-of one double u): the phases are outputs 0 and 1 of stream 0, toggle k's
-dither is its output 2 + k, and traversal j of a segment reads the
-segment's stream from output j * toggles on. A run's report does not
-depend on BLOCK.
+Every draw takes one output of its stream (kernel.uniforms): the phases
+are outputs 0 and 1 of stream 0, toggle k's dither is its output 2 + k,
+and traversal j of a segment reads the segment's stream from output
+j * toggles on. A run's report does not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from functools import reduce
 
 import numpy as np
 
-from .fiveg import LatencyModel, Uniform
+from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries
-from .kernel import rng_stream
+from .kernel import floor_draws, rng_stream
 from .plc import PlcConfig, grid_wait
 from .stats import LatencyStats, SafetyParams
 
@@ -308,9 +307,9 @@ def _start(
     that stream id."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
     dither_rng = rng_stream(seed, _PHASE_STREAM)
-    iolw_phase = int(dither_rng.random() * scenario.cell.cycle_us)
-    plc_phase = int(dither_rng.random() * scenario.plc.task_cycle_us)
-    stages = scenario.stages(iolw_phase, plc_phase)
+    periods = [scenario.cell.cycle_us, scenario.plc.task_cycle_us]
+    phases = floor_draws(dither_rng, periods, np.empty(2, np.int64), np.empty(2))
+    stages = scenario.stages(*phases.tolist())  # iolw, then PLC
     ids = sorted(scenario.segments)
     components = scenario.components()
     rngs = [None] * len(components)
@@ -329,8 +328,7 @@ def _start(
 def run(scenario: Scenario, seed: int) -> RunResult:
     """Trace every toggle of every source sequence; fully deterministic."""
     dither_rng, stages, rngs = _start(scenario, seed)
-    source, dither = scenario.source, Uniform(0, scenario.plc.query_cycle_us - 1)
-    components = tuple(scenario.components())
+    source, components = scenario.source, tuple(scenario.components())
     air = [i for i, stage in enumerate(stages) if isinstance(stage, Air)]
     seg_stats = {name: LatencyStats() for name in components}
     e2e = LatencyStats()
@@ -344,7 +342,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         )
         source.toggle_times(first, t0, ramp, ints)
         # one query cycle of dither, or the grids phase-lock with the toggles
-        t0 += dither.sample(dither_rng, ints, u, mask)
+        t0 += floor_draws(dither_rng, scenario.plc.query_cycle_us, ints, u)
 
         # losses first: each Air traversal draws its retries in path order,
         # which stand in for its stream in the pass below; a toggle counts

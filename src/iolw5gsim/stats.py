@@ -150,11 +150,8 @@ class LatencyStats:
         """(bin upper edge, frequency) pairs of the nonzero bins in ascending order."""
         if not self.count:
             return []
-        if isinstance(self.counts, dict):
-            return [((i + 1) * BIN_WIDTH_US, n) for i, n in sorted(self.counts.items())]
-        idx = np.flatnonzero(self.counts)
-        edges = (idx + (self.min_us // BIN_WIDTH_US + 1)) * BIN_WIDTH_US
-        return list(zip(edges.tolist(), self.counts[idx].tolist()))
+        first = self.min_us // BIN_WIDTH_US
+        return [((i + 1) * BIN_WIDTH_US, n) for i, n in _pairs(self.counts, first)]
 
     def _cumulative(self) -> Iterator[tuple[int, int]]:
         """(bin upper edge, cumulative frequency) pairs in ascending order."""
@@ -168,14 +165,6 @@ class LatencyStats:
 class SafetyParams:
     approach_speed_mps: float = 2.0
     segment_maxima: tuple[tuple[str, int], ...] = ()
-
-    def validate(self) -> list[str]:
-        v = []
-        if not 0 < self.approach_speed_mps < math.inf:  # False for nan too
-            v.append("approach_speed must be finite and > 0")
-        if any(m < 0 for _, m in self.segment_maxima):
-            v.append("segment maxima must be >= 0")
-        return v
 
 
 def worst_case_sfrt(params: SafetyParams) -> int:

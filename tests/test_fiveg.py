@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import tracemalloc
 import typing
@@ -239,3 +240,33 @@ def test_shipped_5g_leg_mean_is_a_known_difference_from_its_comment(default_scen
         closed = m.mean_target_us + m.stddev_us * (sps.norm.pdf(alpha) - sps.norm.pdf(beta)) / mass
         assert abs(pmf_mean - closed) < 1.0
         assert round(closed) == KNOWN_5G_LEG_MEAN_US
+
+
+# sha256 of each distinct shipped alias table: its thresholds, then its
+# jumps, as little-endian f8 and i8. The tables come from math.erfc (the
+# platform's libm) and numpy sums, so a platform that moves a threshold by
+# an ulp fails here, by name, before it can flip a draw under the digests.
+SHIPPED_TABLE_SHA256 = {
+    "wire": (1001, "b64038d7ceea8ffeb8d4d0a7570b6f8d9418886fc18fb362de2cc7d085e1fc06"),
+    "eth_shop": (1401, "41a745c39b5ebd6cee35fcac02c26758134e98f1af9cb65e6ae399bf5057dfea"),
+    "nr_up": (21_751, "76a52e63c197b86d1b2dad7d1a0969ded57b600a4a40f89b936a5f9fb79a0d2d"),
+}
+
+
+def test_every_shipped_table_is_pinned(default_scenario):
+    # segments with equal models share one table; each is pinned under the
+    # first segment in the file that has it
+    tables = {}
+    for sid, seg in default_scenario.segments.items():
+        if isinstance(seg.model, (TruncNormal, Empirical)):
+            tables.setdefault(id(seg.model._table), sid)
+    assert sorted(tables.values()) == sorted(SHIPPED_TABLE_SHA256)
+
+
+@pytest.mark.parametrize("sid", sorted(SHIPPED_TABLE_SHA256))
+def test_shipped_table_bytes(default_scenario, sid):
+    table = default_scenario.segments[sid].model._table
+    size, digest = SHIPPED_TABLE_SHA256[sid]
+    assert len(table.thr) == len(table.jump) == size
+    data = table.thr.astype("<f8").tobytes() + table.jump.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -1,4 +1,7 @@
-from iolw5gsim.kernel import rng_stream
+import numpy as np
+import pytest
+
+from iolw5gsim.kernel import floor_draws, rng_stream, uniforms
 
 
 def test_rng_stream_reproducible_and_independent():
@@ -7,3 +10,35 @@ def test_rng_stream_reproducible_and_independent():
     b = rng_stream(7, 1).random(1000)
     assert (a1 == a2).all()
     assert (a1 != b).any()
+
+
+def raw_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """The byte contract: (x >> 11) * 2**-53 of the next n 64-bit outputs x
+    of a twin stream's bit generator, which numpy keeps stable."""
+    raw = rng_stream(seed, stream).bit_generator.random_raw(n)
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
+# canary: numpy keeps bit generator streams stable across versions, not
+# Generator.random, so a numpy that changes how a double is made from an
+# output fails here by name before it moves every report digest
+@pytest.mark.parametrize("seed,stream", [(0, 0), (1, 3), (7, 1), (2**63 + 5, 12)])
+@pytest.mark.parametrize("lengths", [(1,), (1, 1, 1), (1000,), (1, 65_536, 999)])
+def test_uniforms_are_the_top_53_bits_of_one_output_each(seed, stream, lengths):
+    rng, drawn = rng_stream(seed, stream), []
+    for n in lengths:
+        u = np.empty(n)
+        assert uniforms(rng, u) is u
+        drawn.append(u)
+    assert np.concatenate(drawn).tobytes() == raw_uniforms(seed, stream, sum(lengths)).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 5000, 2**53 - 1, [1, 3, 5000, 2**53 - 1] * 250])
+def test_floor_draws_are_the_floor_of_one_uniform_times_k(k):
+    ks = k if isinstance(k, list) else [k] * 1000
+    ref = raw_uniforms(5, 2, len(ks)).tolist()
+    out, u = np.empty(len(ks), np.int64), np.empty(len(ks))
+    assert floor_draws(rng_stream(5, 2), k, out, u) is out
+    assert out.tolist() == [int(x * kk) for x, kk in zip(ref, ks)]
+    assert u.tolist() == [x * kk for x, kk in zip(ref, ks)]  # left for the alias compare
+    assert all(0 <= d < kk for d, kk in zip(out.tolist(), ks))

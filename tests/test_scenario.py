@@ -330,11 +330,13 @@ class TestBlocks:
 
     def test_peak_memory_does_not_grow_with_the_blocks(self, monkeypatch):
         # constant links: the histograms fill the same bins either way, so
-        # the peaks compare the run's own buffers
-        monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
+        # the peaks compare the run's own buffers; blocks of 4 000 toggles
+        # make those buffers, not the per-block temporaries (about 20 KB),
+        # what the bound measures
+        monkeypatch.setattr(scenario_mod, "BLOCK", 4000)
         peaks = []
         for blocks in (1, 8):
-            sc = small_scenario(sequences=200 * blocks)  # five toggles a sequence
+            sc = small_scenario(sequences=800 * blocks)  # five toggles a sequence
             run(sc, seed=1)
             tracemalloc.start()
             try:
