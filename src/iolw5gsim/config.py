@@ -33,11 +33,14 @@ from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
 from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
-from .stats import SafetyParams
+from .stats import SafetyParams, worst_case_sfrt
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
 _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
 _DURATION_RE = re.compile(r"^(?P<num>-?\d+(\.\d+)?)\s*(?P<unit>us|ms|s)?$")
+# the one line-end rule of the parser and of decode_scenario's diagnostics, as
+# editors count lines: str.splitlines() also breaks at U+2028, \f and others
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 _DURATION_SCALE = {"us": 1, "ms": 1000, "s": 1_000_000, None: 1}
 
@@ -86,7 +89,7 @@ class _Section(dict):
 def _parse_sections(text: str, diags: list[Diagnostic]) -> dict[str, _Section]:
     sections: dict[str, _Section] = {}
     current: _Section | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_LINE_END.split(text), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -443,6 +446,12 @@ def load_scenario(text: str) -> Scenario:
             msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
     scenario.safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
+    # the report rounds the safety distance up to 0.1 m, so ten times it must be finite
+    sfrt = worst_case_sfrt(scenario.safety)
+    if not math.isfinite(scenario.safety.approach_speed_mps * sfrt / 1_000_000.0 * 10):
+        r = sections["safety"]["approach_speed"]  # the default speed stays finite
+        msg = f"approach_speed {r.value} over {sfrt} us gives a safety distance past the float range"
+        diags.append(r.at(msg))
     if diags:
         raise ScenarioError(diags)
     return scenario
@@ -454,9 +463,6 @@ def decode_scenario(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, line_start) + 1
-        col = len(data[line_start:exc.start].decode("utf-8")) + 1
-        raise ScenarioError(
-            [Diagnostic(line, col, f"invalid UTF-8 byte 0x{data[exc.start]:02x}")]
-        ) from None
+        lines = _LINE_END.split(data[: exc.start].decode("utf-8"))
+        msg = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ScenarioError([Diagnostic(len(lines), len(lines[-1]) + 1, msg)]) from None

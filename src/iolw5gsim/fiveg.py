@@ -62,9 +62,7 @@ class Constant:
     def upper_bound_us(self) -> int:
         return self.value_us
 
-    def sample(
-        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
         out.fill(self.value_us)
         return out
 
@@ -85,9 +83,7 @@ class Uniform:
     def upper_bound_us(self) -> int:
         return self.high_us
 
-    def sample(
-        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
         # the loader keeps the high - low + 1 integers within 2**53
         floor_draws(rng, self.high_us - self.low_us + 1, out, u)
         out += self.low_us
@@ -196,15 +192,12 @@ class _AliasTable:
         thr.flags.writeable = jump.flags.writeable = False
         return cls(thr, jump)
 
-    def slots(
-        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
+    def slots(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Slot indices into the int64 out, each drawn with its pmf mass; u
-        (float64) and mask (bool) of out's length are scratch."""
+        (float64) of out's length is scratch."""
         floor_draws(rng, len(self.thr), out, u)
-        np.greater_equal(u, self.thr.take(out), out=mask)
         j = self.jump.take(out)
-        j *= mask
+        j *= u >= self.thr.take(out)
         out += j
         return out
 
@@ -257,10 +250,8 @@ class TruncNormal:
         one point rint(clip(mean)) when the pmf has no spread."""
         return self._a + len(self._table.thr) - 1
 
-    def sample(
-        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        self._table.slots(rng, out, u, mask)
+    def sample(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
+        self._table.slots(rng, out, u)
         out += self._a
         return out
 
@@ -305,19 +296,16 @@ class Empirical:
     def upper_bound_us(self) -> int:
         return max(d for d, w in self.bins if w > 0)
 
-    def sample(
-        self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        out[...] = self._values.take(self._table.slots(rng, out, u, mask))
+    def sample(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out[...] = self._values.take(self._table.slots(rng, out, u))
         return out
 
 
-# Every model's sample(rng, out, u, mask) draws len(out) delays within its
-# support into the int64 out and returns it; u (float64) and mask (bool), of
-# out's length, are scratch it may overwrite. A model that draws takes one
-# kernel.floor_draws draw per delay (Constant takes none), so n delays drawn
-# in blocks are the n drawn at once, and a stream advanced by n outputs
-# starts where they end.
+# Every model's sample(rng, out, u) draws len(out) delays within its support
+# into the int64 out and returns it; u (float64), of out's length, is scratch
+# it may overwrite. A model that draws takes one kernel.floor_draws draw per
+# delay (Constant takes none), so n delays drawn in blocks are the n drawn at
+# once, and a stream advanced by n outputs starts where they end.
 # Every model is frozen: the loader gives segments with equal parameters one
 # shared model, and run() callers on several threads at once share it.
 LatencyModel = Constant | Uniform | TruncNormal | Empirical

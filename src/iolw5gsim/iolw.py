@@ -153,15 +153,11 @@ class IolwTransferModel:
 
 
 def draw_retries(
-    model: IolwTransferModel,
-    rng: np.random.Generator,
-    retries: np.ndarray,
-    u: np.ndarray,
-    mask: np.ndarray,
+    model: IolwTransferModel, rng: np.random.Generator, retries: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Draw into retries (intp) the retries used by len(retries) transfers,
-    with u (float64) and mask (bool) of the same length as scratch; return
-    the indices of the transfers lost.
+    with u (float64) of the same length as scratch; return the indices of
+    the transfers lost.
 
     Each transfer takes one uniform u, by inversion: its attempts fail at
     least j times iff u < p**j, so they fail #{j <= k : u < p**j} times for
@@ -172,7 +168,7 @@ def draw_retries(
     p, k = model.per_subcycle_error_prob, model.max_attempts
     retries.fill(0)
     uniforms(rng, u)
-    failing = np.flatnonzero(np.less(u, p, out=mask))
+    failing = np.flatnonzero(u < p)
     thresholds = p ** np.arange(k, 0, -1, dtype=float)
     fails = k - np.searchsorted(thresholds, u[failing], side="right")
     retries[failing] = np.minimum(fails, k - 1)

@@ -19,8 +19,9 @@ durations of the delivered toggles go to its statistics straight away.
 
 Every draw takes one output of its stream (kernel.uniforms): the phases
 are outputs 0 and 1 of stream 0, toggle k's dither is its output 2 + k,
-and traversal j of a segment reads the segment's stream from output
-j * toggles on. A run's report does not depend on BLOCK.
+and traversal j of a segment reads rng_stream(seed, 1 + the segment's
+sorted index) from output j * toggles on. A run's report does not depend
+on BLOCK.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ class SignalSource:
         return out
 
 
-# A stage's durations(t, draws, out, ints, u, mask) writes into the int64 out
-# and returns the durations of arrivals at t: draws is a Link's stream, an
-# Air hop's retries or None; ints, u and mask are int64, float64 and bool
-# scratch. Its upper_bound_us() is its largest duration, in Python ints.
+# A stage's durations(t, draws, out, ints, u) writes into the int64 out and
+# returns the durations of arrivals at t: draws is a Link's stream, an Air
+# hop's retries or None; ints and u are int64 and float64 scratch. Its
+# upper_bound_us() is its largest duration, in Python ints.
 
 
 @dataclass
@@ -119,10 +120,9 @@ class Grid:
     def upper_bound_us(self) -> int:
         return self.period - 1 + self.extra
 
-    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
+    def durations(self, t, draws, out, ints, u) -> np.ndarray:
         grid_wait(t, self.period, self.phase, out, ints)
-        if self.extra:  # the poll wait adds nothing: skip a pass over the block
-            out += self.extra
+        out += self.extra
         return out
 
 
@@ -144,9 +144,9 @@ class Air:
         k = 1 when error_prob = 0, as no attempt then fails."""
         k = self.transfer.max_attempts if self.transfer.per_subcycle_error_prob > 0 else 1
         t = self.phase + np.arange(self.cell.subcycles_per_cycle) * self.cell.subcycle_us + 1
-        return int(self.durations(t, k - 1, np.empty_like(t), np.empty_like(t), None, None).max())
+        return int(self.durations(t, k - 1, np.empty_like(t), np.empty_like(t), None).max())
 
-    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
+    def durations(self, t, draws, out, ints, u) -> np.ndarray:
         cell, per_cycle = self.cell, self.cell.subcycles_per_cycle
         s = np.arange(per_cycle + self.transfer.max_attempts)
         slot = s // per_cycle * cell.cycle_us + s % per_cycle * cell.subcycle_us
@@ -170,8 +170,8 @@ class Link:
     def upper_bound_us(self) -> int:
         return self.model.upper_bound_us()
 
-    def durations(self, t, draws, out, ints, u, mask) -> np.ndarray:
-        return self.model.sample(draws, out, u, mask)
+    def durations(self, t, draws, out, ints, u) -> np.ndarray:
+        return self.model.sample(draws, out, u)
 
 
 Stage = Grid | Air | Link
@@ -272,15 +272,14 @@ class RunResult:
 
 class _Workspace:
     """One thread's per-block buffers: toggle times at the start (t0) and on
-    the way (t), durations (d), int64, float64 and bool scratch, the
-    delivered mask, one retries array per iolw-air traversal, and the ramp
+    the way (t), durations (d), int64 and float64 scratch, which toggles
+    are delivered, one retries array per iolw-air traversal, and the ramp
     0, 1, 2, ... that toggle times are computed from."""
 
     def __init__(self, size: int, traversals: int) -> None:
         self.ramp = np.arange(size, dtype=np.int64)
         self.t0, self.t, self.d, self.ints = (np.empty(size, dtype=np.int64) for _ in range(4))
         self.floats = np.empty(size)
-        self.mask = np.empty(size, dtype=bool)
         self.delivered = np.empty(size, dtype=bool)
         self.retries = [np.empty(size, dtype=np.intp) for _ in range(traversals)]
 
@@ -302,9 +301,8 @@ def _start(
 ) -> tuple[np.random.Generator, list[Stage], list[np.random.Generator | None]]:
     """A seed's dither stream, its stages on the iolw and PLC grid phases
     drawn from that stream first, and one stream per stage: None for a
-    Grid, which draws nothing. Traversal j of a segment reads the stream of
-    its sorted index from output j * toggles on, so first traversals keep
-    that stream id."""
+    Grid, which draws nothing. Traversal j of a segment gets
+    rng_stream(seed, 1 + its sorted index) advanced by j * toggles."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
     dither_rng = rng_stream(seed, _PHASE_STREAM)
     periods = [scenario.cell.cycle_us, scenario.plc.task_cycle_us]
@@ -314,14 +312,9 @@ def _start(
     components = scenario.components()
     rngs = [None] * len(components)
     for i, (name, stage) in enumerate(zip(components, stages)):
-        if isinstance(stage, Grid):
-            continue
-        first = components.index(name)
-        if first < i:  # reusing the first traversal's seed sequence saves hashing it
-            rngs[i] = np.random.Generator(np.random.PCG64(rngs[first].bit_generator.seed_seq))
-            rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
-        else:
+        if not isinstance(stage, Grid):
             rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
+            rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
     return dither_rng, stages, rngs
 
 
@@ -337,8 +330,8 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     losses = 0
     for first in range(0, n, BLOCK):
         m = min(BLOCK, n - first)
-        ramp, t0, t, d, ints, u, mask, delivered = (
-            a[:m] for a in (ws.ramp, ws.t0, ws.t, ws.d, ws.ints, ws.floats, ws.mask, ws.delivered)
+        ramp, t0, t, d, ints, u, delivered = (
+            a[:m] for a in (ws.ramp, ws.t0, ws.t, ws.d, ws.ints, ws.floats, ws.delivered)
         )
         source.toggle_times(first, t0, ramp, ints)
         # one query cycle of dither, or the grids phase-lock with the toggles
@@ -352,7 +345,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         block_losses = 0
         for i, r in zip(air, ws.retries):
             draws[i] = r[:m]
-            lost = draw_retries(stages[i].transfer, rngs[i], draws[i], u, mask)
+            lost = draw_retries(stages[i].transfer, rngs[i], draws[i], u)
             if lost.size:
                 newly = int(np.count_nonzero(delivered[lost]))
                 delivered[lost] = False
@@ -365,7 +358,7 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         # but only delivered toggles are recorded
         np.copyto(t, t0)
         for name, stage, draw in zip(components, stages, draws):
-            stage.durations(t, draw, d, ints, u, mask)
+            stage.durations(t, draw, d, ints, u)
             seg_stats[name].add(d[keep])
             t += d
         np.subtract(t, t0, out=d)

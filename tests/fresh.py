@@ -21,14 +21,14 @@ from iolw5gsim.stats import SafetyParams
 
 def sample(model, rng, n):
     """n delays drawn from a latency model."""
-    return model.sample(rng, np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool))
+    return model.sample(rng, np.empty(n, dtype=np.int64), np.empty(n))
 
 
 def draw_retries(n, model, rng):
     """Retries used by n transfers, and which of them were lost (a mask)."""
     retries = np.empty(n, dtype=np.intp)
     lost = np.zeros(n, dtype=bool)
-    lost[iolw.draw_retries(model, rng, retries, np.empty(n), np.empty(n, dtype=bool))] = True
+    lost[iolw.draw_retries(model, rng, retries, np.empty(n))] = True
     return retries, lost
 
 
@@ -49,8 +49,7 @@ def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase
 def durations(stage, t, draws=None):
     """A stage's durations for arrivals at t."""
     t = np.asarray(t, dtype=np.int64)
-    scratch = np.empty_like(t), np.empty(t.shape), np.empty(t.shape, dtype=bool)
-    return stage.durations(t, draws, np.empty_like(t), *scratch)
+    return stage.durations(t, draws, np.empty_like(t), np.empty_like(t), np.empty(t.shape))
 
 
 def transfer_latencies(t_change, retries, model, cell, phase=0):

@@ -517,6 +517,56 @@ def test_bad_approach_speed_reported_with_the_first_batch(default_config_text):
     ]
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--out", "o"]], ids=["validate", "run"])
+def test_approach_speed_whose_safety_distance_overflows_rejected_at_its_key(
+    default_config_text, argv, tmp_path, monkeypatch, capsys
+):
+    # 1e308 m/s over the 149.6 ms worst case is past the float range; the
+    # report's rounding once raised OverflowError with a traceback
+    bad = patch(default_config_text, "approach_speed = 2.0", "approach_speed = 1e308")
+    line = bad.splitlines().index("approach_speed = 1e308") + 1
+    message = "approach_speed 1e308 over 149600 us gives a safety distance past the float range"
+    assert [(d.line, d.col, d.message) for d in diagnostics_of(bad)] == [(line, 1, message)]
+    path = tmp_path / "fast.scenario"
+    path.write_text(bad)
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:1: {message}" in err and "Traceback" not in err
+    # ten times 1.496e301 m, the distance at 1e302 m/s, is finite
+    fast = patch(default_config_text, "approach_speed = 2.0", "approach_speed = 1e302")
+    assert load_scenario(fast).safety.approach_speed_mps == 1e302
+
+
+# str.splitlines() breaks lines at these too; editors and the loader do not
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+def test_only_cr_and_lf_end_a_line(default_config_text, default_scenario, char):
+    text = patch(default_config_text, "# Default scenario: one", f"# Default scenario:{char} one")
+    assert load_scenario(text) == default_scenario
+    bad = patch(text, "channels = 40", "channels = 0")
+    line = bad.split("\n").index("[cell]") + 1
+    assert [(d.line, d.col, d.message) for d in diagnostics_of(bad)] == [
+        (line, 1, "[cell]: channels must be 1..83, got 0")
+    ]
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "bare-cr"])
+def test_crlf_and_bare_cr_files_load_and_count_lines_alike(eol):
+    assert load_scenario(MINIMAL.replace("\n", eol)) == load_scenario(MINIMAL)
+    # a bad byte is reported at the line:col where the parser reports a
+    # fault in the same place
+    line = MINIMAL.split("\n").index("value = 700 us") + 1
+    unparsable = patch(MINIMAL, "value = 700 us", "value = banana")
+    assert [(d.line, d.col) for d in diagnostics_of(unparsable.replace("\n", eol))] == [(line, 1)]
+    data = MINIMAL.replace("\n", eol).encode().replace(b"value = 700 us", b"value = \xff700 us")
+    with pytest.raises(ScenarioError) as exc:
+        config.decode_scenario(data)
+    assert exc.value.diagnostics == [Diagnostic(line, 9, "invalid UTF-8 byte 0xff")]
+
+
 def test_duration_suffixes():
     sc = load_scenario(patch(MINIMAL, "value = 1200 us", "value = 1.2 ms"))
     assert sc.segments["eth"].model.value_us == 1200

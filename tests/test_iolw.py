@@ -138,7 +138,7 @@ class TestTransferLatency:
         t = np.array([0, 1, 0], dtype=np.int64)
         retries = np.array([0, 0, 1], dtype=np.intp)
         out = np.empty_like(t)
-        assert air(WAIT_MODEL).durations(t, retries, out, np.empty_like(t), None, None) is out
+        assert air(WAIT_MODEL).durations(t, retries, out, np.empty_like(t), None) is out
         assert out.tolist() == [667, 2330, 2331]
 
     def test_certain_error_always_loses(self):

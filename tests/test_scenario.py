@@ -220,28 +220,31 @@ class TestRun:
 
     def test_segments_that_draw_keep_their_stream_ids(self, default_scenario):
         # one stream per stage, none for a Grid (the poll wait and the plc
-        # segment), which draws nothing; a segment's first traversal starts
-        # on stream 1 + its sorted index ("wire" sorts after "plc"), and a
-        # later one, which reuses the first's seed sequence, on that stream
-        # advanced by the toggles of the traversals before it
-        _, stages, rngs = scenario_mod._start(default_scenario, 7)
-        components = default_scenario.components()
-        ids = sorted(default_scenario.segments)
-        assert "plc" in ids and components.count("wire") == 2
-        kinds = [type(stage) for stage in stages]
-        forward = [Link, Air, Grid, Link, Link, Link, Link, Grid]
-        assert kinds == forward + [Link, Link, Link, Link, Air, Link]
-        assert [rng is None for rng in rngs] == [kind is Grid for kind in kinds]
-        later = 0
-        for i, (name, rng) in enumerate(zip(components, rngs)):
-            if rng is None:
-                continue
-            before = components[:i].count(name)
-            stream = rng_stream(7, 1 + ids.index(name))
-            stream.bit_generator.advance(before * default_scenario.source.toggles)
-            assert rng.bit_generator.state == stream.bit_generator.state, (i, name)
-            later += before > 0
-        assert later == 5
+        # segment), which draws nothing; every traversal of a segment is on
+        # stream 1 + its sorted index ("wire" sorts after "plc"), advanced by
+        # the toggles of the traversals before it: a copy whose return path
+        # ends in a third eth_edge reads that stream from output 2 * toggles on
+        for extra, later in [([], 5), (["eth_edge"], 6)]:
+            sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + extra)
+            _, stages, rngs = scenario_mod._start(sc, 7)
+            components = sc.components()
+            ids = sorted(sc.segments)
+            assert "plc" in ids and components.count("wire") == 2
+            kinds = [type(stage) for stage in stages]
+            forward = [Link, Air, Grid, Link, Link, Link, Link, Grid]
+            assert kinds == forward + [Link, Link, Link, Link, Air, Link] + [Link] * len(extra)
+            assert [rng is None for rng in rngs] == [kind is Grid for kind in kinds]
+            traversals_before = []
+            for i, (name, rng) in enumerate(zip(components, rngs)):
+                if rng is None:
+                    continue
+                before = components[:i].count(name)
+                stream = rng_stream(7, 1 + ids.index(name))
+                stream.bit_generator.advance(before * sc.source.toggles)
+                assert rng.bit_generator.state == stream.bit_generator.state, (extra, i, name)
+                traversals_before.append(before)
+            assert sum(before > 0 for before in traversals_before) == later, extra
+            assert max(traversals_before) == 1 + len(extra)
 
     def test_run_leaves_each_stream_where_the_layout_says(self, default_scenario, monkeypatch):
         # every draw takes one output: after a run the phase stream sits past
@@ -421,7 +424,7 @@ class TestWorkspace:
         sc = small_scenario(sequences=3)
         expected = run(sc, seed=4)
 
-        def negative(self, rng, out, u, mask):
+        def negative(self, rng, out, u):
             out.fill(-1)
             return out
 
