@@ -13,9 +13,11 @@ queue, no shared medium), so a run works column-wise, on BLOCK toggles at a
 time, through buffers that the calling thread keeps from run to run: a run
 holds O(BLOCK) memory whatever its toggle count or path length. Whether an
 Air hop loses a toggle depends only on its own draws, never on time, so the
-losses come first: each Air traversal draws its retries. Then one pass
-advances the block's toggle times through the stages, and each stage's
-durations of the delivered toggles go to its statistics straight away.
+losses come first: each Air traversal draws its retries, and a loss is
+counted once, at the first hop that loses the toggle and end to end. Then
+one pass advances the block's toggle times through the stages, and each
+stage's durations of the delivered toggles go to its statistics straight
+away.
 
 Every draw takes one output of its stream (kernel.uniforms): the phases
 are outputs 0 and 1 of stream 0, toggle k's dither is its output 2 + k,
@@ -92,11 +94,10 @@ class SignalSource:
         per_seq = length // period
         np.multiply(ramp, period, out=out)
         out += first * period
-        if length > per_seq * period:
-            np.add(ramp, first, out=scratch)
-            scratch //= per_seq
-            scratch *= length - per_seq * period
-            out += scratch
+        np.add(ramp, first, out=scratch)
+        scratch //= per_seq
+        scratch *= length - per_seq * period
+        out += scratch
         return out
 
 
@@ -327,7 +328,6 @@ def run(scenario: Scenario, seed: int) -> RunResult:
     e2e = LatencyStats()
     n = source.toggles
     ws = _workspace(min(n, BLOCK), len(air))
-    losses = 0
     for first in range(0, n, BLOCK):
         m = min(BLOCK, n - first)
         ramp, t0, t, d, ints, u, delivered = (
@@ -342,17 +342,14 @@ def run(scenario: Scenario, seed: int) -> RunResult:
         # as lost on the first hop that loses it
         draws = list(rngs)
         delivered.fill(True)
-        block_losses = 0
         for i, r in zip(air, ws.retries):
             draws[i] = r[:m]
             lost = draw_retries(stages[i].transfer, rngs[i], draws[i], u)
-            if lost.size:
-                newly = int(np.count_nonzero(delivered[lost]))
-                delivered[lost] = False
-                seg_stats[components[i]].add_loss(newly)
-                block_losses += newly
-        losses += block_losses
-        keep = delivered if block_losses else slice(None)
+            newly = int(np.count_nonzero(delivered[lost]))
+            delivered[lost] = False
+            seg_stats[components[i]].add_loss(newly)
+            e2e.add_loss(newly)
+        keep = slice(None) if delivered.all() else delivered
 
         # then stream: a lost toggle keeps moving so the arrays stay aligned,
         # but only delivered toggles are recorded
@@ -363,7 +360,6 @@ def run(scenario: Scenario, seed: int) -> RunResult:
             t += d
         np.subtract(t, t0, out=d)
         e2e.add(d[keep])
-    e2e.add_loss(losses)
     return RunResult((seed,), seg_stats, e2e, components)
 
 

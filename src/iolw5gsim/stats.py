@@ -8,17 +8,18 @@ a bin upper edge, because the downstream use is safety margins.
 
 The bins are counted densely: one int64 array holds the frequency of every
 bin from the lowest occupied one to the highest, so a batch is one
-np.bincount added into an aligned slice, and a merge is one array add. Once
+np.bincount, and folding it in is two slice adds into a new array. Once
 the occupied bins span more than DENSE_BIN_CAP bins (6.5 s of latency), the
 counts fall back to a {bin: frequency} dict, so memory stays bounded for any
 legal duration (up to 2**53 us). Which storage an object uses follows from
-its min_us and max_us alone.
+its min_us and max_us alone. Counts are never written after they are made,
+so a merge may share them with either side.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -38,13 +39,13 @@ def _is_dense(lo: int, hi: int) -> bool:
     return hi // BIN_WIDTH_US - lo // BIN_WIDTH_US < DENSE_BIN_CAP
 
 
-def _pairs(counts: np.ndarray | dict[int, int], first: int) -> list[tuple[int, int]]:
-    """(bin, frequency) of the nonzero bins in ascending order; a dense
-    array counts from bin first."""
+def _pairs(counts: np.ndarray | dict[int, int], first: int) -> Iterable[tuple[int, int]]:
+    """(bin, frequency) of the nonzero bins: a dict's items, or a dense
+    array's in ascending order, counted from bin first."""
     if isinstance(counts, dict):
-        return sorted(counts.items())
+        return counts.items()
     idx = np.flatnonzero(counts)
-    return list(zip((idx + first).tolist(), counts[idx].tolist()))
+    return zip((idx + first).tolist(), counts[idx].tolist())
 
 
 @dataclass(eq=False)
@@ -61,10 +62,11 @@ class LatencyStats:
     def add(self, values_us: np.ndarray) -> None:
         """Record a batch of samples; every scalar field stays a Python int."""
         values_us = np.asarray(values_us).ravel()
-        if values_us.dtype.kind != "i":
-            values_us = values_us.astype(np.int64)
-        if not values_us.size:
+        if not values_us.size:  # np.asarray([]) is float64
             return
+        if values_us.dtype.kind not in "iu":
+            raise ValueError(f"latency samples must be integers, got {values_us.dtype}")
+        values_us = values_us.astype(np.int64, copy=False)  # past 2**63, uint64 turns < 0
         lo, hi = int(values_us.min()), int(values_us.max())
         if lo < 0:
             raise ValueError("latency samples must be >= 0")
@@ -91,10 +93,9 @@ class LatencyStats:
         return self.total_us / self.count
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
-        merged = replace(self, counts=self.counts.copy(), losses=self.losses + other.losses)
+        merged = replace(self, losses=self.losses + other.losses)
         if other.count:
-            merged._fold(other.count, other.total_us, other.min_us, other.max_us,
-                         other.counts.copy())
+            merged._fold(other.count, other.total_us, other.min_us, other.max_us, other.counts)
         return merged
 
     def _fold(self, count: int, total_us: int, lo: int, hi: int,
@@ -107,22 +108,19 @@ class LatencyStats:
         if self.min_us is None:
             self.min_us, self.max_us, self.counts = lo, hi, counts
             return
-        old = self.min_us // BIN_WIDTH_US
+        sides = [(self.counts, self.min_us // BIN_WIDTH_US), (counts, lo // BIN_WIDTH_US)]
         self.min_us, self.max_us = min(self.min_us, lo), max(self.max_us, hi)
         first = self.min_us // BIN_WIDTH_US
         if _is_dense(self.min_us, self.max_us):  # so both sides are dense
-            span = self.max_us // BIN_WIDTH_US - first + 1
-            if span > self.counts.size:  # the batch falls outside: reallocate
-                grown = np.zeros(span, np.int64)
-                grown[old - first:old - first + self.counts.size] = self.counts
-                self.counts = grown
-            start = lo // BIN_WIDTH_US - first
-            self.counts[start:start + counts.size] += counts
-        else:
-            if not isinstance(self.counts, dict):
-                self.counts = dict(_pairs(self.counts, old))
-            for i, n in _pairs(counts, lo // BIN_WIDTH_US):
-                self.counts[i] = self.counts.get(i, 0) + n
+            combined = np.zeros(self.max_us // BIN_WIDTH_US - first + 1, np.int64)
+            for part, start in sides:
+                combined[start - first:start - first + part.size] += part
+        else:  # a copy of the dict side (either if both), the other counted in
+            base, rest = sides if isinstance(self.counts, dict) else sides[::-1]
+            combined = dict(base[0] if isinstance(base[0], dict) else _pairs(*base))
+            for i, n in _pairs(*rest):
+                combined[i] = combined.get(i, 0) + n
+        self.counts = combined
 
     def __eq__(self, other: object) -> bool:
         """Equal samples and losses, whichever storage holds the counts."""
@@ -151,7 +149,7 @@ class LatencyStats:
         if not self.count:
             return []
         first = self.min_us // BIN_WIDTH_US
-        return [((i + 1) * BIN_WIDTH_US, n) for i, n in _pairs(self.counts, first)]
+        return [((i + 1) * BIN_WIDTH_US, n) for i, n in sorted(_pairs(self.counts, first))]
 
     def _cumulative(self) -> Iterator[tuple[int, int]]:
         """(bin upper edge, cumulative frequency) pairs in ascending order."""

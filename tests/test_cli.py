@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ from iolw5gsim.cli import (
     default_scenario_path,
     main,
 )
+from iolw5gsim.config import load_scenario
+from iolw5gsim.report import build_report, write_report
+from iolw5gsim.scenario import BLOCK, RunResult, run
 from tests.test_config import MINIMAL, patch
 
 
@@ -204,3 +208,56 @@ def test_package_root_holds_only_its_version():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == f"[] ['iolw5gsim'] {iolw5gsim.__version__}"
+
+
+# The two copies of the shipped scenario that CI's smoke test also replays,
+# as (old, new) line edits: 6000 sequences (150 000 toggles, three blocks of
+# run()), and nr_down uniform over 5 ms..10 s with its budget line deleted,
+# whose histograms span more than DENSE_BIN_CAP bins and so take the sparse
+# fallback.
+REPLAY_COPIES = {
+    "long": [("sequences = 540\n", "sequences = 6000\n")],
+    "wide": [
+        ("[segment.nr_down]\nkind = fiveg\nmodel = truncnorm\n"
+         "mean = 10200 us\nstddev = 3 ms\nlow = 5 ms\nhigh = 26750 us\n",
+         "[segment.nr_down]\nkind = fiveg\nmodel = uniform\nlow = 5 ms\nhigh = 10 s\n"),
+        ("budget.nr_down = 53500 us\n", ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("copy", sorted(REPLAY_COPIES))
+def test_replay_copies_are_deterministic_and_merge_in_any_order(
+    copy, default_config_text, tmp_path, capsys
+):
+    text = default_config_text
+    for old, new in REPLAY_COPIES[copy]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / f"{copy}.scenario"
+    path.write_text(text)
+
+    def files(out):
+        """The report's files (CSV tables and summary.json) by name."""
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "per_seed.json"}
+
+    def report(command, name, *extra):
+        out = tmp_path / name
+        argv = [command, str(path), *extra, "--format", "csv", "--out", str(out), "--deterministic"]
+        assert main(argv) == EXIT_OK
+        return files(out)
+
+    first = report("run", "run")
+    assert report("run", "replay") == first
+    assert report("sweep", "sweep1", "--seeds", "1") == first
+    swept = report("sweep", "sweep3", "--seeds", "3")
+    scenario = load_scenario(text)
+    merged = reduce(RunResult.merge, [run(scenario, seed) for seed in (3, 2, 1)])
+    built = build_report(merged, scenario, path.read_bytes(), deterministic=True)
+    write_report(built, merged, tmp_path / "reversed", fmt="csv")
+    assert files(tmp_path / "reversed") == swept
+    if copy == "long":
+        assert 2 * BLOCK < scenario.source.toggles <= 3 * BLOCK
+    else:
+        assert isinstance(merged.segment_stats["nr_down"].counts, dict)
+        assert isinstance(merged.end_to_end.counts, dict)

@@ -228,6 +228,13 @@ class TestSampling:
 # mean is 10 478 us, so the simulated round trip is 20.96 ms.
 KNOWN_5G_LEG_MEAN_US = 10_478
 
+# Known differences of the same kind, each within 0.3 % of its comment: the
+# wire hop's "mean 0.7 ms" is 701.70 us (+0.24 %) after truncation to
+# [300 us, 1300 us], and each Ethernet hop's "mean 1.2 ms" is 1 200.86 us
+# (+0.07 %) after truncation to [600 us, 2 ms].
+KNOWN_WIRE_MEAN_US = 701.70
+KNOWN_ETHERNET_MEAN_US = 1200.86
+
 
 def test_shipped_5g_leg_mean_is_a_known_difference_from_its_comment(default_scenario):
     for sid in ("nr_up", "nr_down"):
@@ -240,6 +247,27 @@ def test_shipped_5g_leg_mean_is_a_known_difference_from_its_comment(default_scen
         closed = m.mean_target_us + m.stddev_us * (sps.norm.pdf(alpha) - sps.norm.pdf(beta)) / mass
         assert abs(pmf_mean - closed) < 1.0
         assert round(closed) == KNOWN_5G_LEG_MEAN_US
+
+
+@pytest.mark.parametrize(
+    "sid, comment, known",
+    [
+        ("wire", "mean 0.7 ms", KNOWN_WIRE_MEAN_US),
+        ("eth_shop", "mean 1.2 ms per connection", KNOWN_ETHERNET_MEAN_US),
+        ("eth_edge", "mean 1.2 ms per connection", KNOWN_ETHERNET_MEAN_US),
+    ],
+)
+def test_shipped_calibration_comment_mean_is_a_known_difference(
+    sid, comment, known, default_scenario, default_config_text
+):
+    assert comment in default_config_text
+    m = default_scenario.segments[sid].model
+    a, p = fiveg._truncnorm_pmf(m.mean_target_us, m.stddev_us, m.low_us, m.high_us)
+    pmf_mean = a + float(np.arange(len(p)) @ p)
+    alpha, beta = ((x - m.mean_target_us) / m.stddev_us for x in (m.low_us, m.high_us))
+    closed = sps.truncnorm.mean(alpha, beta, loc=m.mean_target_us, scale=m.stddev_us)
+    assert abs(pmf_mean - closed) < 0.01
+    assert round(closed, 2) == known
 
 
 # sha256 of each distinct shipped alias table: its thresholds, then its

@@ -41,16 +41,28 @@ def fill_side(side):
     return s
 
 
+def add_to_every_bin(s):
+    """One more sample in each of s's occupied bins, none if it has none."""
+    s.add(np.array([edge - 1 for edge, _ in s.histogram()], dtype=np.int64))
+
+
 def merge(a, b):
-    """a.merge(b), checking that it is a new object that changes neither side
-    and shares no counts with either: one more sample in each of its
-    occupied bins leaves both sides as they were."""
+    """a.merge(b), checking that it is a new object that changes neither
+    side. It may share counts with either, as counts are never written
+    after they are made, so the two stay independent: one more sample in
+    each occupied bin of the merge leaves both sides as they were, and one
+    more in each side's (on deep copies) leaves the merge as it was."""
     before = copy.deepcopy((a, b))
     merged = a.merge(b)
     assert (a, b) == before
     assert merged is not a and merged is not b
     result = copy.deepcopy(merged)
-    merged.add(np.array([edge - 1 for edge, _ in merged.histogram()], dtype=np.int64))
+    a2, b2 = copy.deepcopy((a, b))
+    merged2 = a2.merge(b2)
+    add_to_every_bin(a2)
+    add_to_every_bin(b2)
+    assert merged2 == result
+    add_to_every_bin(merged)
     assert (a, b) == before
     return result
 
@@ -123,6 +135,33 @@ class TestAccumulation:
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):
             LatencyStats().add(np.array([5, -1], dtype=np.int32))
+
+    # a cast to int64 would record 150 and 250 and a total of 400, not 401.89
+    @pytest.mark.parametrize(
+        "values", [[150.9, 250.99], [150.0], [1 + 2j], [True, False]],
+        ids=["fractional", "whole-float", "complex", "bool"],
+    )
+    def test_non_integer_batch_rejected_by_its_dtype(self, values):
+        s = LatencyStats()
+        batch = np.array(values)
+        with pytest.raises(ValueError, match=f"must be integers, got {batch.dtype}$"):
+            s.add(batch)
+        assert s == LatencyStats()
+
+    @pytest.mark.parametrize("dtype", [None, "float64", "bool", "complex128", "uint64"])
+    def test_empty_batch_is_a_no_op_whatever_its_dtype(self, dtype):
+        s = fill([100, 200])
+        s.add(np.array([], dtype=dtype) if dtype else [])
+        assert s == fill([100, 200]) and s.count == 2
+
+    def test_unsigned_batch_is_counted_and_one_past_int64_rejected(self):
+        s = LatencyStats()
+        s.add(np.array([150, 250, 65_535], dtype=np.uint16))
+        assert_matches_reference(s, [150, 250, 65_535])
+        s.add(np.array([2**63 - 1], dtype=np.uint64))
+        assert s.max_us == 2**63 - 1
+        with pytest.raises(ValueError, match=">= 0"):  # cast to int64, 2**63 is negative
+            s.add(np.array([2**63], dtype=np.uint64))
 
 
 class TestMerge:
@@ -208,6 +247,17 @@ class TestStorage:
                        merge(merge(sb, sc), sa), merge(sc, merge(sb, sa))):
             assert merged == fill(whole)
             assert_matches_reference(merged, whole)
+
+    # a merge with an empty side takes the other side's counts whole
+    @pytest.mark.parametrize("empty", ["neither", "a", "b"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["dense", "fallback"])
+    def test_a_merge_and_its_sides_stay_independent(self, wide, empty):
+        top = 3 * CAP_EDGE_US if wide else 250_000
+        sides = {"a": [0, 5_000, top], "b": [100, top // 2, top]}
+        values = {k: [] if k == empty else v for k, v in sides.items()}
+        merged = merge(fill(values["a"]), fill(values["b"]))
+        assert merged == fill(values["a"] + values["b"])
+        assert isinstance(merged.counts, dict) is wide
 
     @pytest.mark.parametrize("form", ["one-batch", "scalars"])
     def test_wide_span_allocates_no_dense_array_past_the_cap(self, form):
