@@ -14,7 +14,7 @@ Nested key-value text format:
 
 Sections: [cell], [segment.<id>], [path], [source], [plc], [safety].
 Durations accept `us`, `ms` and `s` suffixes (bare numbers are microseconds)
-and must resolve to whole microseconds. Unknown keys are rejected so typos
+and must be exactly whole microseconds. Unknown keys are rejected so typos
 cannot silently fall back to defaults. All problems in a file are reported
 together, each with its line and column; a problem with a whole section
 points at its [header], or at 1:1 if the section is missing.
@@ -37,12 +37,13 @@ from .stats import SafetyParams, worst_case_sfrt
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
 _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
-_DURATION_RE = re.compile(r"^(?P<num>-?\d+(\.\d+)?)\s*(?P<unit>us|ms|s)?$")
+_DURATION_RE = re.compile(r"^(?P<num>-?(?P<int>\d+)(\.(?P<frac>\d+))?)\s*(?P<unit>us|ms|s)?$")
 # the one line-end rule of the parser and of decode_scenario's diagnostics, as
 # editors count lines: str.splitlines() also breaks at U+2028, \f and others
 _LINE_END = re.compile(r"\r\n|\r|\n")
 
-_DURATION_SCALE = {"us": 1, "ms": 1000, "s": 1_000_000, None: 1}
+# each unit's power of ten in microseconds
+_DURATION_SHIFT = {"us": 0, "ms": 3, "s": 6, None: 0}
 
 _T = TypeVar("_T")
 
@@ -120,16 +121,20 @@ def _duration_us(raw: _Raw, diags: list[Diagnostic]) -> int | None:
     if not m:
         diags.append(raw.at(f"invalid duration {raw.value!r}"))
         return None
-    us = float(m.group("num")) * _DURATION_SCALE[m.group("unit")]
+    shift = _DURATION_SHIFT[m.group("unit")]
     # past 2**53 a double cannot tell whole microseconds apart (and hundreds
     # of digits overflow to inf)
-    if not abs(us) < 2**53:
+    if not abs(float(m.group("num")) * 10**shift) < 2**53:
         diags.append(raw.at(f"duration {raw.value!r} is out of range"))
         return None
-    if abs(us - round(us)) > 1e-6:
+    # whole iff every digit past the unit's shift is 0; leading zeros go
+    # first, since int() refuses a string of more than 4 300 digits
+    frac = m.group("frac") or ""
+    if frac[shift:].strip("0"):
         diags.append(raw.at(f"duration {raw.value!r} is not a whole microsecond"))
         return None
-    return int(round(us))
+    us = int((m.group("int") + frac[:shift].ljust(shift, "0")).lstrip("0") or "0")
+    return -us if raw.value.startswith("-") else us
 
 
 def _int(raw: _Raw, diags: list[Diagnostic]) -> int | None:

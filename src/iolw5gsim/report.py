@@ -87,24 +87,23 @@ def _write_csv(path: Path, header: str, rows) -> Path:
 
 
 def write_report(
-    report: dict, result: RunResult, out_dir: Path, fmt: str = "json"
+    report: dict, result: RunResult | None, out_dir: Path, fmt: str = "json"
 ) -> list[Path]:
-    """Write summary.json plus per-panel tables; returns the written paths."""
+    """Write report.json, or for CSV summary.json (the report without its
+    histograms and cdf) and one file per table of those two keys, skipping
+    empty histograms; returns the paths. result is unread, kept for callers."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         return [write_json(out_dir / "report.json", report)]
 
-    # csv: summary stays JSON (without the bulky tables), one CSV per panel
     summary = {k: v for k, v in report.items() if k not in ("histograms", "cdf")}
     written = [write_json(out_dir / "summary.json", summary)]
-    panels = [(name, result.segment_stats[name]) for name in sorted(result.segment_stats)]
-    panels.append(("end_to_end", result.end_to_end))
-    for name, stats in panels:
-        if stats.count:
-            rows = (f"{edge},{freq}" for edge, freq in stats.histogram())
+    for name, table in report["histograms"].items():
+        if table:
+            rows = (f"{edge},{freq}" for edge, freq in table)
             written.append(_write_csv(out_dir / f"hist_{name}.csv", "time_us,frequency", rows))
-    if result.end_to_end.count:
-        rows = (f"{edge},{frac:.9f}" for edge, frac in result.end_to_end.cdf())
+    if "cdf" in report:
+        rows = (f"{edge},{frac:.9f}" for edge, frac in report["cdf"])
         written.append(
             _write_csv(out_dir / "cdf_end_to_end.csv", "time_us,cumulative_fraction", rows)
         )

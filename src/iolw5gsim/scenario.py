@@ -49,6 +49,8 @@ _SEGMENT_STREAM_BASE = 1
 
 # toggles a run walks at a time
 BLOCK = 1 << 16
+# toggles a source may hold: about four minutes of run() at 4 M toggles/s
+MAX_TOGGLES = 10**9
 
 
 @dataclass
@@ -68,6 +70,8 @@ class SignalSource:
         v = []
         if self.toggle_period_us <= 0:
             v.append("toggle_period must be > 0")
+        elif self.toggles > MAX_TOGGLES:
+            v.append(f"toggles must be <= {MAX_TOGGLES}, got {self.toggles}")
         if self.sequences < 1:
             v.append("sequences must be >= 1")
         if self.sequence_length_us < self.toggle_period_us:

@@ -22,6 +22,7 @@ from iolw5gsim.config import load_scenario
 from iolw5gsim.report import build_report, write_report
 from iolw5gsim.scenario import BLOCK, RunResult, run
 from tests.test_config import MINIMAL, patch
+from tests.test_digests import LOSSY_EMPIRICAL
 
 
 @pytest.fixture
@@ -226,14 +227,18 @@ REPLAY_COPIES = {
 }
 
 
+def replay_copy(text, copy):
+    for old, new in REPLAY_COPIES[copy]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.mark.parametrize("copy", sorted(REPLAY_COPIES))
 def test_replay_copies_are_deterministic_and_merge_in_any_order(
     copy, default_config_text, tmp_path, capsys
 ):
-    text = default_config_text
-    for old, new in REPLAY_COPIES[copy]:
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    text = replay_copy(default_config_text, copy)
     path = tmp_path / f"{copy}.scenario"
     path.write_text(text)
 
@@ -261,3 +266,34 @@ def test_replay_copies_are_deterministic_and_merge_in_any_order(
     else:
         assert isinstance(merged.segment_stats["nr_down"].counts, dict)
         assert isinstance(merged.end_to_end.counts, dict)
+
+
+@pytest.mark.parametrize("name", ["shipped", "lossy-empirical", "wide"])
+def test_csv_files_are_the_reports_tables(name, default_config_text, tmp_path):
+    # the CSV writer reads the report alone: its files hold the report's
+    # histograms and cdf, and a result of None writes the same bytes
+    text = {
+        "shipped": default_config_text,
+        "lossy-empirical": LOSSY_EMPIRICAL,
+        "wide": replay_copy(default_config_text, "wide"),
+    }[name]
+    scenario = load_scenario(text)
+    result = run(scenario, 1)
+    report = build_report(result, scenario, text.encode(), deterministic=True)
+    if name == "lossy-empirical":
+        assert report["segments"]["air_up"]["losses"] and report["segments"]["air_down"]["losses"]
+    written = write_report(report, result, tmp_path / "result", fmt="csv")
+    hists = {n: table for n, table in report["histograms"].items() if table}
+    assert [p.name for p in written] == [
+        "summary.json", *(f"hist_{n}.csv" for n in hists), "cdf_end_to_end.csv"
+    ]
+    for n, table in hists.items():
+        header, *rows = (tmp_path / "result" / f"hist_{n}.csv").read_text().splitlines()
+        assert header == "time_us,frequency"
+        assert [tuple(map(int, row.split(","))) for row in rows] == [tuple(r) for r in table]
+    header, *rows = (tmp_path / "result" / "cdf_end_to_end.csv").read_text().splitlines()
+    assert header == "time_us,cumulative_fraction"
+    assert rows == [f"{edge},{frac:.9f}" for edge, frac in report["cdf"]]
+    unread = write_report(report, None, tmp_path / "none", fmt="csv")
+    assert [p.name for p in unread] == [p.name for p in written]
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(written, unread))

@@ -9,7 +9,7 @@ from iolw5gsim.config import Diagnostic, ScenarioError, load_scenario
 from iolw5gsim.fiveg import _AliasTable
 from iolw5gsim.iolw import IolwCellConfig
 from iolw5gsim.plc import PlcConfig
-from iolw5gsim.scenario import SignalSource
+from iolw5gsim.scenario import MAX_TOGGLES, SignalSource
 from iolw5gsim.stats import worst_case_sfrt
 
 MINIMAL = """
@@ -405,6 +405,20 @@ def test_source_span_just_below_2_53_loads():
     assert sc.source.sequences * sc.source.sequence_length_us == 2**53 - 2
 
 
+@pytest.mark.parametrize("sequences", [20_000_000, 20_000_001])
+def test_toggle_count_past_the_cap_rejected_at_source(sequences):
+    # 50 toggles a sequence: 10**9 toggles load, 10**9 + 50 do not
+    text = patch(MINIMAL, "toggle_period = 200 ms\nsequences = 1",
+                 f"toggle_period = 20 ms\nsequences = {sequences}")
+    toggles = 50 * sequences
+    if toggles <= MAX_TOGGLES:
+        assert load_scenario(text).source.toggles == toggles
+    else:
+        line = text.splitlines().index("[source]") + 1
+        message = f"[source]: toggles must be <= {MAX_TOGGLES}, got {toggles}"
+        assert diagnostics_of(text) == [Diagnostic(line, 1, message)]
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_dither_key_rejected_as_unknown(command, tmp_path, capsys):
     # the dither is always one [plc] query cycle
@@ -568,8 +582,12 @@ def test_crlf_and_bare_cr_files_load_and_count_lines_alike(eol):
 
 
 def test_duration_suffixes():
-    sc = load_scenario(patch(MINIMAL, "value = 1200 us", "value = 1.2 ms"))
-    assert sc.segments["eth"].model.value_us == 1200
+    # digits are read exactly, however many leading zeros they carry
+    cases = [("1.2 ms", 1200), ("1.1 ms", 1100), ("10.2 ms", 10200), ("0.000001 s", 1),
+             ("0" * 5000 + "7 us", 7)]
+    for value, us in cases:
+        sc = load_scenario(patch(MINIMAL, "value = 1200 us", f"value = {value}"))
+        assert sc.segments["eth"].model.value_us == us, value
 
 
 def test_empirical_bins_allow_a_trailing_comma():
@@ -579,8 +597,15 @@ def test_empirical_bins_allow_a_trailing_comma():
 
 
 def test_fractional_microseconds_rejected():
-    bad = patch(MINIMAL, "value = 1200 us", "value = 1200.5 us")
-    assert any("whole microsecond" in d.message for d in diagnostics_of(bad))
+    # all but 1200.5 us and 0.0000015 s were once read as a double and
+    # rounded to a whole microsecond
+    values = ["1200.5 us", "1.0000000001 ms", "4503599627370497.5 us",
+              "1." + "0" * 5000 + "1 ms", "0.0000015 s"]
+    for value in values:
+        bad = patch(MINIMAL, "value = 1200 us", f"value = {value}")
+        line = bad.splitlines().index(f"value = {value}") + 1
+        message = f"duration {value!r} is not a whole microsecond"
+        assert diagnostics_of(bad) == [Diagnostic(line, 1, message)], value
 
 
 def test_duplicate_key_rejected():
