@@ -33,7 +33,7 @@ from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
 from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
-from .stats import SafetyParams, worst_case_sfrt
+from .stats import BIN_WIDTH_US, DENSE_BIN_CAP, SafetyParams, worst_case_sfrt
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
 _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
@@ -431,15 +431,11 @@ def load_scenario(text: str) -> Scenario:
         plc=plc_cfg,
         safety=None,  # set below, once the bounds are known
     )
-    # a run's int64 times reach at most the last toggle start, plus the
-    # largest dither and every component's largest duration
+    # every latency a run records lies in 0..sum(bounds), so one histogram holds it
     bounds = [stage.upper_bound_us() for stage in scenario.stages()]
-    per_seq = source.sequence_length_us // source.toggle_period_us
-    latest = (source.sequences - 1) * source.sequence_length_us
-    latest += (per_seq - 1) * source.toggle_period_us + plc_cfg.query_cycle_us - 1
-    latest += sum(bounds)
-    if latest >= 2**63:
-        msg = f"[path]: toggle times can reach {latest} us, past int64"
+    if sum(bounds) >= DENSE_BIN_CAP * BIN_WIDTH_US:
+        msg = (f"[path]: the paths' derived worst case of {sum(bounds)} us must be below "
+               f"{DENSE_BIN_CAP * BIN_WIDTH_US} us, the span of one histogram")
         diags.append(sections["path"].at(msg))
     # a component's maximum covers every traversal of it: its derived bound,
     # or a budget at or above that bound

@@ -76,7 +76,7 @@ class SignalSource:
             v.append("sequences must be >= 1")
         if self.sequence_length_us < self.toggle_period_us:
             v.append("sequence_length must be >= toggle_period")
-        # toggle times stay in int64 (the loader checks the latencies added)
+        # toggle times stay in int64 (the loader keeps the latencies added below 6.6 s)
         if self.sequences * self.sequence_length_us >= 2**53:
             v.append("sequences * sequence_length must be < 2**53 us")
         return v

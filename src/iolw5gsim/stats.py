@@ -6,20 +6,19 @@ as an exact integer sum plus count so that merging partial results is exact,
 associative and commutative. Percentiles are conservative: they round up to
 a bin upper edge, because the downstream use is safety margins.
 
-The bins are counted densely: one int64 array holds the frequency of every
-bin from the lowest occupied one to the highest, so a batch is one
-np.bincount, and folding it in is two slice adds into a new array. Once
-the occupied bins span more than DENSE_BIN_CAP bins (6.5 s of latency), the
-counts fall back to a {bin: frequency} dict, so memory stays bounded for any
-legal duration (up to 2**53 us). Which storage an object uses follows from
-its min_us and max_us alone. Counts are never written after they are made,
-so a merge may share them with either side.
+One int64 array counts every bin from the lowest occupied one to the
+highest, so a batch is one np.bincount, and folding it in is two slice adds
+into a new array. The bins must span fewer than DENSE_BIN_CAP (6.5536 s, an
+array of at most 512 KiB): a batch or merge past that raises before it
+allocates, and the loader rejects a scenario whose derived worst case
+reaches it. Counts are never written after they are made, so a merge may
+share them with either side.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -34,29 +33,14 @@ class EmptyStatsError(ValueError):
     """Percentile/CDF queried on zero samples."""
 
 
-def _is_dense(lo: int, hi: int) -> bool:
-    """Whether samples from lo to hi are counted in a dense array."""
-    return hi // BIN_WIDTH_US - lo // BIN_WIDTH_US < DENSE_BIN_CAP
-
-
-def _pairs(counts: np.ndarray | dict[int, int], first: int) -> Iterable[tuple[int, int]]:
-    """(bin, frequency) of the nonzero bins: a dict's items, or a dense
-    array's in ascending order, counted from bin first."""
-    if isinstance(counts, dict):
-        return counts.items()
-    idx = np.flatnonzero(counts)
-    return zip((idx + first).tolist(), counts[idx].tolist())
-
-
 @dataclass(eq=False)
 class LatencyStats:
     count: int = 0
     total_us: int = 0
     min_us: int | None = None
     max_us: int | None = None
-    # the frequency of bin min_us // BIN_WIDTH_US + i at i while the occupied
-    # bins span at most DENSE_BIN_CAP bins, else a {bin: frequency} dict
-    counts: np.ndarray | dict[int, int] = field(default_factory=lambda: np.zeros(0, np.int64))
+    # the frequency of bin min_us // BIN_WIDTH_US + i at i
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     losses: int = 0
 
     def add(self, values_us: np.ndarray) -> None:
@@ -70,18 +54,14 @@ class LatencyStats:
         lo, hi = int(values_us.min()), int(values_us.max())
         if lo < 0:
             raise ValueError("latency samples must be >= 0")
+        self._check_span(lo, hi)
         if hi * values_us.size < 1 << 63:
             total = int(values_us.sum(dtype=np.int64))
         else:  # the int64 sum could wrap
             total = sum(values_us.tolist())
         q = values_us // BIN_WIDTH_US
-        if _is_dense(lo, hi):
-            q -= lo // BIN_WIDTH_US
-            counts = np.bincount(q)
-        else:  # sparse: memory stays O(batch)
-            idx, freq = np.unique(q, return_counts=True)
-            counts = dict(zip(idx.tolist(), freq.tolist()))
-        self._fold(values_us.size, total, lo, hi, counts)
+        q -= lo // BIN_WIDTH_US
+        self._fold(values_us.size, total, lo, hi, np.bincount(q))
 
     def add_loss(self, n: int = 1) -> None:
         self.losses += n
@@ -95,14 +75,20 @@ class LatencyStats:
     def merge(self, other: "LatencyStats") -> "LatencyStats":
         merged = replace(self, losses=self.losses + other.losses)
         if other.count:
+            merged._check_span(other.min_us, other.max_us)
             merged._fold(other.count, other.total_us, other.min_us, other.max_us, other.counts)
         return merged
 
-    def _fold(self, count: int, total_us: int, lo: int, hi: int,
-              counts: np.ndarray | dict[int, int]) -> None:
+    def _check_span(self, lo: int, hi: int) -> None:
+        """Raise unless self and samples from lo to hi span fewer than DENSE_BIN_CAP bins."""
+        if self.min_us is not None:
+            lo, hi = min(self.min_us, lo), max(self.max_us, hi)
+        if hi // BIN_WIDTH_US - lo // BIN_WIDTH_US >= DENSE_BIN_CAP:
+            raise ValueError(f"samples from {lo} to {hi} us span {DENSE_BIN_CAP} bins or more")
+
+    def _fold(self, count: int, total_us: int, lo: int, hi: int, counts: np.ndarray) -> None:
         """The one combine rule of add and merge. counts holds the bins of
-        samples from lo to hi in the storage that span calls for; an empty
-        self takes it as its own."""
+        samples from lo to hi; an empty self takes it as its own."""
         self.count += count
         self.total_us += total_us
         if self.min_us is None:
@@ -111,19 +97,13 @@ class LatencyStats:
         sides = [(self.counts, self.min_us // BIN_WIDTH_US), (counts, lo // BIN_WIDTH_US)]
         self.min_us, self.max_us = min(self.min_us, lo), max(self.max_us, hi)
         first = self.min_us // BIN_WIDTH_US
-        if _is_dense(self.min_us, self.max_us):  # so both sides are dense
-            combined = np.zeros(self.max_us // BIN_WIDTH_US - first + 1, np.int64)
-            for part, start in sides:
-                combined[start - first:start - first + part.size] += part
-        else:  # a copy of the dict side (either if both), the other counted in
-            base, rest = sides if isinstance(self.counts, dict) else sides[::-1]
-            combined = dict(base[0] if isinstance(base[0], dict) else _pairs(*base))
-            for i, n in _pairs(*rest):
-                combined[i] = combined.get(i, 0) + n
+        combined = np.zeros(self.max_us // BIN_WIDTH_US - first + 1, np.int64)
+        for part, start in sides:
+            combined[start - first:start - first + part.size] += part
         self.counts = combined
 
     def __eq__(self, other: object) -> bool:
-        """Equal samples and losses, whichever storage holds the counts."""
+        """Equal samples and losses."""
         if not isinstance(other, LatencyStats):
             return NotImplemented
         fields = ("count", "total_us", "min_us", "max_us", "losses")
@@ -148,8 +128,10 @@ class LatencyStats:
         """(bin upper edge, frequency) pairs of the nonzero bins in ascending order."""
         if not self.count:
             return []
-        first = self.min_us // BIN_WIDTH_US
-        return [((i + 1) * BIN_WIDTH_US, n) for i, n in sorted(_pairs(self.counts, first))]
+        idx = np.flatnonzero(self.counts)
+        pairs = zip(idx.tolist(), self.counts[idx].tolist())
+        first = self.min_us // BIN_WIDTH_US + 1
+        return [((i + first) * BIN_WIDTH_US, n) for i, n in pairs]
 
     def _cumulative(self) -> Iterator[tuple[int, int]]:
         """(bin upper edge, cumulative frequency) pairs in ascending order."""

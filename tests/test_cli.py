@@ -21,7 +21,7 @@ from iolw5gsim.cli import (
 from iolw5gsim.config import load_scenario
 from iolw5gsim.report import build_report, write_report
 from iolw5gsim.scenario import BLOCK, RunResult, run
-from tests.test_config import MINIMAL, patch
+from tests.test_config import MINIMAL, assert_rejected_at_path, patch, worst_case_message
 from tests.test_digests import LOSSY_EMPIRICAL
 
 
@@ -211,19 +211,10 @@ def test_package_root_holds_only_its_version():
     assert out.stdout.strip() == f"[] ['iolw5gsim'] {iolw5gsim.__version__}"
 
 
-# The two copies of the shipped scenario that CI's smoke test also replays,
-# as (old, new) line edits: 6000 sequences (150 000 toggles, three blocks of
-# run()), and nr_down uniform over 5 ms..10 s with its budget line deleted,
-# whose histograms span more than DENSE_BIN_CAP bins and so take the sparse
-# fallback.
+# The copy of the shipped scenario that CI's smoke test also replays, as
+# (old, new) line edits: 6000 sequences (150 000 toggles, three blocks of run()).
 REPLAY_COPIES = {
     "long": [("sequences = 540\n", "sequences = 6000\n")],
-    "wide": [
-        ("[segment.nr_down]\nkind = fiveg\nmodel = truncnorm\n"
-         "mean = 10200 us\nstddev = 3 ms\nlow = 5 ms\nhigh = 26750 us\n",
-         "[segment.nr_down]\nkind = fiveg\nmodel = uniform\nlow = 5 ms\nhigh = 10 s\n"),
-        ("budget.nr_down = 53500 us\n", ""),
-    ],
 }
 
 
@@ -263,19 +254,28 @@ def test_replay_copies_are_deterministic_and_merge_in_any_order(
     assert files(tmp_path / "reversed") == swept
     if copy == "long":
         assert 2 * BLOCK < scenario.source.toggles <= 3 * BLOCK
-    else:
-        assert isinstance(merged.segment_stats["nr_down"].counts, dict)
-        assert isinstance(merged.end_to_end.counts, dict)
 
 
-@pytest.mark.parametrize("name", ["shipped", "lossy-empirical", "wide"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_wide_copy_rejected_at_path(command, default_config_text, tmp_path, capsys):
+    # nr_down uniform over 5 ms..10 s, its budget line deleted: its latencies
+    # would span more than one histogram, so the loader rejects the paths
+    nr_down = ("[segment.nr_down]\nkind = fiveg\nmodel = truncnorm\n"
+               "mean = 10200 us\nstddev = 3 ms\nlow = 5 ms\nhigh = 26750 us\n")
+    text = patch(default_config_text, nr_down,
+                 "[segment.nr_down]\nkind = fiveg\nmodel = uniform\nlow = 5 ms\nhigh = 10 s\n")
+    text = patch(text, "budget.nr_down = 53500 us\n", "")
+    message = worst_case_message(148_930 + 2 * (10_000_000 - 26_750))  # both paths cross it
+    assert_rejected_at_path(text, message, command, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", ["shipped", "lossy-empirical"])
 def test_csv_files_are_the_reports_tables(name, default_config_text, tmp_path):
     # the CSV writer reads the report alone: its files hold the report's
     # histograms and cdf, and a result of None writes the same bytes
     text = {
         "shipped": default_config_text,
         "lossy-empirical": LOSSY_EMPIRICAL,
-        "wide": replay_copy(default_config_text, "wide"),
     }[name]
     scenario = load_scenario(text)
     result = run(scenario, 1)

@@ -10,7 +10,7 @@ from iolw5gsim.fiveg import _AliasTable
 from iolw5gsim.iolw import IolwCellConfig
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import MAX_TOGGLES, SignalSource
-from iolw5gsim.stats import worst_case_sfrt
+from iolw5gsim.stats import BIN_WIDTH_US, DENSE_BIN_CAP, worst_case_sfrt
 
 MINIMAL = """
 [cell]
@@ -372,8 +372,10 @@ def test_duration_a_double_cannot_hold_rejected_at_its_key(old, new, tmp_path, c
 
 
 def test_duration_just_below_2_53_loads():
-    sc = load_scenario(patch(MINIMAL, "value = 1200 us", f"value = {2**53 - 1} us"))
-    assert sc.segments["eth"].model.value_us == 2**53 - 1
+    # a budget, as a path's durations must sum to less than one histogram's span
+    budget = f"budget.wire = 2 ms\nbudget.eth = {2**53 - 1} us"
+    sc = load_scenario(patch(MINIMAL, "budget.wire = 2 ms", budget))
+    assert dict(sc.safety.segment_maxima)["eth"] == 2**53 - 1
 
 
 HUGE_SOURCE = (
@@ -441,25 +443,59 @@ def long_eth_path(traversals):
                  "forward = wire, air, " + "eth, " * traversals + "plc")
 
 
+def worst_case_message(worst_us):
+    return (f"[path]: the paths' derived worst case of {worst_us} us must be below "
+            f"{DENSE_BIN_CAP * BIN_WIDTH_US} us, the span of one histogram")
+
+
+def assert_rejected_at_path(text, message, command, tmp_path, capsys):
+    """text fails to load, and command to run, with message at its [path] header."""
+    line = text.splitlines().index("[path]") + 1
+    assert diagnostics_of(text) == [Diagnostic(line, 1, message)]
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
+    assert f"{path}:{line}:1: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_path_past_int64_rejected_at_path(command, tmp_path, capsys):
     # each duration is below 2**53, but 1 100 of them once wrapped the
-    # int64 times and crashed the run with a traceback
-    bad = long_eth_path(1100)
-    line = bad.splitlines().index("[path]") + 1
-    [d] = diagnostics_of(bad)
-    assert (d.line, d.col) == (line, 1)
-    assert d.message.startswith("[path]: toggle times can reach ")
-    path = tmp_path / "long.scenario"
-    path.write_text(bad)
+    # int64 times and crashed the run with a traceback; the eth constant
+    # replaces two of 1200 us, and the path now crosses it 1 101 times
+    base = sum(stage.upper_bound_us() for stage in load_scenario(MINIMAL).stages())
+    worst = base - 2 * 1200 + 1101 * (2**53 - 1)
+    message = worst_case_message(worst)
+    assert_rejected_at_path(long_eth_path(1100), message, command, tmp_path, capsys)
+
+
+def shipped_with_plc_jitter(text, jitter_us):
+    """The shipped scenario with jitter_us of PLC jitter and no plc budget:
+    its derived worst case is 148 930 us plus the jitter."""
+    text = patch(text, "query_cycle = 10 ms", f"query_cycle = 10 ms\njitter = {jitter_us} us")
+    return patch(text, "budget.plc = 10 ms\n", "")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_worst_case_just_below_the_histogram_span_loads(command, default_config_text, tmp_path):
+    text = shipped_with_plc_jitter(default_config_text, 6_404_669)
+    scenario = load_scenario(text)
+    worst = sum(stage.upper_bound_us() for stage in scenario.stages())
+    assert worst == DENSE_BIN_CAP * BIN_WIDTH_US - 1
+    path = tmp_path / "jitter.scenario"
+    path.write_text(text)
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
-    assert main([command, str(path), *out]) == EXIT_INVALID
-    assert f"{path}:{line}:1: [path]: toggle times can reach " in capsys.readouterr().err
+    assert main([command, str(path), *out]) == EXIT_OK
 
 
-def test_path_just_within_int64_loads():
-    sc = load_scenario(long_eth_path(1000))
-    assert sc.forward.count("eth") == 1000
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_worst_case_at_the_histogram_span_rejected_at_path(
+    command, default_config_text, tmp_path, capsys
+):
+    text = shipped_with_plc_jitter(default_config_text, 6_404_670)
+    message = worst_case_message(DENSE_BIN_CAP * BIN_WIDTH_US)
+    assert_rejected_at_path(text, message, command, tmp_path, capsys)
 
 
 def test_shipped_component_bounds_sum_to_the_derived_figure(default_scenario):

@@ -8,7 +8,7 @@ for every component and a worst case of at least the sum of its stages'
 bounds, whether or not its budgets were dropped. One of at most MAX_TOGGLES
 toggles must run, and each component's observed maximum must stay within
 its stages' largest bound, the bound the loader checks the budgets and the
-int64 range against.
+span of one histogram against.
 """
 
 from __future__ import annotations

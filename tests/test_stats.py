@@ -19,6 +19,12 @@ from iolw5gsim.stats import (
     worst_case_sfrt,
 )
 
+# the last sample of a batch whose bins fill DENSE_BIN_CAP bins from 0
+CAP_EDGE_US = DENSE_BIN_CAP * BIN_WIDTH_US - 1
+# samples whose bins fill the whole cap from bin 0
+wide_strategy = st.lists(st.integers(0, CAP_EDGE_US), max_size=200).map(
+    lambda values: [0, *values, CAP_EDGE_US]
+)
 samples_strategy = st.lists(st.integers(min_value=0, max_value=500_000), min_size=1, max_size=400)
 # one side of a merge: samples, possibly none, and 0..5 losses
 side_strategy = st.tuples(
@@ -109,11 +115,16 @@ class TestAccumulation:
         with pytest.raises(EmptyStatsError):
             LatencyStats().mean_us
 
-    # narrow batches take the dense bincount path, wide ones np.unique
+    # narrow batches, and batches as wide as the cap anywhere below 2**31 us
     @given(
         st.one_of(
             st.lists(st.integers(0, 3000), max_size=300),
-            st.lists(st.integers(0, 2**31 - 1), max_size=300),
+            st.integers(0, (2**31 - 1 - CAP_EDGE_US) // BIN_WIDTH_US).flatmap(
+                lambda first: st.lists(
+                    st.integers(first * BIN_WIDTH_US, first * BIN_WIDTH_US + CAP_EDGE_US),
+                    max_size=300,
+                )
+            ),
         ),
         st.sampled_from(["int64", "int32", "0-d"]),
     )
@@ -158,8 +169,10 @@ class TestAccumulation:
         s = LatencyStats()
         s.add(np.array([150, 250, 65_535], dtype=np.uint16))
         assert_matches_reference(s, [150, 250, 65_535])
-        s.add(np.array([2**63 - 1], dtype=np.uint64))
-        assert s.max_us == 2**63 - 1
+        top = LatencyStats()
+        top.add(np.array([2**63 - 1], dtype=np.uint64))
+        assert top.max_us == top.total_us == 2**63 - 1
+        assert top.histogram() == [((2**63 - 1) // BIN_WIDTH_US * BIN_WIDTH_US + BIN_WIDTH_US, 1)]
         with pytest.raises(ValueError, match=">= 0"):  # cast to int64, 2**63 is negative
             s.add(np.array([2**63], dtype=np.uint64))
 
@@ -183,19 +196,22 @@ class TestMerge:
         sa, sb, sc = fill_side(a), fill_side(b), fill_side(c)
         assert merge(merge(sa, sb), sc) == merge(sa, merge(sb, sc))
 
-
-# the last sample of a batch whose bins span exactly DENSE_BIN_CAP bins from 0
-CAP_EDGE_US = DENSE_BIN_CAP * BIN_WIDTH_US - 1
-# samples spanning three caps, so their counts always take the fallback
-wide_strategy = st.lists(st.integers(0, 3 * CAP_EDGE_US), max_size=200).map(
-    lambda values: [0, *values, 3 * CAP_EDGE_US]
-)
+    @given(samples_strategy, wide_strategy, samples_strategy)
+    @settings(max_examples=50, deadline=None)
+    def test_three_sides_merge_exactly_in_any_order(self, a, b, c):
+        sa, sb, sc = fill(a), fill(b), fill(c)
+        whole = a + b + c
+        for merged in (merge(merge(sa, sb), sc), merge(sa, merge(sb, sc)),
+                       merge(merge(sb, sc), sa), merge(sc, merge(sb, sa))):
+            assert merged == fill(whole)
+            assert_matches_reference(merged, whole)
 
 
 class TestStorage:
-    """Dense counts up to DENSE_BIN_CAP bins, a dict past it: same answers."""
+    """Dense counts of fewer than DENSE_BIN_CAP bins; a batch or merge that
+    would span more is rejected before it allocates, and changes nothing."""
 
-    # an offset of 10 s puts every bin past the cap: the span decides the storage
+    # an offset of 10 s puts every bin past the cap: only the span counts
     @pytest.mark.parametrize("offset", [0, 10**7], ids=["from-0", "offset-10-s"])
     def test_batches_outside_the_array_grow_it_both_ways(self, offset):
         s = LatencyStats()
@@ -218,11 +234,31 @@ class TestStorage:
         s = LatencyStats()
         if split:  # the second batch pushes the span to or past the cap
             s.add(np.array(values[:1]))
-            s.add(np.array(values[1:]))
+        before = copy.deepcopy(s)
+        batch = np.array(values[1:] if split else values)
+        if past:
+            with pytest.raises(ValueError, match=f"span {DENSE_BIN_CAP} bins or more$"):
+                s.add(batch)
+            assert s == before
         else:
-            s.add(np.array(values))
-        assert_matches_reference(s, values)
-        assert isinstance(s.counts, dict) is bool(past)
+            s.add(batch)
+            assert_matches_reference(s, values)
+            assert s.counts.size == DENSE_BIN_CAP
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["span-at-cap", "span-a-bin-past-cap"])
+    @pytest.mark.parametrize("order", ["low-first", "high-first"])
+    def test_merge_at_and_past_the_cap(self, past, order):
+        low, high = fill([0, 5_000]), fill([CAP_EDGE_US + past * BIN_WIDTH_US, 70_000])
+        a, b = (low, high) if order == "low-first" else (high, low)
+        before = copy.deepcopy((a, b))
+        if past:
+            with pytest.raises(ValueError, match=f"span {DENSE_BIN_CAP} bins or more$"):
+                a.merge(b)
+            assert (a, b) == before
+        else:
+            merged = merge(a, b)
+            assert_matches_reference(merged, [0, 5_000, 70_000, CAP_EDGE_US])
+            assert merged.counts.size == DENSE_BIN_CAP
 
     @given(st.one_of(samples_strategy, wide_strategy))
     @settings(max_examples=100, deadline=None)
@@ -230,50 +266,38 @@ class TestStorage:
         batch = LatencyStats()
         batch.add(np.array(values))
         scalars = fill(values)
-        as_dict = LatencyStats(
-            len(values), sum(values), min(values), max(values),
-            dict(Counter(v // BIN_WIDTH_US for v in values)),
-        )
-        assert batch == scalars == as_dict
-        assert batch.histogram() == scalars.histogram() == as_dict.histogram()
-        assert batch.histogram() == reference_histogram(values)
-
-    @given(samples_strategy, wide_strategy, samples_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_dense_and_fallback_sides_merge_exactly_in_any_order(self, a, b, c):
-        sa, sb, sc = fill(a), fill(b), fill(c)
-        whole = a + b + c
-        for merged in (merge(merge(sa, sb), sc), merge(sa, merge(sb, sc)),
-                       merge(merge(sb, sc), sa), merge(sc, merge(sb, sa))):
-            assert merged == fill(whole)
-            assert_matches_reference(merged, whole)
+        assert batch == scalars
+        assert batch.histogram() == scalars.histogram() == reference_histogram(values)
 
     # a merge with an empty side takes the other side's counts whole
     @pytest.mark.parametrize("empty", ["neither", "a", "b"])
-    @pytest.mark.parametrize("wide", [False, True], ids=["dense", "fallback"])
-    def test_a_merge_and_its_sides_stay_independent(self, wide, empty):
-        top = 3 * CAP_EDGE_US if wide else 250_000
+    @pytest.mark.parametrize("top", [250_000, CAP_EDGE_US], ids=["dense", "full-cap"])
+    def test_a_merge_and_its_sides_stay_independent(self, top, empty):
         sides = {"a": [0, 5_000, top], "b": [100, top // 2, top]}
         values = {k: [] if k == empty else v for k, v in sides.items()}
         merged = merge(fill(values["a"]), fill(values["b"]))
         assert merged == fill(values["a"] + values["b"])
-        assert isinstance(merged.counts, dict) is wide
 
-    @pytest.mark.parametrize("form", ["one-batch", "scalars"])
+    # a dense array of the span would take 171 MB
+    @pytest.mark.parametrize("form", ["one-batch", "scalars", "merge"])
     def test_wide_span_allocates_no_dense_array_past_the_cap(self, form):
-        s = LatencyStats()
+        s = LatencyStats() if form == "one-batch" else fill([0])
+        other = fill([2**31 - 1])
+        before = copy.deepcopy(s)
         tracemalloc.start()
         try:
-            if form == "one-batch":
-                s.add(np.array([0, 2**31 - 1]))
-            else:
-                s.add(0)
-                s.add(2**31 - 1)
+            with pytest.raises(ValueError, match="bins or more$"):
+                if form == "one-batch":
+                    s.add(np.array([0, 2**31 - 1]))
+                elif form == "scalars":
+                    s.add(2**31 - 1)
+                else:
+                    s.merge(other)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < DENSE_BIN_CAP * 8  # a dense array of the span would take 171 MB
-        assert s.histogram() == [(100, 1), ((2**31 - 1) // 100 * 100 + 100, 1)]
+        assert peak < DENSE_BIN_CAP * 8
+        assert s == before
 
 
 class TestPercentile:
