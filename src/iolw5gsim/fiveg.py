@@ -1,10 +1,9 @@
 """Latency models for wired/cellular link segments plus 5G numerology arithmetic.
 
-Every link segment (Ethernet, 5G, wired IO-Link stub) samples its delays from
-a LatencyModel, one block of toggles per call, into an array the caller
-passes. All durations are integer microseconds. Numerology helpers
-cover the subcarrier-spacing to OFDM-symbol relations; absolute 3GPP slot
-tables are out of scope.
+Every link segment (Ethernet, 5G, wired IO-Link stub) draws its delays from
+a LatencyModel, which is also its stage in a run. All durations are integer
+microseconds. Numerology helpers cover the subcarrier-spacing to OFDM-symbol
+relations; absolute 3GPP slot tables are out of scope.
 """
 
 from __future__ import annotations
@@ -52,8 +51,25 @@ def symbol_duration_scaling(n1: NumerologyConfig, n2: NumerologyConfig) -> float
     return n1.scs_khz / n2.scs_khz
 
 
+class LatencyModel:
+    """A link segment's delay distribution, and the segment's stage in a run.
+
+    sample(rng, out, u) draws len(out) delays within the support into the
+    int64 out and returns it; u (float64, of out's length) is scratch. A
+    model that draws takes one floor_draws draw per delay (Constant takes
+    none), so n delays drawn in blocks are the n drawn at once, and a
+    stream advanced by n outputs starts where they end. Every model is
+    frozen: the loader gives segments with equal parameters one shared
+    model, and run() callers on several threads share it. As a stage, its
+    durations ignore the arrival times t; draws is the segment's stream.
+    """
+
+    def durations(self, t, draws, out, ints, u) -> np.ndarray:
+        return self.sample(draws, out, u)
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(LatencyModel):
     value_us: int
 
     def validate(self) -> list[str]:
@@ -68,7 +84,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(LatencyModel):
     low_us: int
     high_us: int
 
@@ -203,7 +219,7 @@ class _AliasTable:
 
 
 @dataclass(frozen=True)
-class TruncNormal:
+class TruncNormal(LatencyModel):
     """rint of a normal distribution conditioned on [low, high].
 
     Sampled from the alias table (_AliasTable) of the exact integer pmf
@@ -257,7 +273,7 @@ class TruncNormal:
 
 
 @dataclass(frozen=True)
-class Empirical:
+class Empirical(LatencyModel):
     """Histogram distribution: (duration_us, weight) bins.
 
     Sampled, like TruncNormal, from the alias table (_AliasTable) of the
@@ -299,13 +315,3 @@ class Empirical:
     def sample(self, rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
         out[...] = self._values.take(self._table.slots(rng, out, u))
         return out
-
-
-# Every model's sample(rng, out, u) draws len(out) delays within its support
-# into the int64 out and returns it; u (float64), of out's length, is scratch
-# it may overwrite. A model that draws takes one kernel.floor_draws draw per
-# delay (Constant takes none), so n delays drawn in blocks are the n drawn at
-# once, and a stream advanced by n outputs starts where they end.
-# Every model is frozen: the loader gives segments with equal parameters one
-# shared model, and run() callers on several threads at once share it.
-LatencyModel = Constant | Uniform | TruncNormal | Empirical

@@ -4,8 +4,8 @@ A Scenario chains link segments into a forward path (sensor -> PLC) and a
 return path (PLC -> actuator), one stage per component: a Grid waits for the
 next point of a clock grid, plus a fixed extra (the poll wait, a plc
 segment); an Air hop waits for its cell's next cycle start, then rides the
-slot its retries reach; a Link draws from its model. The poll wait comes
-right before the forward path's first network segment, where the
+slot its retries reach; a link segment's stage is its own model. The poll
+wait comes right before the forward path's first network segment, where the
 process-image change waits at the W-Master to be queried.
 
 A boolean signal source toggles periodically. Toggles never interact (no
@@ -106,8 +106,8 @@ class SignalSource:
 
 
 # A stage's durations(t, draws, out, ints, u) writes into the int64 out and
-# returns the durations of arrivals at t: draws is a Link's stream, an Air
-# hop's retries or None; ints and u are int64 and float64 scratch. Its
+# returns the durations of arrivals at t: draws is a link model's stream, an
+# Air hop's retries or None; ints and u are int64 and float64 scratch. Its
 # upper_bound_us() is its largest duration, in Python ints.
 
 
@@ -166,20 +166,7 @@ class Air:
         return out
 
 
-@dataclass
-class Link:
-    """A link segment: durations drawn from its model, on the segment's stream."""
-
-    model: LatencyModel
-
-    def upper_bound_us(self) -> int:
-        return self.model.upper_bound_us()
-
-    def durations(self, t, draws, out, ints, u) -> np.ndarray:
-        return self.model.sample(draws, out, u)
-
-
-Stage = Grid | Air | Link
+Stage = Grid | Air | LatencyModel
 
 
 @dataclass
@@ -198,7 +185,7 @@ class Scenario:
 
     def stages(self, iolw_phase: int = 0, plc_phase: int = 0) -> list[Stage]:
         """One stage per component, aligned with components(), on the cell
-        and PLC grids at the given phases."""
+        and PLC grids at the given phases; a link's stage is its segment's model."""
         plc, stages = self.plc, []
         for name in self.components():
             seg = self.segments.get(name)
@@ -209,7 +196,7 @@ class Scenario:
             elif seg.kind == "iolw-air":
                 stages.append(Air(seg.transfer, self.cell, iolw_phase))
             else:
-                stages.append(Link(seg.model))
+                stages.append(seg.model)
         return stages
 
 

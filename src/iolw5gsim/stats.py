@@ -18,9 +18,7 @@ share them with either side.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -107,38 +105,41 @@ class LatencyStats:
         if not isinstance(other, LatencyStats):
             return NotImplemented
         fields = ("count", "total_us", "min_us", "max_us", "losses")
-        return all(getattr(self, f) == getattr(other, f) for f in fields) and (
-            self.histogram() == other.histogram()
-        )
+        same = all(getattr(self, f) == getattr(other, f) for f in fields)
+        return same and np.array_equal(self.counts, other.counts)
 
     def percentile(self, p: float) -> int:
         """Smallest bin upper edge whose cumulative frequency reaches p percent."""
         cumulative = self._cumulative()
         if not 0 <= p <= 100:
             raise ValueError("percentile must be within [0, 100]")
-        threshold = p * self.count  # compare at 100x scale to stay exact for int p
-        # the running sum ends at count, so some bin always reaches p <= 100
-        return next(edge for edge, c in cumulative if c * 100 >= threshold)
+        # at 100x scale, exact in int64 for an int p and in float64 for a float p
+        # while count * 100 < 2**53 (9e13 samples); the first bin reached is occupied
+        return self._upper_edges(np.searchsorted(cumulative * 100, [p * self.count]))[0]
 
     def cdf(self) -> list[tuple[int, float]]:
-        """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""
-        return [(edge, c / self.count) for edge, c in self._cumulative()]
+        """(bin upper edge, cumulative fraction) pairs of the nonzero bins; ends at 1.0."""
+        cumulative = self._cumulative()
+        idx = np.flatnonzero(self.counts)
+        return list(zip(self._upper_edges(idx), (cumulative[idx] / self.count).tolist()))
 
     def histogram(self) -> list[tuple[int, int]]:
         """(bin upper edge, frequency) pairs of the nonzero bins in ascending order."""
         if not self.count:
             return []
         idx = np.flatnonzero(self.counts)
-        pairs = zip(idx.tolist(), self.counts[idx].tolist())
-        first = self.min_us // BIN_WIDTH_US + 1
-        return [((i + first) * BIN_WIDTH_US, n) for i, n in pairs]
+        return list(zip(self._upper_edges(idx), self.counts[idx].tolist()))
 
-    def _cumulative(self) -> Iterator[tuple[int, int]]:
-        """(bin upper edge, cumulative frequency) pairs in ascending order."""
+    def _upper_edges(self, idx: np.ndarray) -> list[int]:
+        """The upper edges of the bins counts[idx], in Python ints: the top one may pass int64."""
+        first = self.min_us // BIN_WIDTH_US + 1
+        return [(first + i) * BIN_WIDTH_US for i in idx.tolist()]
+
+    def _cumulative(self) -> np.ndarray:
+        """The running sum of counts; ends at count."""
         if self.count == 0:
             raise EmptyStatsError("no samples")
-        edges, counts = zip(*self.histogram())
-        return zip(edges, accumulate(counts))
+        return np.cumsum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,13 @@ def worst_case_sfrt(params: SafetyParams) -> int:
 @dataclass(frozen=True)
 class SafetyDistance:
     exact_m: float  # speed * response time, unrounded
-    presented_m: float  # rounded up to 0.1 m, never down
+    presented_m: float  # up to a 0.1 m step; within 1e-10 m above one is float noise
 
 
 def safety_distance(sfrt_us: int, speed_mps: float) -> SafetyDistance:
-    """Minimum separation from moving machinery at the given approach speed."""
+    """Minimum separation from moving machinery at the given approach speed,
+    presented rounded up to 0.1 m: a distance at most 1e-10 m above a 0.1 m
+    step is read as float noise and presented at that step."""
     if not 0 < speed_mps < math.inf:
         raise ValueError("approach speed must be finite and > 0")
     if sfrt_us < 0:

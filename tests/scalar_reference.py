@@ -23,10 +23,14 @@ are kept as well:
 - the (transfers x attempts) failure-matrix draw of the iolw-air retries,
   which draw_retries must match in distribution;
 - the enumeration of the channels a hop plan may use, whose verdict (a plan
-  exists iff there are at least two) validate_cell's closed form must match.
+  exists iff there are at least two) validate_cell's closed form must match;
+- LatencyStats's percentile, cdf and == over the (edge, count) pair list of
+  its histogram, which the answers from its dense counts must match exactly.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from iolw5gsim import fiveg
 from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.scenario import NETWORK_KINDS, POLL_WAIT, RunResult
-from iolw5gsim.stats import LatencyStats
+from iolw5gsim.stats import EmptyStatsError, LatencyStats
 from tests import fresh
 
 # The rejection sampler gives up after this many redraws and clamps instead.
@@ -319,3 +323,32 @@ def run_via_matrix(scenario, seed):
     e2e.add(parts.sum(axis=0)[delivered])
     e2e.add_loss(len(t0) - int(np.count_nonzero(delivered)))
     return RunResult((seed,), stats, e2e, components)
+
+
+def cumulative_pairs(stats):
+    """(bin upper edge, cumulative frequency) pairs of stats's nonzero bins."""
+    if stats.count == 0:
+        raise EmptyStatsError("no samples")
+    edges, counts = zip(*stats.histogram())
+    return zip(edges, accumulate(counts))
+
+
+def percentile_pairs(stats, p):
+    """The first pair's edge whose cumulative frequency reaches p percent,
+    compared at 100x scale in Python numbers."""
+    cumulative = cumulative_pairs(stats)
+    if not 0 <= p <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+    threshold = p * stats.count
+    return next(edge for edge, c in cumulative if c * 100 >= threshold)
+
+
+def cdf_pairs(stats):
+    """(bin upper edge, cumulative fraction) pairs; ends at 1.0."""
+    return [(edge, c / stats.count) for edge, c in cumulative_pairs(stats)]
+
+
+def stats_equal_pairs(a, b):
+    """Equal moments, losses and (edge, count) histograms."""
+    fields = ("count", "total_us", "min_us", "max_us", "losses")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and a.histogram() == b.histogram()

@@ -3,7 +3,6 @@ import gc
 import hashlib
 import math
 import tracemalloc
-import typing
 import warnings
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from iolw5gsim import fiveg
+from iolw5gsim.config import load_scenario
 from iolw5gsim.fiveg import (
     ALLOWED_SCS_KHZ,
     Constant,
@@ -24,6 +24,7 @@ from iolw5gsim.fiveg import (
 )
 from iolw5gsim.kernel import rng_stream
 from tests.fresh import sample
+from tests.test_digests import LOSSY_EMPIRICAL
 
 
 class TestNumerology:
@@ -195,7 +196,10 @@ class TestSampling:
     def test_every_link_model_is_frozen(self):
         # the loader hands one model to every segment with equal parameters,
         # and run() callers on several threads share it, so none may change in place
-        for cls in typing.get_args(fiveg.LatencyModel):
+        models = fiveg.LatencyModel.__subclasses__()
+        names = {cls.__name__ for cls in models}
+        assert names == {"Constant", "Uniform", "TruncNormal", "Empirical"}
+        for cls in models:
             assert cls.__dataclass_params__.frozen, cls
 
     @pytest.mark.parametrize(
@@ -234,6 +238,32 @@ KNOWN_5G_LEG_MEAN_US = 10_478
 # (+0.07 %) after truncation to [600 us, 2 ms].
 KNOWN_WIRE_MEAN_US = 701.70
 KNOWN_ETHERNET_MEAN_US = 1200.86
+
+
+def test_a_models_stage_durations_are_its_samples(default_scenario):
+    # a link model is its segment's stage: durations(t, rng, out, ints, u)
+    # ignores t and ints and draws what sample(rng, out, u) draws, draw for
+    # draw, on every shipped and lossy model (Constant, Uniform, TruncNormal
+    # and Empirical between them)
+    lossy = load_scenario(LOSSY_EMPIRICAL)
+    models = {
+        (name, sid): seg.model
+        for name, sc in (("shipped", default_scenario), ("lossy", lossy))
+        for sid, seg in sc.segments.items()
+        if seg.model is not None
+    }
+    assert {type(m).__name__ for m in models.values()} == {
+        "Constant", "Uniform", "TruncNormal", "Empirical"
+    }
+    n = 5000
+    t = np.arange(n, dtype=np.int64) * 7919
+    for i, (key, model) in enumerate(sorted(models.items())):
+        stage_rng, sample_rng = rng_stream(3, i), rng_stream(3, i)
+        ints = np.empty(n, np.int64)
+        got = model.durations(t, stage_rng, np.empty(n, np.int64), ints, np.empty(n))
+        want = model.sample(sample_rng, np.empty(n, np.int64), np.empty(n))
+        np.testing.assert_array_equal(got, want, err_msg=str(key))
+        assert stage_rng.bit_generator.state == sample_rng.bit_generator.state, key
 
 
 def test_shipped_5g_leg_mean_is_a_known_difference_from_its_comment(default_scenario):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from iolw5gsim.config import load_scenario
-from iolw5gsim.fiveg import Constant, Empirical, TruncNormal, Uniform
+from iolw5gsim.fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from iolw5gsim.iolw import MAX_ATTEMPTS, IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim import scenario as scenario_mod
@@ -17,7 +17,6 @@ from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import (
     Air,
     Grid,
-    Link,
     Scenario,
     SegmentSpec,
     SignalSource,
@@ -230,9 +229,11 @@ class TestRun:
             components = sc.components()
             ids = sorted(sc.segments)
             assert "plc" in ids and components.count("wire") == 2
-            kinds = [type(stage) for stage in stages]
-            forward = [Link, Air, Grid, Link, Link, Link, Link, Grid]
-            assert kinds == forward + [Link, Link, Link, Link, Air, Link] + [Link] * len(extra)
+            # a link segment's stage is its model
+            link = LatencyModel
+            kinds = [link if isinstance(stage, link) else type(stage) for stage in stages]
+            forward = [link, Air, Grid, link, link, link, link, Grid]
+            assert kinds == forward + [link, link, link, link, Air, link] + [link] * len(extra)
             assert [rng is None for rng in rngs] == [kind is Grid for kind in kinds]
             traversals_before = []
             for i, (name, rng) in enumerate(zip(components, rngs)):
@@ -245,6 +246,22 @@ class TestRun:
                 traversals_before.append(before)
             assert sum(before > 0 for before in traversals_before) == later, extra
             assert max(traversals_before) == 1 + len(extra)
+
+    def test_a_link_stage_is_its_segments_model(self, default_scenario):
+        # no wrapper between a link segment and its stage: stages() hands out
+        # the segment's own model, so the loader's sharing carries over and
+        # the four 5G traversals (nr_up and nr_down, twice each) are one object
+        components = default_scenario.components()
+        links = 0
+        for name, stage in zip(components, default_scenario.stages()):
+            seg = default_scenario.segments.get(name)
+            if seg is not None and seg.model is not None:
+                assert stage is seg.model, name
+                links += 1
+        assert links == 10
+        stages = default_scenario.stages()
+        nr = [stages[i] for i, name in enumerate(components) if name.startswith("nr_")]
+        assert len(nr) == 4 and all(stage is nr[0] for stage in nr)
 
     def test_run_leaves_each_stream_where_the_layout_says(self, default_scenario, monkeypatch):
         # every draw takes one output: after a run the phase stream sits past
@@ -274,7 +291,7 @@ class TestRun:
             for i, (name, stage, rng) in enumerate(zip(components, stages, rngs)):
                 if rng is None:
                     continue
-                draws = not isinstance(getattr(stage, "model", None), Constant)
+                draws = not isinstance(stage, Constant)
                 outputs = (components[:i].count(name) + draws) * n
                 assert rng.bit_generator.state == at(4, 1 + ids.index(name), outputs), (i, name)
                 checked += 1

@@ -18,6 +18,7 @@ from iolw5gsim.stats import (
     safety_distance,
     worst_case_sfrt,
 )
+from tests import scalar_reference as ref
 
 # the last sample of a batch whose bins fill DENSE_BIN_CAP bins from 0
 CAP_EDGE_US = DENSE_BIN_CAP * BIN_WIDTH_US - 1
@@ -380,6 +381,20 @@ class TestSafety:
     def test_presentation_rounds_up_never_down(self):
         assert safety_distance(101_000, 1.0).presented_m == pytest.approx(0.2)
 
+    def test_within_1e_10_m_above_a_step_presents_at_that_step(self):
+        # 1e-11 m and 5e-11 m past 0.1 m are float noise: presented at 0.1 m
+        for speed in (1.0000000001, 1.0000000005):
+            d = safety_distance(100_000, speed)
+            assert 0.1 < d.exact_m <= 0.1 + 1e-10
+            assert d.presented_m == 0.1
+
+    def test_past_1e_10_m_above_a_step_rounds_up(self):
+        # 2e-10 m and 1e-9 m past 0.1 m are distance: presented at 0.2 m
+        for speed in (1.000000002, 1.00000001):
+            d = safety_distance(100_000, speed)
+            assert d.exact_m > 0.1 + 1e-10
+            assert d.presented_m == 0.2
+
     @given(
         st.integers(min_value=0, max_value=1_000_000),
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
@@ -419,3 +434,118 @@ def test_ten_way_partition_merges_exactly():
     assert merged.max_us == whole.max_us
     assert merged.histogram() == whole.histogram()
     assert abs(merged.mean_us - whole.mean_us) < 1.0
+
+
+# batches of samples, each possibly empty, then 0..5 losses
+batches_strategy = st.tuples(
+    st.lists(st.lists(st.integers(0, 500_000), max_size=60), min_size=1, max_size=5),
+    st.integers(0, 5),
+)
+QUERY_PS = (0, 1, 25, 50, 99, 99.9, 100)
+
+
+def fill_batches(side):
+    batches, losses = side
+    s = LatencyStats()
+    for batch in batches:
+        s.add(np.array(batch, dtype=np.int64))
+    s.add_loss(losses)
+    return s
+
+
+def assert_matches_pairs(s, ps=QUERY_PS):
+    """percentile and cdf of s equal their (edge, count) pair-list forms."""
+    if not s.count:
+        with pytest.raises(EmptyStatsError):
+            s.percentile(50)
+        with pytest.raises(EmptyStatsError):
+            ref.percentile_pairs(s, 50)
+        return
+    assert s.cdf() == ref.cdf_pairs(s)
+    for p in ps:
+        got = s.percentile(p)
+        assert got == ref.percentile_pairs(s, p), p
+        assert type(got) is int
+
+
+class TestPairListOracles:
+    """The dense-count answers equal the pair-list definitions in
+    tests/scalar_reference.py exactly."""
+
+    @given(batches_strategy, st.floats(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_batches(self, side, p):
+        assert_matches_pairs(fill_batches(side), QUERY_PS + (p,))
+
+    @given(batches_strategy, batches_strategy, st.floats(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_merges(self, a, b, p):
+        assert_matches_pairs(fill_batches(a).merge(fill_batches(b)), QUERY_PS + (p,))
+
+    @pytest.mark.parametrize("values", [[4200], [4200, 4299, 4250, 4299]])
+    def test_a_single_bin(self, values):
+        s = fill([np.array(values)])
+        assert_matches_pairs(s, QUERY_PS + (1e-300, 50.5, 99.99999))
+        assert {s.percentile(p) for p in QUERY_PS} == {4300}
+
+    def test_p_landing_exactly_on_a_cumulative_count(self):
+        # 1000 samples whose cumulative counts are 1, 10, 500, 999 and 1000:
+        # p = 100 c / count reaches bin c exactly, and the next p past it
+        # (in int or float) takes the next bin
+        s = fill([np.repeat([0, 100, 200, 300, 400], [1, 9, 490, 499, 1])])
+        assert [c for _, c in ref.cumulative_pairs(s)] == [1, 10, 500, 999, 1000]
+        cases = {0.1: 100, 1: 200, 1.0: 200, 50: 300, 50.0: 300, 99.9: 400, 100: 500}
+        for p, edge in cases.items():
+            assert s.percentile(p) == ref.percentile_pairs(s, p) == edge, p
+        assert s.percentile(math.nextafter(0.1, 1)) == 200
+        assert s.percentile(math.nextafter(99.9, 100)) == 500
+        assert s.percentile(51) == s.percentile(50.00001) == 400
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_p_on_every_cumulative_count(self, counts):
+        # counts[i] samples in bin i, and p at each cumulative count in turn
+        s = fill([np.repeat(np.arange(len(counts)) * 100, counts)])
+        for c in accumulate(counts):
+            p = 100 * c / s.count
+            assert s.percentile(p) == ref.percentile_pairs(s, p)
+            if 100 * c % s.count == 0:
+                p = 100 * c // s.count
+                assert s.percentile(p) == ref.percentile_pairs(s, p)
+
+    def test_p_outside_0_to_100_and_nan_rejected_as_before(self):
+        s = fill([100, 300])
+        for p in (-1, 100.5, math.nan):
+            for query in (s.percentile, lambda p: ref.percentile_pairs(s, p)):
+                with pytest.raises(ValueError, match="within"):
+                    query(p)
+
+    @given(batches_strategy, st.integers(0, 5), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equality(self, side, change, rnd):
+        # b holds a's samples and losses re-batched, then maybe one change:
+        # a moved sample (same or other bin), two samples moved by opposite
+        # amounts (same total), a sample more, or a loss more
+        a = fill_batches(side)
+        values = [v for batch in side[0] for v in batch]
+        rnd.shuffle(values)
+        d = rnd.choice([1, 100, 1000])
+        if values and change == 1:
+            values[0] += d
+        elif len(values) > 1 and change == 5 and values[0] >= d:
+            values[0] -= d
+            values[1] += d
+        elif change == 2:
+            values.append(rnd.randrange(0, 500_000))
+        cut = rnd.randrange(len(values) + 1)
+        b = fill_batches(([values[:cut], values[cut:]], side[1] + (change == 3)))
+        assert (a == b) == ref.stats_equal_pairs(a, b)
+        assert (b == a) == ref.stats_equal_pairs(b, a)
+        if change in (0, 4):
+            assert a == b
+
+    def test_equal_moments_in_other_bins_are_unequal(self):
+        a, b = fill([np.array([0, 150, 250, 1000])]), fill([np.array([0, 50, 350, 1000])])
+        moments = ("count", "total_us", "min_us", "max_us")
+        assert [getattr(a, f) for f in moments] == [getattr(b, f) for f in moments]
+        assert a != b and not ref.stats_equal_pairs(a, b)
