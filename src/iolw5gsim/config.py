@@ -32,7 +32,7 @@ from typing import TypeVar
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
-from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
+from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, compile_plan, path_components
 from .stats import BIN_WIDTH_US, DENSE_BIN_CAP, SafetyParams, worst_case_sfrt
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
@@ -417,45 +417,36 @@ def load_scenario(text: str) -> Scenario:
     if 0 < source.toggle_period_us <= plc_cfg.query_cycle_us:  # the dither's span
         msg = "[source]: toggle_period must exceed the [plc] query_cycle"
         diags.append(sections["source"].at(msg))
-    components = set(path_components(segments, forward, ret))
-    safety_kw, budgets = _safety_keys(sections["safety"], components, diags)
+    names = path_components(segments, forward, ret)
+    safety_kw, budgets = _safety_keys(sections["safety"], set(names), diags)
 
     if diags:
         raise ScenarioError(diags)
-    scenario = Scenario(
-        cell=cell,
-        segments=segments,
-        forward=forward,
-        ret=ret,
-        source=source,
-        plc=plc_cfg,
-        safety=None,  # set below, once the bounds are known
-    )
-    # every latency a run records lies in 0..sum(bounds), so one histogram holds it
-    bounds = [stage.upper_bound_us() for stage in scenario.stages()]
-    if sum(bounds) >= DENSE_BIN_CAP * BIN_WIDTH_US:
-        msg = (f"[path]: the paths' derived worst case of {sum(bounds)} us must be below "
-               f"{DENSE_BIN_CAP * BIN_WIDTH_US} us, the span of one histogram")
-        diags.append(sections["path"].at(msg))
     # a component's maximum covers every traversal of it: its derived bound,
     # or a budget at or above that bound
     derived: dict[str, int] = {}
-    for name, bound in zip(scenario.components(), bounds):
-        derived[name] = derived.get(name, 0) + bound
+    for step in compile_plan(cell, plc_cfg, segments, names):
+        derived[step.name] = derived.get(step.name, 0) + step.stage.upper_bound_us()
+    # every latency a run records lies in 0..worst, so one histogram holds it
+    worst = sum(derived.values())
+    if worst >= DENSE_BIN_CAP * BIN_WIDTH_US:
+        msg = (f"[path]: the paths' derived worst case of {worst} us must be below "
+               f"{DENSE_BIN_CAP * BIN_WIDTH_US} us, the span of one histogram")
+        diags.append(sections["path"].at(msg))
     for name, budget in budgets.items():
         if budget < derived[name]:
             msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
-    scenario.safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
+    safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
     # the report rounds the safety distance up to 0.1 m, so ten times it must be finite
-    sfrt = worst_case_sfrt(scenario.safety)
-    if not math.isfinite(scenario.safety.approach_speed_mps * sfrt / 1_000_000.0 * 10):
+    sfrt = worst_case_sfrt(safety)
+    if not math.isfinite(safety.approach_speed_mps * sfrt / 1_000_000.0 * 10):
         r = sections["safety"]["approach_speed"]  # the default speed stays finite
         msg = f"approach_speed {r.value} over {sfrt} us gives a safety distance past the float range"
         diags.append(r.at(msg))
     if diags:
         raise ScenarioError(diags)
-    return scenario
+    return Scenario(cell, segments, forward, ret, source, plc_cfg, safety)
 
 
 def decode_scenario(data: bytes) -> str:

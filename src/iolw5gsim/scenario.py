@@ -1,12 +1,14 @@
 """Scenario composition and execution.
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
-return path (PLC -> actuator), one stage per component: a Grid waits for the
-next point of a clock grid, plus a fixed extra (the poll wait, a plc
-segment); an Air hop waits for its cell's next cycle start, then rides the
-slot its retries reach; a link segment's stage is its own model. The poll
-wait comes right before the forward path's first network segment, where the
-process-image change waits at the W-Master to be queried.
+return path (PLC -> actuator). Frozen, it compiles its plan once: a Step
+per component in traversal order, whose stage on phase-0 grids the loader
+bounds and run() places. A Grid waits for the next point of a clock grid,
+plus a fixed extra (the poll wait, a plc segment); an Air hop waits for its
+cell's next cycle start, then rides the slot its retries reach; a link
+segment's stage is its own model. The poll wait comes right before the
+forward path's first network segment, where the process-image change waits
+at the W-Master to be queried.
 
 A boolean signal source toggles periodically. Toggles never interact (no
 queue, no shared medium), so a run works column-wise, on BLOCK toggles at a
@@ -21,9 +23,9 @@ away.
 
 Every draw takes one output of its stream (kernel.uniforms): the phases
 are outputs 0 and 1 of stream 0, toggle k's dither is its output 2 + k,
-and traversal j of a segment reads rng_stream(seed, 1 + the segment's
-sorted index) from output j * toggles on. A run's report does not depend
-on BLOCK.
+and a step that draws reads its stream, rng_stream(seed, 1 + the segment's
+sorted index), from output j * toggles on, j its traversal of the segment.
+A run's report does not depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import dataclasses
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,16 +47,13 @@ from .stats import LatencyStats, SafetyParams
 NETWORK_KINDS = ("ethernet", "fiveg")
 POLL_WAIT = "poll_wait"
 
-_PHASE_STREAM = 0
-_SEGMENT_STREAM_BASE = 1
-
 # toggles a run walks at a time
 BLOCK = 1 << 16
 # toggles a source may hold: about four minutes of run() at 4 M toggles/s
 MAX_TOGGLES = 10**9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentSpec:
     kind: str
     model: LatencyModel | None = None  # iol-wire / ethernet / fiveg
@@ -111,7 +111,7 @@ class SignalSource:
 # upper_bound_us() is its largest duration, in Python ints.
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid:
     """The wait for the first point of the grid phase + k*period at or after
     the arrival, plus extra: the poll wait (query grid, extra 0), or a plc
@@ -131,7 +131,7 @@ class Grid:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Air:
     """An IO-Link Wireless hop: the wait for its cell's next cycle start (on
     the grid phase + k*cycle), then slots counted from one cycle before it:
@@ -169,7 +169,17 @@ class Air:
 Stage = Grid | Air | LatencyModel
 
 
-@dataclass
+class Step(NamedTuple):
+    """A path component: its name, its stage on phase-0 grids, its stream id
+    (None for a Grid) and its traversal j of the segment (from output j * toggles)."""
+
+    name: str
+    stage: Stage
+    stream: int | None
+    traversal: int
+
+
+@dataclass(frozen=True)
 class Scenario:
     cell: IolwCellConfig
     segments: dict[str, SegmentSpec]
@@ -178,26 +188,11 @@ class Scenario:
     source: SignalSource
     plc: PlcConfig
     safety: SafetyParams
+    plan: tuple[Step, ...] = field(init=False, repr=False, compare=False)
 
-    def components(self) -> list[str]:
-        """Ordered component names a toggle traverses (stats keys)."""
-        return path_components(self.segments, self.forward, self.ret)
-
-    def stages(self, iolw_phase: int = 0, plc_phase: int = 0) -> list[Stage]:
-        """One stage per component, aligned with components(), on the cell
-        and PLC grids at the given phases; a link's stage is its segment's model."""
-        plc, stages = self.plc, []
-        for name in self.components():
-            seg = self.segments.get(name)
-            if seg is None:  # the poll wait
-                stages.append(Grid(plc.query_cycle_us, plc_phase))
-            elif seg.kind == "plc":
-                stages.append(Grid(plc.task_cycle_us, plc_phase, plc.task_cycle_us + plc.jitter_us))
-            elif seg.kind == "iolw-air":
-                stages.append(Air(seg.transfer, self.cell, iolw_phase))
-            else:
-                stages.append(seg.model)
-        return stages
+    def __post_init__(self) -> None:
+        names = path_components(self.segments, self.forward, self.ret)
+        object.__setattr__(self, "plan", compile_plan(self.cell, self.plc, self.segments, names))
 
 
 def path_components(
@@ -206,16 +201,33 @@ def path_components(
     """The paths' segment ids in traversal order, with the poll wait before
     the forward path's first network segment; an id missing from segments
     (one that failed to load) may be a network segment, so it counts as one."""
-    names: list[str] = []
-    polled = False
-    for sid in forward:
-        seg = segments.get(sid)
-        if not polled and (seg is None or seg.kind in NETWORK_KINDS):
-            names.append(POLL_WAIT)
-            polled = True
-        names.append(sid)
-    names.extend(ret)
+    names = [*forward, *ret]
+    first = next((i for i, sid in enumerate(forward)
+                  if sid not in segments or segments[sid].kind in NETWORK_KINDS), None)
+    if first is not None:
+        names.insert(first, POLL_WAIT)
     return names
+
+
+def compile_plan(
+    cell: IolwCellConfig, plc: PlcConfig, segments: dict[str, SegmentSpec], names: list[str]
+) -> tuple[Step, ...]:
+    """One Step per name of path_components, in traversal order; a link's
+    stage is its segment's model, so segments that share a model share it."""
+    ids, steps = sorted(segments), []
+    for i, name in enumerate(names):
+        seg = segments.get(name)
+        if name == POLL_WAIT:
+            stage = Grid(plc.query_cycle_us, 0)
+        elif seg.kind == "plc":
+            stage = Grid(plc.task_cycle_us, 0, plc.task_cycle_us + plc.jitter_us)
+        elif seg.kind == "iolw-air":
+            stage = Air(seg.transfer, cell, 0)
+        else:
+            stage = seg.model
+        stream = None if isinstance(stage, Grid) else 1 + ids.index(name)
+        steps.append(Step(name, stage, stream, names[:i].count(name)))
+    return tuple(steps)
 
 
 @dataclass
@@ -254,12 +266,7 @@ class RunResult:
     def observed_worst_case_us(self) -> int:
         """Sum of per-component maxima over one full traversal, which may come
         from different toggles: neither an observed response nor a bound."""
-        total = 0
-        for name in self.components:
-            s = self.segment_stats[name]
-            if s.max_us is not None:
-                total += s.max_us
-        return total
+        return sum(self.segment_stats[name].max_us or 0 for name in self.components)
 
 
 class _Workspace:
@@ -291,29 +298,28 @@ def _workspace(size: int, traversals: int) -> _Workspace:
 def _start(
     scenario: Scenario, seed: int
 ) -> tuple[np.random.Generator, list[Stage], list[np.random.Generator | None]]:
-    """A seed's dither stream, its stages on the iolw and PLC grid phases
-    drawn from that stream first, and one stream per stage: None for a
-    Grid, which draws nothing. Traversal j of a segment gets
-    rng_stream(seed, 1 + its sorted index) advanced by j * toggles."""
+    """A seed's dither stream, the plan's stages with each Air on the iolw
+    grid phase and each Grid on the PLC one, both drawn from that stream
+    first, and each step's stream: None for a Grid, which draws nothing."""
     # the testbed's clocks are unsynchronized: each seed draws the phases
-    dither_rng = rng_stream(seed, _PHASE_STREAM)
+    dither_rng = rng_stream(seed, 0)
     periods = [scenario.cell.cycle_us, scenario.plc.task_cycle_us]
-    phases = floor_draws(dither_rng, periods, np.empty(2, np.int64), np.empty(2))
-    stages = scenario.stages(*phases.tolist())  # iolw, then PLC
-    ids = sorted(scenario.segments)
-    components = scenario.components()
-    rngs = [None] * len(components)
-    for i, (name, stage) in enumerate(zip(components, stages)):
-        if not isinstance(stage, Grid):
-            rngs[i] = rng_stream(seed, _SEGMENT_STREAM_BASE + ids.index(name))
-            rngs[i].bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
+    drawn = floor_draws(dither_rng, periods, np.empty(2, np.int64), np.empty(2))
+    phases = dict(zip((Air, Grid), drawn.tolist()))
+    stages, rngs = [], []
+    for step in scenario.plan:
+        phase = phases.get(type(step.stage))
+        stages.append(step.stage if phase is None else dataclasses.replace(step.stage, phase=phase))
+        rngs.append(None if step.stream is None else rng_stream(seed, step.stream))
+        if step.stream is not None:
+            rngs[-1].bit_generator.advance(step.traversal * scenario.source.toggles)
     return dither_rng, stages, rngs
 
 
 def run(scenario: Scenario, seed: int) -> RunResult:
     """Trace every toggle of every source sequence; fully deterministic."""
     dither_rng, stages, rngs = _start(scenario, seed)
-    source, components = scenario.source, tuple(scenario.components())
+    source, components = scenario.source, tuple(step.name for step in scenario.plan)
     air = [i for i, stage in enumerate(stages) if isinstance(stage, Air)]
     seg_stats = {name: LatencyStats() for name in components}
     e2e = LatencyStats()

@@ -3,11 +3,14 @@
 Every kernel writes into arrays its caller passes, so that a run reuses one
 set of buffers for all its blocks. These wrappers allocate those arrays and
 return the result, for tests that check a kernel on its own. The grid
-waits and the iolw-air latencies go through the stages Scenario.stages()
-builds, so the tests run the code run() runs.
+waits and the iolw-air latencies go through the stages of a scenario's
+plan, placed on the phases as a run places them, so the tests run the
+code run() runs.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -33,8 +36,8 @@ def draw_retries(n, model, rng):
 
 
 def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase=0, plc_phase=0):
-    """The air, poll-wait and plc stages Scenario.stages() builds for the
-    forward path air, eth, plc on the given cell, PLC and phases."""
+    """The air, poll-wait and plc stages of the plan of the forward path
+    air, eth, plc on the given cell and PLC, placed on the given phases."""
     segments = {
         "air": SegmentSpec("iolw-air", transfer=transfer or IolwTransferModel(0)),
         "eth": SegmentSpec("ethernet", Constant(0)),
@@ -42,8 +45,12 @@ def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase
     }
     path = ["air", "eth", "plc"]
     scenario = Scenario(cell, segments, path, [], SignalSource(), plc_cfg, SafetyParams())
-    air, poll, _, plc_stage = scenario.stages(iolw_phase, plc_phase)
-    return air, poll, plc_stage
+    air, poll, _, plc_stage = (step.stage for step in scenario.plan)
+    return (
+        dataclasses.replace(air, phase=iolw_phase),
+        dataclasses.replace(poll, phase=plc_phase),
+        dataclasses.replace(plc_stage, phase=plc_phase),
+    )
 
 
 def durations(stage, t, draws=None):

@@ -19,7 +19,8 @@ are kept as well:
 - the first array form of a run, which held every component's durations
   in one (components x toggles) matrix and which run() must match
   exactly, with the toggle times as one grid of sequence starts plus
-  offsets;
+  offsets, and the component order and stream layout derived from the
+  forward and return paths alone, which the scenario's plan must equal;
 - the (transfers x attempts) failure-matrix draw of the iolw-air retries,
   which draw_retries must match in distribution;
 - the enumeration of the channels a hop plan may use, whose verdict (a plan
@@ -202,6 +203,19 @@ def sample_one(model, rng):
     raise TypeError(f"unknown model {model!r}")
 
 
+def path_order(scenario):
+    """The component names a toggle walks, from the paths alone and not
+    from the scenario's plan: the forward path with the poll wait right
+    before its first network segment, then the return path."""
+    names, polled = [], False
+    for sid in scenario.forward:
+        if not polled and scenario.segments[sid].kind in NETWORK_KINDS:
+            names.append(POLL_WAIT)
+            polled = True
+        names.append(sid)
+    return names + list(scenario.ret)
+
+
 def trace_toggle(t0, scenario, iolw_phase, plc_phase, rngs):
     """Walk one toggle through both paths.
 
@@ -212,40 +226,35 @@ def trace_toggle(t0, scenario, iolw_phase, plc_phase, rngs):
     cell = scenario.cell
     parts = []
     t = t0
-    polled = False
-    for in_forward, path in ((True, scenario.forward), (False, scenario.ret)):
-        for sid in path:
-            seg = scenario.segments[sid]
-            if in_forward and not polled and seg.kind in NETWORK_KINDS:
-                poll = next_poll(t, scenario.plc, plc_phase)
-                parts.append((POLL_WAIT, poll - t))
-                t = poll
-                polled = True
-            if seg.kind == "plc":
-                d = align_to_task_cycle(t, scenario.plc, plc_phase) - t
-            elif seg.kind == "iolw-air":
-                rel = t - iolw_phase + cell.cycle_us
-                d = transfer_latency(rel, seg.transfer, cell, rngs[sid])
-                if d is None:
-                    return parts, sid
-            else:
-                d = sample_one(seg.model, rngs[sid])
-            parts.append((sid, d))
-            t += d
+    for name in path_order(scenario):
+        seg = scenario.segments.get(name)
+        if name == POLL_WAIT:
+            d = next_poll(t, scenario.plc, plc_phase) - t
+        elif seg.kind == "plc":
+            d = align_to_task_cycle(t, scenario.plc, plc_phase) - t
+        elif seg.kind == "iolw-air":
+            rel = t - iolw_phase + cell.cycle_us
+            d = transfer_latency(rel, seg.transfer, cell, rngs[name])
+            if d is None:
+                return parts, name
+        else:
+            d = sample_one(seg.model, rngs[name])
+        parts.append((name, d))
+        t += d
     return parts, None
 
 
 def trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs):
     """Push every toggle through every component, one column-wise step each.
 
-    rngs[i] is component i's stream, as layout_streams gives them. Returns
-    (parts, lost_at): parts[i] holds component i's durations, and the
-    columns of parts sum exactly to the end-to-end latencies; lost_at is
-    the index of the component where a toggle was lost, or -1. A lost
-    toggle keeps moving so the arrays stay aligned.
+    Component i is path_order's, and rngs[i] its stream, as layout_streams
+    gives them. Returns (parts, lost_at): parts[i] holds component i's
+    durations, and the columns of parts sum exactly to the end-to-end
+    latencies; lost_at is the index of the component where a toggle was
+    lost, or -1. A lost toggle keeps moving so the arrays stay aligned.
     """
     cell, plc = scenario.cell, scenario.plc
-    components = scenario.components()
+    components = path_order(scenario)
     parts = np.empty((len(components), len(t0)), dtype=np.int64)
     lost_at = np.full(len(t0), -1, dtype=np.int64)
     t = t0
@@ -276,20 +285,29 @@ def toggle_times(source):
     return (starts[:, None] + offsets).ravel()
 
 
+def layout(scenario):
+    """(stream id, traversal) of each component of path_order by the
+    documented layout, not taken from the plan: traversal j of a segment
+    reads stream 1 + the segment's sorted index from output j * toggles on;
+    the poll wait and a plc segment draw nothing and get stream None."""
+    ids, names = sorted(scenario.segments), path_order(scenario)
+    return [
+        (
+            None if name == POLL_WAIT or scenario.segments[name].kind == "plc"
+            else 1 + ids.index(name),
+            names[:i].count(name),
+        )
+        for i, name in enumerate(names)
+    ]
+
+
 def layout_streams(scenario, seed):
-    """Component i's stream by the documented layout, not taken from
-    scenario._start: traversal j of a segment reads stream 1 + the
-    segment's sorted index from output j * toggles on; the poll wait gets
-    None."""
-    ids = sorted(scenario.segments)
-    components = scenario.components()
+    """Component i's stream by layout, None for one that draws nothing."""
     rngs = []
-    for i, name in enumerate(components):
-        if name not in scenario.segments:
-            rngs.append(None)
-            continue
-        rng = rng_stream(seed, 1 + ids.index(name))
-        rng.bit_generator.advance(components[:i].count(name) * scenario.source.toggles)
+    for stream, traversal in layout(scenario):
+        rng = None if stream is None else rng_stream(seed, stream)
+        if rng is not None:
+            rng.bit_generator.advance(traversal * scenario.source.toggles)
         rngs.append(rng)
     return rngs
 
@@ -314,7 +332,7 @@ def run_via_matrix(scenario, seed):
     rngs = layout_streams(scenario, seed)
     parts, lost_at = trace_matrix(scenario, t0, iolw_phase, plc_phase, rngs)
     delivered = lost_at < 0
-    components = tuple(scenario.components())
+    components = tuple(path_order(scenario))
     stats = {name: LatencyStats() for name in components}
     for i, (name, row) in enumerate(zip(components, parts[:, delivered])):
         stats[name].add(row)

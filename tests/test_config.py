@@ -464,7 +464,7 @@ def test_path_past_int64_rejected_at_path(command, tmp_path, capsys):
     # each duration is below 2**53, but 1 100 of them once wrapped the
     # int64 times and crashed the run with a traceback; the eth constant
     # replaces two of 1200 us, and the path now crosses it 1 101 times
-    base = sum(stage.upper_bound_us() for stage in load_scenario(MINIMAL).stages())
+    base = sum(step.stage.upper_bound_us() for step in load_scenario(MINIMAL).plan)
     worst = base - 2 * 1200 + 1101 * (2**53 - 1)
     message = worst_case_message(worst)
     assert_rejected_at_path(long_eth_path(1100), message, command, tmp_path, capsys)
@@ -481,7 +481,7 @@ def shipped_with_plc_jitter(text, jitter_us):
 def test_worst_case_just_below_the_histogram_span_loads(command, default_config_text, tmp_path):
     text = shipped_with_plc_jitter(default_config_text, 6_404_669)
     scenario = load_scenario(text)
-    worst = sum(stage.upper_bound_us() for stage in scenario.stages())
+    worst = sum(step.stage.upper_bound_us() for step in scenario.plan)
     assert worst == DENSE_BIN_CAP * BIN_WIDTH_US - 1
     path = tmp_path / "jitter.scenario"
     path.write_text(text)
@@ -499,8 +499,8 @@ def test_worst_case_at_the_histogram_span_rejected_at_path(
 
 
 def test_shipped_component_bounds_sum_to_the_derived_figure(default_scenario):
-    stage_bounds = [stage.upper_bound_us() for stage in default_scenario.stages()]
-    bounds = dict(zip(default_scenario.components(), stage_bounds))
+    stage_bounds = [step.stage.upper_bound_us() for step in default_scenario.plan]
+    bounds = dict(zip((step.name for step in default_scenario.plan), stage_bounds))
     assert (bounds["air_up"], bounds["poll_wait"], bounds["plc"]) == (5666, 9999, 9999)
     assert sum(stage_bounds) == 148_930
 
@@ -752,11 +752,11 @@ def test_component_without_a_budget_takes_its_derived_bound(default_config_text)
     # the wire once dropped out of the sum, for a worst case of 147 000 us
     sc = load_scenario(patch(default_config_text, "budget.wire = 2600 us\n", ""))
     maxima = dict(sc.safety.segment_maxima)
-    assert set(maxima) == set(sc.components())
+    assert set(maxima) == {step.name for step in sc.plan}
     assert maxima["wire"] == 2600  # 1 300 us on each of its two traversals
     assert worst_case_sfrt(sc.safety) == 149_600
     # a budget above its derived bound still overrides it
-    air_up = sc.stages()[sc.components().index("air_up")]
+    air_up = next(step.stage for step in sc.plan if step.name == "air_up")
     assert (air_up.upper_bound_us(), maxima["air_up"]) == (5666, 6000)
 
 
@@ -769,7 +769,7 @@ def test_scenario_without_budgets_reports_the_derived_sum(default_config_text, t
     path.write_text(text)
     assert main(["run", str(path), "--deterministic", "--out", str(tmp_path / "o")]) == EXIT_OK
     safety = json.loads((tmp_path / "o" / "report.json").read_text())["safety"]
-    assert set(safety["budget_us"]) == set(load_scenario(text).components())
+    assert set(safety["budget_us"]) == {step.name for step in load_scenario(text).plan}
     assert safety["worst_case_sfrt_us"] == 148_930
     assert safety["observed_max_us"] <= 148_930
 

@@ -25,7 +25,7 @@ from iolw5gsim.scenario import Air, Grid, run
 from iolw5gsim.stats import LatencyStats
 from tests import scalar_reference as ref
 from tests.fresh import align_to_task_cycle, draw_retries, next_poll, sample, transfer_latencies
-from tests.test_scenario import random_scenario, small_scenario
+from tests.test_scenario import random_scenario, small_scenario, with_segment
 
 # Each KS test compares one fixed-seed pair of samples; with some forty such
 # tests this keeps a false alarm from a correct sampler below 1 %.
@@ -351,12 +351,15 @@ def test_run_drops_lost_toggles_like_boolean_index():
     rnd = random.Random(7)
     for i in range(6):
         sc = random_scenario(rnd)
-        sc.source = dataclasses.replace(sc.source, sequences=100)
-        sc.segments["air"].transfer.per_subcycle_error_prob = (0.0, 0.4, 1.0)[i % 3]
+        sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=100))
+        transfer = dataclasses.replace(
+            sc.segments["air"].transfer, per_subcycle_error_prob=(0.0, 0.4, 1.0)[i % 3]
+        )
+        sc = with_segment(sc, "air", transfer=transfer)
         if i % 2:
-            sc.segments["nr"].model = Empirical(
+            sc = with_segment(sc, "nr", model=Empirical(
                 tuple((5000 + 200 * j, 1.0 + (j % 7)) for j in range(120))
-            )
+            ))
         result = run(sc, seed=i)
         if i % 3 == 1:
             assert 0 < result.segment_stats["air"].losses < result.toggles
@@ -474,7 +477,7 @@ def traced_samples(scenario, seed):
     parts, lost_at = ref.trace_matrix(scenario, t0, iolw_phase, plc_phase, streams)
     delivered = lost_at < 0
     array = {"end_to_end": parts.sum(axis=0)[delivered]}
-    for name, durations in zip(scenario.components(), parts):
+    for name, durations in zip(ref.path_order(scenario), parts):
         array.setdefault(name, []).extend(durations[delivered].tolist())
 
     rngs = {sid: rng_stream(seed + 1000, 1 + i) for i, sid in enumerate(ids)}
@@ -491,7 +494,7 @@ def traced_samples(scenario, seed):
 @pytest.mark.parametrize("scenario_seed", range(5))
 def test_components_and_end_to_end_match_scalar_distribution(scenario_seed):
     sc = random_scenario(random.Random(scenario_seed))
-    sc.source = dataclasses.replace(sc.source, sequences=300)
+    sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=300))
     array, scalar = traced_samples(sc, scenario_seed)
     assert array.keys() == scalar.keys()
     for name in array:
@@ -501,11 +504,10 @@ def test_components_and_end_to_end_match_scalar_distribution(scenario_seed):
 
 @pytest.mark.parametrize("p,k", [(0.3, 3), (0.5, 2), (0.2, 5)])
 def test_losses_per_leg_match_residual_error(default_scenario, p, k):
-    sc = dataclasses.replace(default_scenario, segments=dict(default_scenario.segments))
+    sc = default_scenario
     for sid in ("air_up", "air_down"):
-        sc.segments[sid] = dataclasses.replace(
-            sc.segments[sid],
-            transfer=IolwTransferModel(667, per_subcycle_error_prob=p, max_attempts=k),
+        sc = with_segment(
+            sc, sid, transfer=IolwTransferModel(667, per_subcycle_error_prob=p, max_attempts=k)
         )
     result = run(sc, seed=k)
     residual = p**k
@@ -540,11 +542,10 @@ def test_lossy_blocks_match_one_block_in_distribution(default_scenario, monkeypa
     # statistic still records exactly the same samples, so the same
     # distribution, though a twice-crossed segment's statistic gets its
     # two traversals a block at a time
-    sc = dataclasses.replace(default_scenario, segments=dict(default_scenario.segments))
+    sc = default_scenario
     for sid in ("air_up", "air_down"):
-        sc.segments[sid] = dataclasses.replace(
-            sc.segments[sid],
-            transfer=IolwTransferModel(667, per_subcycle_error_prob=0.3, max_attempts=5),
+        sc = with_segment(
+            sc, sid, transfer=IolwTransferModel(667, per_subcycle_error_prob=0.3, max_attempts=5)
         )
     whole, one_block = recorded_samples(sc, 5, monkeypatch)
     monkeypatch.setattr(scenario_mod, "BLOCK", 1000)
@@ -578,11 +579,10 @@ def test_dither_is_uniform_over_one_query_cycle():
     # every toggle starts on the query grid's period, and the poll wait
     # comes first, so it is (plc phase - dither) mod query_cycle: uniform
     # over the cycle, in 100 us bins of equal size, iff the dither is
-    sc = small_scenario(sequences=2700)
-    sc.forward = ["eth", "plc"]
+    sc = dataclasses.replace(small_scenario(sequences=2700), forward=["eth", "plc"])
     q = sc.plc.query_cycle_us
     assert sc.source.toggle_period_us % q == 0 == sc.source.sequence_length_us % q
-    assert sc.components()[0] == "poll_wait"
+    assert sc.plan[0].name == "poll_wait"
     poll = run(sc, seed=3).segment_stats["poll_wait"]
     width = q // 100
     counts = dict(poll.histogram())

@@ -58,14 +58,14 @@ def test_mutant_loads_or_is_rejected_and_runs_within_its_bounds(text):
         scenario = load_scenario(text)
     except ScenarioError:
         return
-    stage_bounds = [stage.upper_bound_us() for stage in scenario.stages()]
+    stage_bounds = [step.stage.upper_bound_us() for step in scenario.plan]
     assert worst_case_sfrt(scenario.safety) >= sum(stage_bounds), text
-    assert {name for name, _ in scenario.safety.segment_maxima} == set(scenario.components())
+    assert {name for name, _ in scenario.safety.segment_maxima} == {step.name for step in scenario.plan}
     if scenario.source.toggles > MAX_TOGGLES:
         return
     result = run(scenario, 1)
     bounds: dict[str, int] = {}
-    for name, bound in zip(scenario.components(), stage_bounds):
-        bounds[name] = max(bounds.get(name, 0), bound)
+    for step, bound in zip(scenario.plan, stage_bounds):
+        bounds[step.name] = max(bounds.get(step.name, 0), bound)
     for name, stats in result.segment_stats.items():
         assert stats.max_us is None or stats.max_us <= bounds[name], (name, text)

@@ -22,7 +22,7 @@ WAIT_MODEL = IolwTransferModel(completion_offset_us=667)
 
 
 def air(model, cell=CELL, phase=0):
-    """The Air stage Scenario.stages() builds for a hop."""
+    """The Air stage of a hop's plan step, placed on phase."""
     return stages(cell, transfer=model, iolw_phase=phase)[0]
 
 

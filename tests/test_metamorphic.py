@@ -10,10 +10,14 @@ result is known exactly, with no reference implementation to compare with.
   second attempt do not depend on max_attempts.
 - R5: at error_prob = 0, max_attempts changes nothing, loaded safety
   included.
+- R6: reversing the [segment.<id>] sections and moving [plc] above
+  [source] changes nothing: streams follow the sorted ids, not the order
+  of the file.
 
-Each relation runs on the shipped scenario without its budget lines (so
-its safety is the derived one, and renamed or added segments need no
-budget) for seeds 0-4, and as a hypothesis property over random_scenario.
+R1-R5 run on the shipped scenario without its budget lines (so its
+safety is the derived one, and renamed or added segments need no budget)
+for seeds 0-4, and as a hypothesis property over random_scenario; R6 runs
+on the shipped file and on the lossy digest scenario for seeds 0-4.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from iolw5gsim.cli import default_scenario_path
 from iolw5gsim.config import load_scenario
 from iolw5gsim.fiveg import Constant
 from iolw5gsim.scenario import POLL_WAIT, Scenario, SegmentSpec, run
+from tests.test_digests import LOSSY_EMPIRICAL
 from tests.test_scenario import random_scenario
 
 SEEDS = range(5)
@@ -166,6 +171,37 @@ def test_r5_loaded_safety_ignores_max_attempts_at_error_prob_0():
     assert loaded(0, 1).safety == loaded(0, 3).safety == loaded(0, 7).safety
     # with losses possible, every attempt adds to the air hops' derived bound
     assert loaded(0.001, 3).safety != loaded(0.001, 7).safety
+
+
+def reordered(text: str) -> str:
+    """text with its [segment.<id>] sections in reverse order and [plc]
+    moved to just above [source]; a section runs from its header to the next."""
+    assert text.endswith("\n")
+    head, sections = "", []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            sections.append(line)
+        elif sections:
+            sections[-1] += line
+        else:
+            head += line
+    segments = [s for s in sections if s.startswith("[segment.")]
+    sections = [segments.pop() if s.startswith("[segment.") else s for s in sections]
+    headers = [s.splitlines()[0] for s in sections]
+    assert headers.index("[source]") < headers.index("[plc]")
+    plc = sections.pop(headers.index("[plc]"))
+    sections.insert(headers.index("[source]"), plc)
+    return head + "".join(sections)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("text", [default_scenario_path().read_text(), LOSSY_EMPIRICAL],
+                         ids=["shipped", "lossy-empirical"])
+def test_r6_section_order_changes_nothing(text, seed):
+    base, moved = load_scenario(text), load_scenario(reordered(text))
+    assert list(moved.segments) == list(reversed(base.segments))
+    assert moved == base
+    assert run(moved, seed) == run(base, seed)
 
 
 scenarios = st.integers(0, 2**32 - 1).map(lambda s: random_scenario(random.Random(s)))

@@ -83,8 +83,9 @@ class TestDerivedBounds:
             phase = rnd.randrange(task)
             scenario = dataclasses.replace(default_scenario, plc=cfg)
             bounds = {
-                name: stage.upper_bound_us()
-                for name, stage in zip(scenario.components(), scenario.stages(0, phase))
+                step.name: dataclasses.replace(step.stage, phase=phase).upper_bound_us()
+                for step in scenario.plan
+                if step.name in ("poll_wait", "plc")
             }
             start = rnd.randrange(10**6)
             poll = grid_wait(np.arange(start, start + cfg.query_cycle_us), cfg.query_cycle_us, phase)

@@ -34,8 +34,15 @@ from tests.test_digests import LOSSY_EMPIRICAL
 def small_scenario(**source_kw):
     sc = load_scenario(MINIMAL)
     if source_kw:
-        sc.source = dataclasses.replace(sc.source, **source_kw)
+        sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, **source_kw))
     return sc
+
+
+def with_segment(sc: Scenario, sid: str, **changes) -> Scenario:
+    """sc with the given fields of segment sid changed; the scenario and
+    its segments are frozen, so the copy compiles a plan of its own."""
+    segment = dataclasses.replace(sc.segments[sid], **changes)
+    return dataclasses.replace(sc, segments={**sc.segments, sid: segment})
 
 
 def random_scenario(rnd: random.Random) -> Scenario:
@@ -129,10 +136,9 @@ class TestRun:
         assert result.losses == 0
 
     def test_sample_count_is_toggles_minus_losses(self):
-        sc = small_scenario(sequences=4)
-        sc.segments["air"].transfer = IolwTransferModel(
+        sc = with_segment(small_scenario(sequences=4), "air", transfer=IolwTransferModel(
             completion_offset_us=667, per_subcycle_error_prob=0.55, max_attempts=2
-        )
+        ))
         result = run(sc, seed=3)
         assert result.losses > 0
         assert result.end_to_end.count == result.toggles - result.losses
@@ -177,8 +183,7 @@ class TestRun:
     def test_duration_past_int32_range_is_recorded_exactly(self):
         # 3 000 toggles of 2**52 us: a block's int64 sum would wrap
         for big in (2**31 + 5, 2**52):
-            sc = small_scenario(sequences=600)
-            sc.segments["eth"].model = Constant(big)
+            sc = with_segment(small_scenario(sequences=600), "eth", model=Constant(big))
             result = run(sc, seed=1)
             eth = result.segment_stats["eth"]
             assert eth.min_us == eth.max_us == big
@@ -194,7 +199,7 @@ class TestRun:
             + 3 * ["eth_shop", "nr_up", "nr_down", "eth_edge"]
             + default_scenario.forward[-1:],
         )
-        assert len(longer.components()) == len(default_scenario.components()) + 12
+        assert len(longer.plan) == len(default_scenario.plan) + 12
         peaks = []
         for sc in (default_scenario, longer):
             run(sc, seed=1)  # leaves out numpy's one-time allocations
@@ -208,10 +213,9 @@ class TestRun:
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_loss_increments_segment_counter(self):
-        sc = small_scenario()
-        sc.segments["air"].transfer = IolwTransferModel(
+        sc = with_segment(small_scenario(), "air", transfer=IolwTransferModel(
             completion_offset_us=0, per_subcycle_error_prob=1.0, max_attempts=3
-        )
+        ))
         result = run(sc, seed=1)
         assert result.losses == result.toggles == sc.source.toggles
         assert result.end_to_end.count == 0
@@ -226,7 +230,7 @@ class TestRun:
         for extra, later in [([], 5), (["eth_edge"], 6)]:
             sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + extra)
             _, stages, rngs = scenario_mod._start(sc, 7)
-            components = sc.components()
+            components = ref.path_order(sc)
             ids = sorted(sc.segments)
             assert "plc" in ids and components.count("wire") == 2
             # a link segment's stage is its model
@@ -248,19 +252,17 @@ class TestRun:
             assert max(traversals_before) == 1 + len(extra)
 
     def test_a_link_stage_is_its_segments_model(self, default_scenario):
-        # no wrapper between a link segment and its stage: stages() hands out
+        # no wrapper between a link segment and its stage: a link step holds
         # the segment's own model, so the loader's sharing carries over and
         # the four 5G traversals (nr_up and nr_down, twice each) are one object
-        components = default_scenario.components()
         links = 0
-        for name, stage in zip(components, default_scenario.stages()):
-            seg = default_scenario.segments.get(name)
+        for step in default_scenario.plan:
+            seg = default_scenario.segments.get(step.name)
             if seg is not None and seg.model is not None:
-                assert stage is seg.model, name
+                assert step.stage is seg.model, step.name
                 links += 1
         assert links == 10
-        stages = default_scenario.stages()
-        nr = [stages[i] for i, name in enumerate(components) if name.startswith("nr_")]
+        nr = [step.stage for step in default_scenario.plan if step.name.startswith("nr_")]
         assert len(nr) == 4 and all(stage is nr[0] for stage in nr)
 
     def test_run_leaves_each_stream_where_the_layout_says(self, default_scenario, monkeypatch):
@@ -285,7 +287,7 @@ class TestRun:
             started.clear()
             run(sc, seed=4)
             [(dither_rng, stages, rngs)] = started
-            n, ids, components = sc.source.toggles, sorted(sc.segments), sc.components()
+            n, ids, components = sc.source.toggles, sorted(sc.segments), ref.path_order(sc)
             assert dither_rng.bit_generator.state == at(4, 0, 2 + n)
             checked = 0
             for i, (name, stage, rng) in enumerate(zip(components, stages, rngs)):
@@ -298,12 +300,38 @@ class TestRun:
             assert checked == len([s for s in stages if not isinstance(s, Grid)])
 
 
+class TestPlan:
+    def test_steps_follow_the_documented_layout(self, default_scenario):
+        # names from the paths alone, and each step's stream id and
+        # traversal as the oracle's layout gives them: stream 1 + the sorted
+        # index for a stage that draws, None for the poll wait and the plc
+        rnd = random.Random(37)
+        scenarios = [default_scenario, load_scenario(LOSSY_EMPIRICAL)]
+        for sc in scenarios + [random_scenario(rnd) for _ in range(20)]:
+            steps = [(step.name, step.stream, step.traversal) for step in sc.plan]
+            expected = [(name, *pair) for name, pair in zip(ref.path_order(sc), ref.layout(sc))]
+            assert steps == expected
+
+    def test_a_loaded_scenario_and_its_segments_are_frozen(self, default_scenario):
+        # each field is set to its own value, so a miss leaves the shared
+        # fixture as it was
+        for obj in (default_scenario, *default_scenario.segments.values()):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+
+    def test_replace_compiles_a_plan_of_its_own(self, default_scenario):
+        sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + ["eth_edge"])
+        assert sc.plan[:-1] == default_scenario.plan
+        eth_edge = next(step for step in sc.plan if step.name == "eth_edge")
+        assert sc.plan[-1] == eth_edge._replace(traversal=2)
+
+
 def lossy_empirical_scenario(sequences: int) -> Scenario:
     """The lossy digest scenario: links crossed twice (a uniform Ethernet
     and two empirical 5G legs) and iolw-air hops at p = 0.3."""
     sc = load_scenario(LOSSY_EMPIRICAL)
-    sc.source = dataclasses.replace(sc.source, sequences=sequences)
-    return sc
+    return dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=sequences))
 
 
 # every sampler that draws; draw_retries also with the largest threshold
@@ -371,9 +399,8 @@ def lossy_small_scenario(sequences: int) -> Scenario:
     """The small scenario with its iolw-air hop crossed once, not twice, and
     losing one transfer in eight."""
     sc = small_scenario(sequences=sequences)
-    sc.segments["air"].transfer = IolwTransferModel(667, 0.5, max_attempts=3)
-    sc.ret = ["eth", "wire"]
-    return sc
+    sc = with_segment(sc, "air", transfer=IolwTransferModel(667, 0.5, max_attempts=3))
+    return dataclasses.replace(sc, ret=["eth", "wire"])
 
 
 class TestWorkspace:
@@ -529,9 +556,9 @@ class TestDominance:
         for sc in [random_scenario(rnd) for _ in range(30)] + [mixed_scenario()]:
             result = run(sc, seed=1)
             bounds: dict[str, int] = {}
-            stage_bounds = [stage.upper_bound_us() for stage in sc.stages()]
-            for name, bound in zip(sc.components(), stage_bounds):
-                bounds[name] = max(bounds.get(name, 0), bound)
+            stage_bounds = [step.stage.upper_bound_us() for step in sc.plan]
+            for step, bound in zip(sc.plan, stage_bounds):
+                bounds[step.name] = max(bounds.get(step.name, 0), bound)
             for name, stats in result.segment_stats.items():
                 assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
             assert result.end_to_end.max_us <= sum(stage_bounds), sc
