@@ -32,8 +32,8 @@ from typing import TypeVar
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
-from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, compile_plan, path_components
-from .stats import BIN_WIDTH_US, DENSE_BIN_CAP, SafetyParams, worst_case_sfrt
+from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
+from .stats import BIN_WIDTH_US, DENSE_BIN_CAP, worst_case_sfrt
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
 _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
@@ -352,17 +352,15 @@ def _build_paths(
     return paths.get("forward", []), paths.get("return", [])
 
 
-def _safety_keys(
-    raw: _Section, components: set[str], diags: list[Diagnostic]
-) -> tuple[dict, dict[str, int]]:
-    """SafetyParams keywords of [safety] but the maxima, and its budgets by name."""
+def _safety_keys(raw: _Section, components: set[str], diags: list[Diagnostic]) -> dict:
+    """Scenario keywords of [safety]: approach_speed_mps if set, and budgets."""
     budgets = {k: r for k, r in raw.items() if k.startswith("budget.")}
     rest = {k: r for k, r in raw.items() if k not in budgets}
     kw = _fields("safety", rest, _SAFETY_FIELDS, diags) or {}
     if kw.get("approach_speed_mps", 1.0) <= 0:  # _float has rejected nan and inf
         r = rest["approach_speed"]
         diags.append(r.at(f"approach_speed must be > 0, got {r.value}"))
-    maxima: dict[str, int] = {}
+    kw["budgets"] = {}
     for key, r in budgets.items():
         name = key[len("budget."):]
         if name not in components:
@@ -377,8 +375,8 @@ def _safety_keys(
         if d is not None and d < 0:
             diags.append(r.at(f"budget {name!r} must be >= 0"))
         elif d is not None:
-            maxima[name] = d
-    return kw, maxima
+            kw["budgets"][name] = d
+    return kw
 
 
 def load_scenario(text: str) -> Scenario:
@@ -418,35 +416,32 @@ def load_scenario(text: str) -> Scenario:
         msg = "[source]: toggle_period must exceed the [plc] query_cycle"
         diags.append(sections["source"].at(msg))
     names = path_components(segments, forward, ret)
-    safety_kw, budgets = _safety_keys(sections["safety"], set(names), diags)
+    safety_kw = _safety_keys(sections["safety"], set(names), diags)
 
     if diags:
         raise ScenarioError(diags)
-    # a component's maximum covers every traversal of it: its derived bound,
-    # or a budget at or above that bound
-    derived: dict[str, int] = {}
-    for step in compile_plan(cell, plc_cfg, segments, names):
-        derived[step.name] = derived.get(step.name, 0) + step.stage.upper_bound_us()
+    scenario = Scenario(cell, segments, forward, ret, source, plc_cfg, **safety_kw)
     # every latency a run records lies in 0..worst, so one histogram holds it
-    worst = sum(derived.values())
+    worst = sum(scenario.bounds.values())
     if worst >= DENSE_BIN_CAP * BIN_WIDTH_US:
         msg = (f"[path]: the paths' derived worst case of {worst} us must be below "
                f"{DENSE_BIN_CAP * BIN_WIDTH_US} us, the span of one histogram")
         diags.append(sections["path"].at(msg))
-    for name, budget in budgets.items():
-        if budget < derived[name]:
-            msg = f"budget {name!r} of {budget} us is below its derived bound of {derived[name]} us"
+    # the scenario raises a budget below its bound to it; a file may not state one
+    for name, budget in scenario.budgets.items():
+        bound = scenario.bounds[name]
+        if budget < bound:
+            msg = f"budget {name!r} of {budget} us is below its derived bound of {bound} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
-    safety = SafetyParams(**safety_kw, segment_maxima=tuple({**derived, **budgets}.items()))
     # the report rounds the safety distance up to 0.1 m, so ten times it must be finite
-    sfrt = worst_case_sfrt(safety)
-    if not math.isfinite(safety.approach_speed_mps * sfrt / 1_000_000.0 * 10):
+    sfrt = worst_case_sfrt(scenario.safety)
+    if not math.isfinite(scenario.approach_speed_mps * sfrt / 1_000_000.0 * 10):
         r = sections["safety"]["approach_speed"]  # the default speed stays finite
         msg = f"approach_speed {r.value} over {sfrt} us gives a safety distance past the float range"
         diags.append(r.at(msg))
     if diags:
         raise ScenarioError(diags)
-    return Scenario(cell, segments, forward, ret, source, plc_cfg, safety)
+    return scenario
 
 
 def decode_scenario(data: bytes) -> str:

@@ -123,7 +123,7 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class IolwTransferModel:
     """Latency model for one W-Device <-> W-Master process-data transfer.
 

@@ -20,7 +20,7 @@ DEFAULT_TASK_CYCLE_US = 5000
 DEFAULT_QUERY_CYCLE_US = 10000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlcConfig:
     task_cycle_us: int = DEFAULT_TASK_CYCLE_US
     query_cycle_us: int = DEFAULT_QUERY_CYCLE_US

@@ -2,13 +2,14 @@
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
 return path (PLC -> actuator). Frozen, it compiles its plan once: a Step
-per component in traversal order, whose stage on phase-0 grids the loader
-bounds and run() places. A Grid waits for the next point of a clock grid,
-plus a fixed extra (the poll wait, a plc segment); an Air hop waits for its
-cell's next cycle start, then rides the slot its retries reach; a link
-segment's stage is its own model. The poll wait comes right before the
-forward path's first network segment, where the process-image change waits
-at the W-Master to be queried.
+per component in traversal order, whose stage on phase-0 grids run()
+places, and from the steps each component's bound and safety maximum (the
+bound, raised to the component's budget). A Grid waits for the next point
+of a clock grid, plus a fixed extra (the poll wait, a plc segment); an Air
+hop waits for its cell's next cycle start, then rides the slot its retries
+reach; a link segment's stage is its own model. The poll wait comes right
+before the forward path's first network segment, where the process-image
+change waits at the W-Master to be queried.
 
 A boolean signal source toggles periodically. Toggles never interact (no
 queue, no shared medium), so a run works column-wise, on BLOCK toggles at a
@@ -60,7 +61,7 @@ class SegmentSpec:
     transfer: IolwTransferModel | None = None  # iolw-air
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalSource:
     toggle_period_us: int = 200_000
     sequences: int = 540
@@ -187,12 +188,35 @@ class Scenario:
     ret: list[str]
     source: SignalSource
     plc: PlcConfig
-    safety: SafetyParams
+    approach_speed_mps: float = SafetyParams.approach_speed_mps
+    budgets: dict[str, int] = field(default_factory=dict)
     plan: tuple[Step, ...] = field(init=False, repr=False, compare=False)
+    bounds: dict[str, int] = field(init=False, repr=False, compare=False)
+    safety: SafetyParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """One Step per name of path_components (a link's stage is its
+        segment's model, so segments that share a model share it), and a
+        component's bound: the sum of its steps' upper bounds."""
         names = path_components(self.segments, self.forward, self.ret)
-        object.__setattr__(self, "plan", compile_plan(self.cell, self.plc, self.segments, names))
+        ids, plc, steps, bounds = sorted(self.segments), self.plc, [], {}
+        for i, name in enumerate(names):
+            seg = self.segments.get(name)
+            if name == POLL_WAIT:
+                stage = Grid(plc.query_cycle_us, 0)
+            elif seg.kind == "plc":
+                stage = Grid(plc.task_cycle_us, 0, plc.task_cycle_us + plc.jitter_us)
+            elif seg.kind == "iolw-air":
+                stage = Air(seg.transfer, self.cell, 0)
+            else:
+                stage = seg.model
+            stream = None if isinstance(stage, Grid) else 1 + ids.index(name)
+            steps.append(Step(name, stage, stream, names[:i].count(name)))
+            bounds[name] = bounds.get(name, 0) + stage.upper_bound_us()
+        maxima = tuple((name, max(b, self.budgets.get(name, 0))) for name, b in bounds.items())
+        object.__setattr__(self, "plan", tuple(steps))
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "safety", SafetyParams(self.approach_speed_mps, maxima))
 
 
 def path_components(
@@ -207,27 +231,6 @@ def path_components(
     if first is not None:
         names.insert(first, POLL_WAIT)
     return names
-
-
-def compile_plan(
-    cell: IolwCellConfig, plc: PlcConfig, segments: dict[str, SegmentSpec], names: list[str]
-) -> tuple[Step, ...]:
-    """One Step per name of path_components, in traversal order; a link's
-    stage is its segment's model, so segments that share a model share it."""
-    ids, steps = sorted(segments), []
-    for i, name in enumerate(names):
-        seg = segments.get(name)
-        if name == POLL_WAIT:
-            stage = Grid(plc.query_cycle_us, 0)
-        elif seg.kind == "plc":
-            stage = Grid(plc.task_cycle_us, 0, plc.task_cycle_us + plc.jitter_us)
-        elif seg.kind == "iolw-air":
-            stage = Air(seg.transfer, cell, 0)
-        else:
-            stage = seg.model
-        stream = None if isinstance(stage, Grid) else 1 + ids.index(name)
-        steps.append(Step(name, stage, stream, names[:i].count(name)))
-    return tuple(steps)
 
 
 @dataclass

@@ -144,6 +144,8 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class SafetyParams:
+    """A scenario's derived safety block: its speed and component maxima."""
+
     approach_speed_mps: float = 2.0
     segment_maxima: tuple[tuple[str, int], ...] = ()
 

@@ -19,7 +19,6 @@ from iolw5gsim.fiveg import Constant
 from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import Scenario, SegmentSpec, SignalSource
-from iolw5gsim.stats import SafetyParams
 
 
 def sample(model, rng, n):
@@ -44,7 +43,7 @@ def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase
         "plc": SegmentSpec("plc"),
     }
     path = ["air", "eth", "plc"]
-    scenario = Scenario(cell, segments, path, [], SignalSource(), plc_cfg, SafetyParams())
+    scenario = Scenario(cell, segments, path, [], SignalSource(), plc_cfg)
     air, poll, _, plc_stage = (step.stage for step in scenario.plan)
     return (
         dataclasses.replace(air, phase=iolw_phase),

@@ -89,6 +89,10 @@ MUTANTS = (
            "names.insert(first, POLL_WAIT)",
            "names.insert(first + 1, POLL_WAIT)",
            "the poll wait after the forward path's first network segment"),
+    Mutant("budget-floor", "scenario.py",
+           "maxima = tuple((name, max(b, self.budgets.get(name, 0))) for name, b in bounds.items())",
+           "maxima = tuple((name, self.budgets.get(name, b)) for name, b in bounds.items())",
+           "a budget below its component's bound lowers the safety maximum"),
 )
 
 

@@ -23,7 +23,7 @@ from iolw5gsim.scenario import (
     run,
     sweep,
 )
-from iolw5gsim.stats import SafetyParams
+from iolw5gsim.stats import worst_case_sfrt
 from tests import scalar_reference as ref
 from tests.fresh import draw_retries, sample, toggle_times
 from tests.scalar_reference import trace_matrix
@@ -73,7 +73,6 @@ def random_scenario(rnd: random.Random) -> Scenario:
             task_cycle_us=(task := rnd.choice([2000, 5000])),
             query_cycle_us=task * rnd.choice([1, 2]),
         ),
-        safety=SafetyParams(),
     )
 
 
@@ -102,7 +101,6 @@ def mixed_scenario(sequences: int = 500) -> Scenario:
             toggle_period_us=300_000, sequences=sequences, sequence_length_us=5_200_000
         ),
         plc=PlcConfig(),
-        safety=SafetyParams(),
     )
 
 
@@ -315,7 +313,10 @@ class TestPlan:
     def test_a_loaded_scenario_and_its_segments_are_frozen(self, default_scenario):
         # each field is set to its own value, so a miss leaves the shared
         # fixture as it was
-        for obj in (default_scenario, *default_scenario.segments.values()):
+        sc = default_scenario
+        transfers = [seg.transfer for seg in sc.segments.values() if seg.kind == "iolw-air"]
+        assert transfers
+        for obj in (sc, *sc.segments.values(), sc.plc, sc.source, *transfers):
             for f in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, f.name, getattr(obj, f.name))
@@ -325,6 +326,23 @@ class TestPlan:
         assert sc.plan[:-1] == default_scenario.plan
         eth_edge = next(step for step in sc.plan if step.name == "eth_edge")
         assert sc.plan[-1] == eth_edge._replace(traversal=2)
+        # each replaced scenario derives its own safety block: every maximum
+        # is at least its component's bound, also where an added traversal
+        # or the PLC jitter pushes that bound past the shipped budget
+        longer = dataclasses.replace(default_scenario, ret=sc.ret + ["nr_up"])
+        jitter = dataclasses.replace(longer.plc, jitter_us=100_000)
+        jittery = dataclasses.replace(longer, plc=jitter)
+        for sc in (longer, jittery):
+            bounds: dict[str, int] = {}
+            for step in sc.plan:
+                bounds[step.name] = bounds.get(step.name, 0) + step.stage.upper_bound_us()
+            maxima = dict(sc.safety.segment_maxima)
+            assert maxima.keys() == bounds.keys()
+            for name, maximum in maxima.items():
+                assert maximum >= bounds[name], name
+            assert worst_case_sfrt(sc.safety) >= sum(bounds.values())
+            assert sc.bounds == bounds
+        assert worst_case_sfrt(jittery.safety) > worst_case_sfrt(longer.safety)
 
 
 def lossy_empirical_scenario(sequences: int) -> Scenario:
@@ -562,6 +580,8 @@ class TestDominance:
             for name, stats in result.segment_stats.items():
                 assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
             assert result.end_to_end.max_us <= sum(stage_bounds), sc
+            # no budgets: the SFRT is the sum of the derived bounds
+            assert worst_case_sfrt(sc.safety) == sum(stage_bounds), sc
 
 
 # Acceptance 04 targets an end-to-end mean of 66.8 ms +/- 10 %, and the
