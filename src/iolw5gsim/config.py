@@ -33,7 +33,7 @@ from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
 from .plc import PlcConfig
 from .scenario import POLL_WAIT, Scenario, SegmentSpec, SignalSource, path_components
-from .stats import BIN_WIDTH_US, DENSE_BIN_CAP, worst_case_sfrt
+from .stats import BIN_WIDTH_US, DENSE_BIN_CAP
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]\s*$")
 _KEY_RE = re.compile(r"^(?P<key>[A-Za-z0-9_.-]+)\s*=\s*(?P<value>.*)$")
@@ -353,7 +353,7 @@ def _build_paths(
 
 
 def _safety_keys(raw: _Section, components: set[str], diags: list[Diagnostic]) -> dict:
-    """Scenario keywords of [safety]: approach_speed_mps if set, and budgets."""
+    """Scenario keywords of [safety]: approach_speed_mps if set, and budgets, floors of maxima."""
     budgets = {k: r for k, r in raw.items() if k.startswith("budget.")}
     rest = {k: r for k, r in raw.items() if k not in budgets}
     kw = _fields("safety", rest, _SAFETY_FIELDS, diags) or {}
@@ -434,7 +434,7 @@ def load_scenario(text: str) -> Scenario:
             msg = f"budget {name!r} of {budget} us is below its derived bound of {bound} us"
             diags.append(sections["safety"][f"budget.{name}"].at(msg))
     # the report rounds the safety distance up to 0.1 m, so ten times it must be finite
-    sfrt = worst_case_sfrt(scenario.safety)
+    sfrt = scenario.worst_case_sfrt_us
     if not math.isfinite(scenario.approach_speed_mps * sfrt / 1_000_000.0 * 10):
         r = sections["safety"]["approach_speed"]  # the default speed stays finite
         msg = f"approach_speed {r.value} over {sfrt} us gives a safety distance past the float range"

@@ -288,7 +288,9 @@ class Empirical(LatencyModel):
         if not self.validate():
             durations, weights = zip(*self.bins)
             pmf = np.array(weights) / sum(weights)
-            object.__setattr__(self, "_values", np.array(durations, dtype=np.int64))
+            values = np.array(durations, dtype=np.int64)
+            values.flags.writeable = False  # as the table's: an edit would bypass the bound
+            object.__setattr__(self, "_values", values)
             object.__setattr__(self, "_table", _AliasTable.from_pmf(pmf))
 
     def validate(self) -> list[str]:

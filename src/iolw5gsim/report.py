@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 from .scenario import RunResult, Scenario
-from .stats import SafetyParams, safety_distance, worst_case_sfrt
+from .stats import safety_distance
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "iolw5gsim"
@@ -34,7 +34,6 @@ def build_report(
     """Assemble the full report; every number traces to a RunResult field."""
     from . import __version__
 
-    safety: SafetyParams = scenario.safety
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": __version__},
@@ -60,12 +59,12 @@ def build_report(
         report["end_to_end"]["p99_us"] = result.end_to_end.percentile(99)
         report["histograms"]["end_to_end"] = result.end_to_end.histogram()
         report["cdf"] = result.end_to_end.cdf()
-    if safety.segment_maxima:
-        sfrt = worst_case_sfrt(safety)
-        dist = safety_distance(sfrt, safety.approach_speed_mps)
+    if scenario.maxima:
+        sfrt = scenario.worst_case_sfrt_us
+        dist = safety_distance(sfrt, scenario.approach_speed_mps)
         report["safety"] = {
-            "approach_speed_mps": safety.approach_speed_mps,
-            "budget_us": {name: m for name, m in safety.segment_maxima},
+            "approach_speed_mps": scenario.approach_speed_mps,
+            "budget_us": dict(scenario.maxima),
             "worst_case_sfrt_us": sfrt,
             "safety_distance_m": dist.exact_m,
             "safety_distance_presented_m": dist.presented_m,

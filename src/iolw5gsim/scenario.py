@@ -1,15 +1,16 @@
 """Scenario composition and execution.
 
 A Scenario chains link segments into a forward path (sensor -> PLC) and a
-return path (PLC -> actuator). Frozen, it compiles its plan once: a Step
-per component in traversal order, whose stage on phase-0 grids run()
-places, and from the steps each component's bound and safety maximum (the
-bound, raised to the component's budget). A Grid waits for the next point
-of a clock grid, plus a fixed extra (the poll wait, a plc segment); an Air
-hop waits for its cell's next cycle start, then rides the slot its retries
-reach; a link segment's stage is its own model. The poll wait comes right
-before the forward path's first network segment, where the process-image
-change waits at the W-Master to be queried.
+return path (PLC -> actuator). One immutable value (tuples and read-only
+copies of its mappings), it compiles its plan once: a Step per component
+in traversal order, whose stage on phase-0 grids run() places, and from
+the steps each component's bound and safety maximum (the bound, raised to
+its budget), whose sum is the worst-case SFRT. A Grid waits for the next
+point of a clock grid, plus a fixed extra (the poll wait, a plc segment);
+an Air hop waits for its cell's next cycle start, then rides the slot its
+retries reach; a link segment's stage is its own model. The poll wait
+comes right before the forward path's first network segment, where the
+process-image change waits at the W-Master to be queried.
 
 A boolean signal source toggles periodically. Toggles never interact (no
 queue, no shared medium), so a run works column-wise, on BLOCK toggles at a
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +46,7 @@ from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries
 from .kernel import floor_draws, rng_stream
 from .plc import PlcConfig, grid_wait
-from .stats import LatencyStats, SafetyParams
+from .stats import LatencyStats
 
 NETWORK_KINDS = ("ethernet", "fiveg")
 POLL_WAIT = "poll_wait"
@@ -183,21 +186,26 @@ class Step(NamedTuple):
 @dataclass(frozen=True)
 class Scenario:
     cell: IolwCellConfig
-    segments: dict[str, SegmentSpec]
-    forward: list[str]
-    ret: list[str]
+    segments: Mapping[str, SegmentSpec]
+    forward: Sequence[str]
+    ret: Sequence[str]
     source: SignalSource
     plc: PlcConfig
-    approach_speed_mps: float = SafetyParams.approach_speed_mps
-    budgets: dict[str, int] = field(default_factory=dict)
+    approach_speed_mps: float = 2.0
+    budgets: Mapping[str, int] = field(default_factory=dict)
     plan: tuple[Step, ...] = field(init=False, repr=False, compare=False)
-    bounds: dict[str, int] = field(init=False, repr=False, compare=False)
-    safety: SafetyParams = field(init=False, repr=False, compare=False)
+    bounds: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    maxima: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """One Step per name of path_components (a link's stage is its
-        segment's model, so segments that share a model share it), and a
-        component's bound: the sum of its steps' upper bounds."""
+        """The paths as tuples and read-only copies of the mappings; one Step
+        per name of path_components (a link's stage is its segment's model,
+        shared by segments that share it); a component's bound, the sum of
+        its steps' upper bounds, and its maximum, the bound raised to its budget."""
+        object.__setattr__(self, "forward", tuple(self.forward))
+        object.__setattr__(self, "ret", tuple(self.ret))
+        object.__setattr__(self, "segments", MappingProxyType(dict(self.segments)))
+        object.__setattr__(self, "budgets", MappingProxyType(dict(self.budgets)))
         names = path_components(self.segments, self.forward, self.ret)
         ids, plc, steps, bounds = sorted(self.segments), self.plc, [], {}
         for i, name in enumerate(names):
@@ -215,12 +223,17 @@ class Scenario:
             bounds[name] = bounds.get(name, 0) + stage.upper_bound_us()
         maxima = tuple((name, max(b, self.budgets.get(name, 0))) for name, b in bounds.items())
         object.__setattr__(self, "plan", tuple(steps))
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "safety", SafetyParams(self.approach_speed_mps, maxima))
+        object.__setattr__(self, "bounds", MappingProxyType(bounds))
+        object.__setattr__(self, "maxima", maxima)
+
+    @property
+    def worst_case_sfrt_us(self) -> int:
+        """The sum of the component maxima: an upper bound on any response."""
+        return sum(m for _, m in self.maxima)
 
 
 def path_components(
-    segments: dict[str, SegmentSpec], forward: list[str], ret: list[str]
+    segments: Mapping[str, SegmentSpec], forward: Sequence[str], ret: Sequence[str]
 ) -> list[str]:
     """The paths' segment ids in traversal order, with the poll wait before
     the forward path's first network segment; an id missing from segments

@@ -143,21 +143,6 @@ class LatencyStats:
 
 
 @dataclass(frozen=True)
-class SafetyParams:
-    """A scenario's derived safety block: its speed and component maxima."""
-
-    approach_speed_mps: float = 2.0
-    segment_maxima: tuple[tuple[str, int], ...] = ()
-
-
-def worst_case_sfrt(params: SafetyParams) -> int:
-    """Sum of per-segment maximum latencies: upper bound on any response."""
-    if not params.segment_maxima:
-        raise ValueError("need at least one segment maximum")
-    return sum(m for _, m in params.segment_maxima)
-
-
-@dataclass(frozen=True)
 class SafetyDistance:
     exact_m: float  # speed * response time, unrounded
     presented_m: float  # up to a 0.1 m step; within 1e-10 m above one is float noise

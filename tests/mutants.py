@@ -93,6 +93,10 @@ MUTANTS = (
            "maxima = tuple((name, max(b, self.budgets.get(name, 0))) for name, b in bounds.items())",
            "maxima = tuple((name, self.budgets.get(name, b)) for name, b in bounds.items())",
            "a budget below its component's bound lowers the safety maximum"),
+    Mutant("budgets-aliased", "scenario.py",
+           'object.__setattr__(self, "budgets", MappingProxyType(dict(self.budgets)))',
+           'object.__setattr__(self, "budgets", self.budgets)',
+           "a scenario holds the caller's budgets dict, open to edits in place"),
 )
 
 

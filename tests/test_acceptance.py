@@ -17,7 +17,7 @@ from iolw5gsim.iolw import IolwCellConfig, IolwTransferModel, residual_error_pro
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import run, sweep
-from iolw5gsim.stats import LatencyStats, safety_distance, worst_case_sfrt
+from iolw5gsim.stats import LatencyStats, safety_distance
 from tests.fresh import align_to_task_cycle, draw_retries, transfer_latencies
 from tests.test_scenario import random_scenario, small_scenario
 
@@ -73,7 +73,7 @@ def test_04_end_to_end_reproduction(default_scenario):
     assert abs(mean_ms - 66.8) <= 6.68
     p99 = result.end_to_end.percentile(99)
     assert p99 <= 99_000
-    budget = worst_case_sfrt(default_scenario.safety)
+    budget = default_scenario.worst_case_sfrt_us
     assert result.end_to_end.max_us <= budget
     verdict(
         4,
@@ -84,7 +84,7 @@ def test_04_end_to_end_reproduction(default_scenario):
 
 
 def test_05_worst_case_calculus(default_scenario):
-    sfrt = worst_case_sfrt(default_scenario.safety)
+    sfrt = default_scenario.worst_case_sfrt_us
     assert sfrt == 149_600
     d = safety_distance(sfrt, 2.0)
     assert d.exact_m == pytest.approx(0.2992, abs=1e-12)

@@ -10,7 +10,7 @@ from iolw5gsim.fiveg import _AliasTable
 from iolw5gsim.iolw import IolwCellConfig
 from iolw5gsim.plc import PlcConfig
 from iolw5gsim.scenario import MAX_TOGGLES, SignalSource
-from iolw5gsim.stats import BIN_WIDTH_US, DENSE_BIN_CAP, worst_case_sfrt
+from iolw5gsim.stats import BIN_WIDTH_US, DENSE_BIN_CAP
 
 MINIMAL = """
 [cell]
@@ -72,8 +72,8 @@ def diagnostics_of(text):
 def test_minimal_scenario_loads():
     sc = load_scenario(MINIMAL)
     assert set(sc.segments) == {"wire", "air", "eth", "plc"}
-    assert sc.forward == ["wire", "air", "eth", "plc"]
-    assert sc.safety.approach_speed_mps == 2.0
+    assert sc.forward == ("wire", "air", "eth", "plc")
+    assert sc.approach_speed_mps == 2.0
 
 
 def test_default_scenario_is_the_testbed(default_scenario):
@@ -86,7 +86,7 @@ def test_default_scenario_is_the_testbed(default_scenario):
     assert sc.source.toggle_period_us == 200_000
     assert sc.source.sequences == 540
     assert sc.source.sequence_length_us == 5_000_000
-    assert sum(m for _, m in sc.safety.segment_maxima) == 149_600
+    assert sum(m for _, m in sc.maxima) == 149_600
 
 
 def test_loader_builds_each_distinct_link_model_once(default_config_text, monkeypatch):
@@ -375,7 +375,7 @@ def test_duration_just_below_2_53_loads():
     # a budget, as a path's durations must sum to less than one histogram's span
     budget = f"budget.wire = 2 ms\nbudget.eth = {2**53 - 1} us"
     sc = load_scenario(patch(MINIMAL, "budget.wire = 2 ms", budget))
-    assert dict(sc.safety.segment_maxima)["eth"] == 2**53 - 1
+    assert dict(sc.maxima)["eth"] == 2**53 - 1
 
 
 HUGE_SOURCE = (
@@ -585,7 +585,7 @@ def test_approach_speed_whose_safety_distance_overflows_rejected_at_its_key(
     assert f"{path}:{line}:1: {message}" in err and "Traceback" not in err
     # ten times 1.496e301 m, the distance at 1e302 m/s, is finite
     fast = patch(default_config_text, "approach_speed = 2.0", "approach_speed = 1e302")
-    assert load_scenario(fast).safety.approach_speed_mps == 1e302
+    assert load_scenario(fast).approach_speed_mps == 1e302
 
 
 # str.splitlines() breaks lines at these too; editors and the loader do not
@@ -751,10 +751,10 @@ def test_budget_at_a_truncnorm_bound_below_its_high_loads(default_config_text):
 def test_component_without_a_budget_takes_its_derived_bound(default_config_text):
     # the wire once dropped out of the sum, for a worst case of 147 000 us
     sc = load_scenario(patch(default_config_text, "budget.wire = 2600 us\n", ""))
-    maxima = dict(sc.safety.segment_maxima)
+    maxima = dict(sc.maxima)
     assert set(maxima) == {step.name for step in sc.plan}
     assert maxima["wire"] == 2600  # 1 300 us on each of its two traversals
-    assert worst_case_sfrt(sc.safety) == 149_600
+    assert sc.worst_case_sfrt_us == 149_600
     # a budget above its derived bound still overrides it
     air_up = next(step.stage for step in sc.plan if step.name == "air_up")
     assert (air_up.upper_bound_us(), maxima["air_up"]) == (5666, 6000)

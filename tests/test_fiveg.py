@@ -225,6 +225,14 @@ class TestSampling:
         else:
             assert new_draws.min() >= 1500 and old_draws.min() < 1500
 
+    def test_tabled_arrays_are_read_only(self):
+        # an edit in place would change the draws, not upper_bound_us()
+        model = Empirical(((100, 1.0), (900, 3.0)))
+        for array in (model._values, model._table.thr, model._table.jump):
+            with pytest.raises(ValueError):
+                array[0] = 10**9
+        assert set(sample(model, rng_stream(7, 0), 2000).tolist()) == {100, 900}
+
 
 # Known difference: the shipped 5G legs' comment calls each leg "half the
 # measured 20.4 ms router round trip", but `mean = 10200 us` is the location

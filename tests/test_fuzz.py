@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from iolw5gsim.cli import default_scenario_path
 from iolw5gsim.config import ScenarioError, load_scenario
 from iolw5gsim.scenario import run
-from iolw5gsim.stats import worst_case_sfrt
 
 SHIPPED = default_scenario_path().read_text().splitlines()
 
@@ -59,8 +58,8 @@ def test_mutant_loads_or_is_rejected_and_runs_within_its_bounds(text):
     except ScenarioError:
         return
     stage_bounds = [step.stage.upper_bound_us() for step in scenario.plan]
-    assert worst_case_sfrt(scenario.safety) >= sum(stage_bounds), text
-    assert {name for name, _ in scenario.safety.segment_maxima} == {step.name for step in scenario.plan}
+    assert scenario.worst_case_sfrt_us >= sum(stage_bounds), text
+    assert {name for name, _ in scenario.maxima} == {step.name for step in scenario.plan}
     if scenario.source.toggles > MAX_TOGGLES:
         return
     result = run(scenario, 1)

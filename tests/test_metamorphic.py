@@ -168,9 +168,9 @@ def test_r5_loaded_safety_ignores_max_attempts_at_error_prob_0():
         text = text.replace("error_prob = 0.001\n", f"error_prob = {error_prob}\n")
         return load_scenario(text.replace("max_attempts = 3\n", f"max_attempts = {max_attempts}\n"))
 
-    assert loaded(0, 1).safety == loaded(0, 3).safety == loaded(0, 7).safety
+    assert loaded(0, 1).maxima == loaded(0, 3).maxima == loaded(0, 7).maxima
     # with losses possible, every attempt adds to the air hops' derived bound
-    assert loaded(0.001, 3).safety != loaded(0.001, 7).safety
+    assert loaded(0.001, 3).maxima != loaded(0.001, 7).maxima
 
 
 def reordered(text: str) -> str:

@@ -14,6 +14,7 @@ from iolw5gsim.iolw import MAX_ATTEMPTS, IolwCellConfig, IolwTransferModel
 from iolw5gsim.kernel import rng_stream
 from iolw5gsim import scenario as scenario_mod
 from iolw5gsim.plc import PlcConfig
+from iolw5gsim.report import build_report
 from iolw5gsim.scenario import (
     Air,
     Grid,
@@ -23,7 +24,6 @@ from iolw5gsim.scenario import (
     run,
     sweep,
 )
-from iolw5gsim.stats import worst_case_sfrt
 from tests import scalar_reference as ref
 from tests.fresh import draw_retries, sample, toggle_times
 from tests.scalar_reference import trace_matrix
@@ -194,7 +194,7 @@ class TestRun:
         longer = dataclasses.replace(
             default_scenario,
             forward=default_scenario.forward[:-1]
-            + 3 * ["eth_shop", "nr_up", "nr_down", "eth_edge"]
+            + 3 * ("eth_shop", "nr_up", "nr_down", "eth_edge")
             + default_scenario.forward[-1:],
         )
         assert len(longer.plan) == len(default_scenario.plan) + 12
@@ -225,7 +225,7 @@ class TestRun:
         # stream 1 + its sorted index ("wire" sorts after "plc"), advanced by
         # the toggles of the traversals before it: a copy whose return path
         # ends in a third eth_edge reads that stream from output 2 * toggles on
-        for extra, later in [([], 5), (["eth_edge"], 6)]:
+        for extra, later in [((), 5), (("eth_edge",), 6)]:
             sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + extra)
             _, stages, rngs = scenario_mod._start(sc, 7)
             components = ref.path_order(sc)
@@ -310,7 +310,9 @@ class TestPlan:
             expected = [(name, *pair) for name, pair in zip(ref.path_order(sc), ref.layout(sc))]
             assert steps == expected
 
-    def test_a_loaded_scenario_and_its_segments_are_frozen(self, default_scenario):
+    def test_a_loaded_scenario_and_its_segments_are_frozen(
+        self, default_scenario, default_config_text
+    ):
         # each field is set to its own value, so a miss leaves the shared
         # fixture as it was
         sc = default_scenario
@@ -320,29 +322,58 @@ class TestPlan:
             for f in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, f.name, getattr(obj, f.name))
+        # nor can its containers be edited in place, which would leave the
+        # plan and the safety block stale; a fresh load, so a miss cannot
+        # touch the fixture
+        sc = load_scenario(default_config_text)
+        plan, maxima = sc.plan, sc.maxima
+        assert (len(plan), sc.worst_case_sfrt_us) == (14, 149_600)
+        edits = [
+            lambda: sc.forward.insert(-1, "nr_up"),
+            lambda: sc.ret.append("nr_up"),
+            lambda: sc.segments.__setitem__("nr_up", sc.segments["eth_edge"]),
+            lambda: sc.budgets.__setitem__("nr_up", 0),
+            lambda: sc.bounds.__setitem__("nr_up", 0),
+        ]
+        for edit in edits:
+            with pytest.raises((AttributeError, TypeError)):
+                edit()
+            assert (sc.plan, sc.maxima, sc.worst_case_sfrt_us) == (plan, maxima, 149_600)
+        # a scenario keeps copies of a caller's lists and dicts
+        segments, forward, ret, budgets = (
+            dict(sc.segments), list(sc.forward), list(sc.ret), dict(sc.budgets)
+        )
+        built = Scenario(sc.cell, segments, forward, ret, sc.source, sc.plc, budgets=budgets)
+        assert built == sc and (built.plan, built.maxima) == (plan, maxima)
+        forward.insert(-1, "nr_up")
+        ret.append("nr_up")
+        segments["nr_up"] = segments["eth_edge"]
+        budgets["nr_up"] = 0
+        budgets["plc"] = 10**6
+        assert built == sc and (built.plan, built.maxima) == (plan, maxima)
 
     def test_replace_compiles_a_plan_of_its_own(self, default_scenario):
-        sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + ["eth_edge"])
+        sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + ("eth_edge",))
         assert sc.plan[:-1] == default_scenario.plan
         eth_edge = next(step for step in sc.plan if step.name == "eth_edge")
         assert sc.plan[-1] == eth_edge._replace(traversal=2)
         # each replaced scenario derives its own safety block: every maximum
         # is at least its component's bound, also where an added traversal
         # or the PLC jitter pushes that bound past the shipped budget
-        longer = dataclasses.replace(default_scenario, ret=sc.ret + ["nr_up"])
+        longer = dataclasses.replace(default_scenario, ret=sc.ret + ("nr_up",))
         jitter = dataclasses.replace(longer.plc, jitter_us=100_000)
         jittery = dataclasses.replace(longer, plc=jitter)
         for sc in (longer, jittery):
             bounds: dict[str, int] = {}
             for step in sc.plan:
                 bounds[step.name] = bounds.get(step.name, 0) + step.stage.upper_bound_us()
-            maxima = dict(sc.safety.segment_maxima)
+            maxima = dict(sc.maxima)
             assert maxima.keys() == bounds.keys()
             for name, maximum in maxima.items():
                 assert maximum >= bounds[name], name
-            assert worst_case_sfrt(sc.safety) >= sum(bounds.values())
+            assert sc.worst_case_sfrt_us >= sum(bounds.values())
             assert sc.bounds == bounds
-        assert worst_case_sfrt(jittery.safety) > worst_case_sfrt(longer.safety)
+        assert jittery.worst_case_sfrt_us > longer.worst_case_sfrt_us
 
 
 def lossy_empirical_scenario(sequences: int) -> Scenario:
@@ -438,7 +469,7 @@ class TestWorkspace:
         # the workspace is rebuilt for the other toggle count, then for a
         # third traversal, and kept for the two traversals after that
         lossy = lossy_small_scenario(sequences=7)
-        more_air = dataclasses.replace(default_scenario, ret=default_scenario.ret + ["air_up"])
+        more_air = dataclasses.replace(default_scenario, ret=default_scenario.ret + ("air_up",))
         first = {id(sc): run(sc, seed=2) for sc in (default_scenario, lossy, more_air)}
         assert first[id(lossy)].losses > 0
         for sc in (default_scenario, lossy, default_scenario, lossy, more_air, default_scenario):
@@ -522,7 +553,7 @@ class TestSweep:
 
     def test_results_of_different_scenarios_do_not_merge(self):
         sc = small_scenario(sequences=2)
-        more_air = dataclasses.replace(sc, ret=sc.ret + ["air"])
+        more_air = dataclasses.replace(sc, ret=sc.ret + ("air",))
         with pytest.raises(ValueError, match="different scenarios"):
             run(sc, 1).merge(run(more_air, 1))
 
@@ -581,7 +612,30 @@ class TestDominance:
                 assert stats.max_us is None or stats.max_us <= bounds[name], (name, sc)
             assert result.end_to_end.max_us <= sum(stage_bounds), sc
             # no budgets: the SFRT is the sum of the derived bounds
-            assert worst_case_sfrt(sc.safety) == sum(stage_bounds), sc
+            assert sc.worst_case_sfrt_us == sum(stage_bounds), sc
+
+    def test_sfrt_is_the_sum_of_the_maxima_in_plan_order(self, default_scenario):
+        rnd = random.Random(40)
+        scenarios = [default_scenario, load_scenario(LOSSY_EMPIRICAL), mixed_scenario()]
+        for sc in scenarios + [random_scenario(rnd) for _ in range(10)]:
+            assert sc.worst_case_sfrt_us == sum(m for _, m in sc.maxima), sc
+            names = list(dict.fromkeys(step.name for step in sc.plan))
+            assert [name for name, _ in sc.maxima] == names, sc
+            for name, maximum in sc.maxima:
+                assert maximum == max(sc.bounds[name], sc.budgets.get(name, 0)), name
+
+    def test_one_component_paths_sfrt_is_its_maximum(self, default_scenario):
+        # a forward path of the plc alone has no poll wait: one component,
+        # whose bound (or budget above it) is the SFRT; no path, no SFRT and
+        # no safety block in the report
+        sc = dataclasses.replace(default_scenario, forward=["plc"], ret=[], budgets={})
+        plc = sc.plc.task_cycle_us - 1 + sc.plc.task_cycle_us + sc.plc.jitter_us
+        assert sc.maxima == (("plc", plc),) and sc.worst_case_sfrt_us == plc
+        budgeted = dataclasses.replace(sc, budgets={"plc": plc + 1})
+        assert budgeted.maxima == (("plc", plc + 1),) and budgeted.worst_case_sfrt_us == plc + 1
+        empty = dataclasses.replace(sc, forward=[])
+        assert (empty.plan, empty.maxima, empty.worst_case_sfrt_us) == ((), (), 0)
+        assert "safety" not in build_report(run(empty, 1), empty, b"")
 
 
 # Acceptance 04 targets an end-to-end mean of 66.8 ms +/- 10 %, and the

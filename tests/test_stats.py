@@ -14,9 +14,7 @@ from iolw5gsim.stats import (
     DENSE_BIN_CAP,
     EmptyStatsError,
     LatencyStats,
-    SafetyParams,
     safety_distance,
-    worst_case_sfrt,
 )
 from tests import scalar_reference as ref
 
@@ -352,17 +350,6 @@ class TestCdf:
 
 
 class TestSafety:
-    def test_worst_case_is_sum_of_maxima(self):
-        params = SafetyParams(segment_maxima=(("a", 2000), ("b", 3000), ("c", 5000)))
-        assert worst_case_sfrt(params) == 10_000
-
-    def test_single_segment_identity(self):
-        assert worst_case_sfrt(SafetyParams(segment_maxima=(("x", 1234),))) == 1234
-
-    def test_no_segments_rejected(self):
-        with pytest.raises(ValueError):
-            worst_case_sfrt(SafetyParams())
-
     def test_reference_distance(self):
         d = safety_distance(149_600, 2.0)
         assert d.exact_m == pytest.approx(0.2992, abs=1e-12)
