@@ -26,8 +26,7 @@ import codecs
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .fiveg import Constant, Empirical, LatencyModel, TruncNormal, Uniform
 from .iolw import IolwCellConfig, IolwTransferModel, validate_cell
@@ -48,8 +47,7 @@ _DURATION_SHIFT = {"us": 0, "ms": 3, "s": 6, None: 0}
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -66,8 +64,7 @@ class ScenarioError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class _Raw:
+class _Raw(NamedTuple):
     value: str
     line: int
     col: int

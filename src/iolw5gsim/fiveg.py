@@ -9,11 +9,11 @@ relations; absolute 3GPP slot tables are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import floor_draws
+from .kernel import Frozen, floor_draws
 
 ALLOWED_SCS_KHZ = (15, 30, 60, 120, 240)
 SUBCARRIERS_PER_SYMBOL = 12
@@ -30,11 +30,11 @@ class NumerologyError(ValueError):
     """Subcarrier spacing outside the allowed 5G set."""
 
 
-@dataclass(frozen=True)
-class NumerologyConfig:
+class NumerologyConfig(Frozen):
     scs_khz: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.scs_khz not in ALLOWED_SCS_KHZ:
             raise NumerologyError(
                 f"SCS {self.scs_khz} kHz not in allowed set {ALLOWED_SCS_KHZ}"
@@ -51,7 +51,7 @@ def symbol_duration_scaling(n1: NumerologyConfig, n2: NumerologyConfig) -> float
     return n1.scs_khz / n2.scs_khz
 
 
-class LatencyModel:
+class LatencyModel(Frozen):
     """A link segment's delay distribution, and the segment's stage in a run.
 
     sample(rng, out, u) draws len(out) delays within the support into the
@@ -68,7 +68,6 @@ class LatencyModel:
         return self.sample(draws, out, u)
 
 
-@dataclass(frozen=True)
 class Constant(LatencyModel):
     value_us: int
 
@@ -83,7 +82,6 @@ class Constant(LatencyModel):
         return out
 
 
-@dataclass(frozen=True)
 class Uniform(LatencyModel):
     low_us: int
     high_us: int
@@ -189,8 +187,7 @@ def _threshold_table(prob: np.ndarray, alias: np.ndarray) -> tuple[np.ndarray, n
     return thr, alias - k
 
 
-@dataclass(frozen=True, eq=False)
-class _AliasTable:
+class _AliasTable(NamedTuple):
     """Walker's alias table of a finite pmf (Walker, ACM TOMS 1977; Vose,
     IEEE TSE 1991), held as one threshold and one jump per slot.
 
@@ -218,15 +215,13 @@ class _AliasTable:
         return out
 
 
-@dataclass(frozen=True)
 class TruncNormal(LatencyModel):
     """rint of a normal distribution conditioned on [low, high].
 
     Sampled from the alias table (_AliasTable) of the exact integer pmf
     (_truncnorm_pmf). The table is built once, when the model is made; a
     model that fails validation gets none. The model is frozen, so its
-    table cannot go stale; dataclasses.replace makes a new model with a
-    new table.
+    table cannot go stale; _replace makes a new model with a new table.
     """
 
     mean_target_us: float
@@ -234,7 +229,8 @@ class TruncNormal(LatencyModel):
     low_us: int
     high_us: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not self.validate():
             a, p = _truncnorm_pmf(self.mean_target_us, self.stddev_us, self.low_us, self.high_us)
             object.__setattr__(self, "_a", a)
@@ -272,7 +268,6 @@ class TruncNormal(LatencyModel):
         return out
 
 
-@dataclass(frozen=True)
 class Empirical(LatencyModel):
     """Histogram distribution: (duration_us, weight) bins.
 
@@ -284,7 +279,8 @@ class Empirical(LatencyModel):
 
     bins: tuple[tuple[int, float], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not self.validate():
             durations, weights = zip(*self.bins)
             pmf = np.array(weights) / sum(weights)

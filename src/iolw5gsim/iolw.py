@@ -15,7 +15,7 @@ one uniform each, into an array the caller passes; the run's Air stage
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ MAX_ATTEMPTS = 1000
 MAX_SUBCYCLES = 1000
 
 
-@dataclass(frozen=True)
-class IolwCellConfig:
+class IolwCellConfig(NamedTuple):
     masters: int = 1
     tracks_per_master: int = 2
     slots_per_track: int = MAX_SLOTS_PER_TRACK
@@ -123,8 +122,7 @@ def validate_cell(config: IolwCellConfig) -> list[str]:
     return v
 
 
-@dataclass(frozen=True)
-class IolwTransferModel:
+class IolwTransferModel(NamedTuple):
     """Latency model for one W-Device <-> W-Master process-data transfer.
 
     completion_offset_us is a calibration parameter: time from the start of

@@ -12,7 +12,7 @@ maps arrays of arrival times element-wise, into an array the caller passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ DEFAULT_TASK_CYCLE_US = 5000
 DEFAULT_QUERY_CYCLE_US = 10000
 
 
-@dataclass(frozen=True)
-class PlcConfig:
+class PlcConfig(NamedTuple):
     task_cycle_us: int = DEFAULT_TASK_CYCLE_US
     query_cycle_us: int = DEFAULT_QUERY_CYCLE_US
     jitter_us: int = 0  # fixed delay added to every publication

@@ -32,10 +32,8 @@ A run's report does not depend on BLOCK.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
 from typing import NamedTuple
@@ -44,7 +42,7 @@ import numpy as np
 
 from .fiveg import LatencyModel
 from .iolw import IolwCellConfig, IolwTransferModel, draw_retries
-from .kernel import floor_draws, rng_stream
+from .kernel import Frozen, floor_draws, rng_stream
 from .plc import PlcConfig, grid_wait
 from .stats import LatencyStats
 
@@ -57,15 +55,13 @@ BLOCK = 1 << 16
 MAX_TOGGLES = 10**9
 
 
-@dataclass(frozen=True)
-class SegmentSpec:
+class SegmentSpec(NamedTuple):
     kind: str
     model: LatencyModel | None = None  # iol-wire / ethernet / fiveg
     transfer: IolwTransferModel | None = None  # iolw-air
 
 
-@dataclass(frozen=True)
-class SignalSource:
+class SignalSource(NamedTuple):
     toggle_period_us: int = 200_000
     sequences: int = 540
     sequence_length_us: int = 5_000_000
@@ -115,8 +111,7 @@ class SignalSource:
 # upper_bound_us() is its largest duration, in Python ints.
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """The wait for the first point of the grid phase + k*period at or after
     the arrival, plus extra: the poll wait (query grid, extra 0), or a plc
     segment (task grid: an input runs in the next cycle, which publishes at
@@ -135,8 +130,7 @@ class Grid:
         return out
 
 
-@dataclass(frozen=True)
-class Air:
+class Air(NamedTuple):
     """An IO-Link Wireless hop: the wait for its cell's next cycle start (on
     the grid phase + k*cycle), then slots counted from one cycle before it:
     the first attempt rides the first sub-cycle boundary at or after the
@@ -183,8 +177,7 @@ class Step(NamedTuple):
     traversal: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     cell: IolwCellConfig
     segments: Mapping[str, SegmentSpec]
     forward: Sequence[str]
@@ -192,16 +185,14 @@ class Scenario:
     source: SignalSource
     plc: PlcConfig
     approach_speed_mps: float = 2.0
-    budgets: Mapping[str, int] = field(default_factory=dict)
-    plan: tuple[Step, ...] = field(init=False, repr=False, compare=False)
-    bounds: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    maxima: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    budgets: Mapping[str, int] = MappingProxyType({})
 
-    def __post_init__(self) -> None:
-        """The paths as tuples and read-only copies of the mappings; one Step
-        per name of path_components (a link's stage is its segment's model,
-        shared by segments that share it); a component's bound, the sum of
-        its steps' upper bounds, and its maximum, the bound raised to its budget."""
+    def __init__(self, *args, **kwargs) -> None:
+        """The paths as tuples and read-only copies of the mappings; the plan,
+        one Step per name of path_components (a link's stage is its segment's
+        model, shared by segments that share it); bounds, each component's sum
+        of its steps' upper bounds; maxima, each bound raised to its budget."""
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "forward", tuple(self.forward))
         object.__setattr__(self, "ret", tuple(self.ret))
         object.__setattr__(self, "segments", MappingProxyType(dict(self.segments)))
@@ -246,15 +237,20 @@ def path_components(
     return names
 
 
-@dataclass
 class RunResult:
-    seeds: tuple[int, ...]
-    segment_stats: dict[str, LatencyStats]
-    end_to_end: LatencyStats
-    components: tuple[str, ...]
-    # the per-seed results a sweep merged, in seed order; not compared, so
-    # a sweep equals the run of its merged seeds
-    per_seed: tuple["RunResult", ...] = field(default=(), compare=False, repr=False)
+    # per_seed holds the per-seed results a sweep merged, in seed order; it
+    # is not compared, so a sweep equals the run of its merged seeds
+    __slots__ = ("seeds", "segment_stats", "end_to_end", "components", "per_seed")
+
+    def __init__(self, seeds: tuple[int, ...], segment_stats: dict[str, LatencyStats],
+                 end_to_end: LatencyStats, components: tuple[str, ...],
+                 per_seed: tuple[RunResult, ...] = ()) -> None:
+        self.seeds, self.segment_stats, self.end_to_end = seeds, segment_stats, end_to_end
+        self.components, self.per_seed = components, per_seed
+
+    def __eq__(self, other: object) -> bool:
+        same = (getattr(self, f) == getattr(other, f) for f in self.__slots__[:-1])
+        return all(same) if isinstance(other, RunResult) else NotImplemented
 
     @property
     def toggles(self) -> int:
@@ -325,7 +321,7 @@ def _start(
     stages, rngs = [], []
     for step in scenario.plan:
         phase = phases.get(type(step.stage))
-        stages.append(step.stage if phase is None else dataclasses.replace(step.stage, phase=phase))
+        stages.append(step.stage if phase is None else step.stage._replace(phase=phase))
         rngs.append(None if step.stream is None else rng_stream(seed, step.stream))
         if step.stream is not None:
             rngs[-1].bit_generator.advance(step.traversal * scenario.source.toggles)
@@ -390,4 +386,5 @@ def sweep(scenario: Scenario, seeds: list[int], parallel: int = 1) -> RunResult:
         raise ValueError("sweep parallel must be >= 1")
     results = [run(scenario, s) for s in sorted(seeds)]
     merged = reduce(RunResult.merge, results)
-    return dataclasses.replace(merged, per_seed=tuple(results))
+    return RunResult(merged.seeds, merged.segment_stats, merged.end_to_end, merged.components,
+                     tuple(results))

@@ -18,7 +18,7 @@ share them with either side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +31,14 @@ class EmptyStatsError(ValueError):
     """Percentile/CDF queried on zero samples."""
 
 
-@dataclass(eq=False)
 class LatencyStats:
-    count: int = 0
-    total_us: int = 0
-    min_us: int | None = None
-    max_us: int | None = None
-    # the frequency of bin min_us // BIN_WIDTH_US + i at i
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    losses: int = 0
+    __slots__ = ("count", "total_us", "min_us", "max_us", "counts", "losses")
+
+    def __init__(self) -> None:
+        self.count = self.total_us = self.losses = 0
+        self.min_us = self.max_us = None  # ints from the first sample on
+        # the frequency of bin min_us // BIN_WIDTH_US + i at i
+        self.counts = np.zeros(0, np.int64)
 
     def add(self, values_us: np.ndarray) -> None:
         """Record a batch of samples; every scalar field stays a Python int."""
@@ -71,10 +70,12 @@ class LatencyStats:
         return self.total_us / self.count
 
     def merge(self, other: "LatencyStats") -> "LatencyStats":
-        merged = replace(self, losses=self.losses + other.losses)
-        if other.count:
-            merged._check_span(other.min_us, other.max_us)
-            merged._fold(other.count, other.total_us, other.min_us, other.max_us, other.counts)
+        merged = LatencyStats()
+        for side in (self, other):
+            merged.losses += side.losses
+            if side.count:
+                merged._check_span(side.min_us, side.max_us)
+                merged._fold(side.count, side.total_us, side.min_us, side.max_us, side.counts)
         return merged
 
     def _check_span(self, lo: int, hi: int) -> None:
@@ -104,8 +105,7 @@ class LatencyStats:
         """Equal samples and losses."""
         if not isinstance(other, LatencyStats):
             return NotImplemented
-        fields = ("count", "total_us", "min_us", "max_us", "losses")
-        same = all(getattr(self, f) == getattr(other, f) for f in fields)
+        same = all(getattr(self, f) == getattr(other, f) for f in self.__slots__ if f != "counts")
         return same and np.array_equal(self.counts, other.counts)
 
     def percentile(self, p: float) -> int:
@@ -142,8 +142,7 @@ class LatencyStats:
         return np.cumsum(self.counts)
 
 
-@dataclass(frozen=True)
-class SafetyDistance:
+class SafetyDistance(NamedTuple):
     exact_m: float  # speed * response time, unrounded
     presented_m: float  # up to a 0.1 m step; within 1e-10 m above one is float noise
 

@@ -10,8 +10,6 @@ code run() runs.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from iolw5gsim import iolw, plc
@@ -46,9 +44,9 @@ def stages(cell=IolwCellConfig(), plc_cfg=PlcConfig(), transfer=None, iolw_phase
     scenario = Scenario(cell, segments, path, [], SignalSource(), plc_cfg)
     air, poll, _, plc_stage = (step.stage for step in scenario.plan)
     return (
-        dataclasses.replace(air, phase=iolw_phase),
-        dataclasses.replace(poll, phase=plc_phase),
-        dataclasses.replace(plc_stage, phase=plc_phase),
+        air._replace(phase=iolw_phase),
+        poll._replace(phase=plc_phase),
+        plc_stage._replace(phase=plc_phase),
     )
 
 

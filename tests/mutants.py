@@ -97,6 +97,10 @@ MUTANTS = (
            'object.__setattr__(self, "budgets", MappingProxyType(dict(self.budgets)))',
            'object.__setattr__(self, "budgets", self.budgets)',
            "a scenario holds the caller's budgets dict, open to edits in place"),
+    Mutant("frozen-assigns", "kernel.py",
+           'raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")',
+           "object.__setattr__(self, name, value)",
+           "a Frozen value's fields can be assigned, leaving its derived state stale"),
 )
 
 

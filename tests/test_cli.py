@@ -181,6 +181,16 @@ def test_run_is_the_one_seed_sweep(fmt, small_config, tmp_path, capsys):
         assert (outs["run"] / name).read_bytes() == (outs["sweep"] / name).read_bytes()
 
 
+def fresh_python(code: str) -> str:
+    """What code prints in a new interpreter that imports this package."""
+    src = str(Path(iolw5gsim.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # sweeps run their seeds one after another, so no command pays for the
     # imports of a process or thread pool
@@ -188,12 +198,13 @@ def test_cli_import_leaves_multiprocessing_out():
         "import sys, iolw5gsim.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
-    src = str(Path(iolw5gsim.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # no class of the package is built through dataclasses, whose code
+    # generation took over a quarter of the package's import
+    assert fresh_python("import sys, iolw5gsim.cli; print('dataclasses' in sys.modules)") == "False"
 
 
 def test_package_root_holds_only_its_version():
@@ -203,12 +214,7 @@ def test_package_root_holds_only_its_version():
         "print([n for n in vars(m) if not n.startswith('__')], "
         "sorted(k for k in sys.modules if k.startswith('iolw5gsim')), m.__version__)"
     )
-    src = str(Path(iolw5gsim.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == f"[] ['iolw5gsim'] {iolw5gsim.__version__}"
+    assert fresh_python(code) == f"[] ['iolw5gsim'] {iolw5gsim.__version__}"
 
 
 # The copy of the shipped scenario that CI's smoke test also replays, as

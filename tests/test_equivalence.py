@@ -5,7 +5,6 @@ component and end to end, must agree under a two-sample KS test; losses per
 iolw-air leg must match the residual error probability.
 """
 
-import dataclasses
 import math
 import random
 
@@ -351,9 +350,9 @@ def test_run_drops_lost_toggles_like_boolean_index():
     rnd = random.Random(7)
     for i in range(6):
         sc = random_scenario(rnd)
-        sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=100))
-        transfer = dataclasses.replace(
-            sc.segments["air"].transfer, per_subcycle_error_prob=(0.0, 0.4, 1.0)[i % 3]
+        sc = sc._replace(source=sc.source._replace(sequences=100))
+        transfer = sc.segments["air"].transfer._replace(
+            per_subcycle_error_prob=(0.0, 0.4, 1.0)[i % 3]
         )
         sc = with_segment(sc, "air", transfer=transfer)
         if i % 2:
@@ -494,7 +493,7 @@ def traced_samples(scenario, seed):
 @pytest.mark.parametrize("scenario_seed", range(5))
 def test_components_and_end_to_end_match_scalar_distribution(scenario_seed):
     sc = random_scenario(random.Random(scenario_seed))
-    sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=300))
+    sc = sc._replace(source=sc.source._replace(sequences=300))
     array, scalar = traced_samples(sc, scenario_seed)
     assert array.keys() == scalar.keys()
     for name in array:
@@ -579,7 +578,7 @@ def test_dither_is_uniform_over_one_query_cycle():
     # every toggle starts on the query grid's period, and the poll wait
     # comes first, so it is (plc phase - dither) mod query_cycle: uniform
     # over the cycle, in 100 us bins of equal size, iff the dither is
-    sc = dataclasses.replace(small_scenario(sequences=2700), forward=["eth", "plc"])
+    sc = small_scenario(sequences=2700)._replace(forward=["eth", "plc"])
     q = sc.plc.query_cycle_us
     assert sc.source.toggle_period_us % q == 0 == sc.source.sequence_length_us % q
     assert sc.plan[0].name == "poll_wait"

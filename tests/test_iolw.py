@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -51,7 +50,7 @@ class TestValidateCell:
     def test_full_cell_is_ok_at_120_devices(self):
         cfg = IolwCellConfig(masters=3, tracks_per_master=5, slots_per_track=8)
         assert validate_cell(cfg) == []
-        assert validate_cell(dataclasses.replace(cfg, devices=120)) == []
+        assert validate_cell(cfg._replace(devices=120)) == []
         assert cfg.capacity == 120
 
     # the largest topology holds exactly 120 devices, so a cell cannot
@@ -88,7 +87,7 @@ class TestValidateCell:
         # the slot tables hold subcycles_per_cycle + max_attempts entries
         cfg = IolwCellConfig(cycle_us=10**6, subcycle_us=1, subcycles_per_cycle=MAX_SUBCYCLES)
         assert validate_cell(cfg) == []
-        assert validate_cell(dataclasses.replace(cfg, subcycles_per_cycle=MAX_SUBCYCLES + 1)) == [
+        assert validate_cell(cfg._replace(subcycles_per_cycle=MAX_SUBCYCLES + 1)) == [
             f"subcycles_per_cycle must be <= 1000, got {MAX_SUBCYCLES + 1}"
         ]
 

@@ -22,7 +22,6 @@ on the shipped file and on the lossy digest scenario for seeds 0-4.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -53,8 +52,7 @@ def shipped() -> Scenario:
 
 def renamed(sc: Scenario, rename) -> Scenario:
     """sc with every segment id mapped through rename."""
-    return dataclasses.replace(
-        sc,
+    return sc._replace(
         segments={rename(sid): seg for sid, seg in sc.segments.items()},
         forward=[rename(sid) for sid in sc.forward],
         ret=[rename(sid) for sid in sc.ret],
@@ -65,7 +63,7 @@ def with_tail(sc: Scenario, c: int) -> Scenario:
     """sc with a constant c us Ethernet link at the end of its return path."""
     assert TAIL > max(sc.segments)
     segments = {**sc.segments, TAIL: SegmentSpec("ethernet", model=Constant(c))}
-    return dataclasses.replace(sc, segments=segments, ret=[*sc.ret, TAIL])
+    return sc._replace(segments=segments, ret=[*sc.ret, TAIL])
 
 
 def with_air(sc: Scenario, error_prob: float, max_attempts: int) -> Scenario:
@@ -73,11 +71,11 @@ def with_air(sc: Scenario, error_prob: float, max_attempts: int) -> Scenario:
     segments = dict(sc.segments)
     for sid, seg in sc.segments.items():
         if seg.kind == "iolw-air":
-            transfer = dataclasses.replace(
-                seg.transfer, per_subcycle_error_prob=error_prob, max_attempts=max_attempts
+            transfer = seg.transfer._replace(
+                per_subcycle_error_prob=error_prob, max_attempts=max_attempts
             )
             segments[sid] = SegmentSpec(seg.kind, transfer=transfer)
-    return dataclasses.replace(sc, segments=segments)
+    return sc._replace(segments=segments)
 
 
 def check_prefix(sc: Scenario, seed: int, prefix: str = "x_") -> None:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -81,9 +80,9 @@ class TestDerivedBounds:
             task = rnd.randint(1, 2000)
             cfg = PlcConfig(task, task * rnd.randint(1, 4), rnd.randint(0, 500))
             phase = rnd.randrange(task)
-            scenario = dataclasses.replace(default_scenario, plc=cfg)
+            scenario = default_scenario._replace(plc=cfg)
             bounds = {
-                step.name: dataclasses.replace(step.stage, phase=phase).upper_bound_us()
+                step.name: step.stage._replace(phase=phase).upper_bound_us()
                 for step in scenario.plan
                 if step.name in ("poll_wait", "plc")
             }

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -34,15 +33,15 @@ from tests.test_digests import LOSSY_EMPIRICAL
 def small_scenario(**source_kw):
     sc = load_scenario(MINIMAL)
     if source_kw:
-        sc = dataclasses.replace(sc, source=dataclasses.replace(sc.source, **source_kw))
+        sc = sc._replace(source=sc.source._replace(**source_kw))
     return sc
 
 
 def with_segment(sc: Scenario, sid: str, **changes) -> Scenario:
     """sc with the given fields of segment sid changed; the scenario and
     its segments are frozen, so the copy compiles a plan of its own."""
-    segment = dataclasses.replace(sc.segments[sid], **changes)
-    return dataclasses.replace(sc, segments={**sc.segments, sid: segment})
+    segment = sc.segments[sid]._replace(**changes)
+    return sc._replace(segments={**sc.segments, sid: segment})
 
 
 def random_scenario(rnd: random.Random) -> Scenario:
@@ -167,7 +166,7 @@ class TestRun:
 
     def test_removing_plc_reduces_every_sample_by_a_task_cycle(self):
         sc = small_scenario()
-        diagnostic = dataclasses.replace(sc, forward=[s for s in sc.forward if s != "plc"])
+        diagnostic = sc._replace(forward=[s for s in sc.forward if s != "plc"])
         t0 = np.arange(0, 1_000_000, 37_003, dtype=np.int64)
         totals = []
         for scenario in (sc, diagnostic):
@@ -191,8 +190,7 @@ class TestRun:
             assert result.end_to_end.mean_us > 2 * big
 
     def test_peak_memory_does_not_grow_with_the_path(self, default_scenario):
-        longer = dataclasses.replace(
-            default_scenario,
+        longer = default_scenario._replace(
             forward=default_scenario.forward[:-1]
             + 3 * ("eth_shop", "nr_up", "nr_down", "eth_edge")
             + default_scenario.forward[-1:],
@@ -226,7 +224,7 @@ class TestRun:
         # the toggles of the traversals before it: a copy whose return path
         # ends in a third eth_edge reads that stream from output 2 * toggles on
         for extra, later in [((), 5), (("eth_edge",), 6)]:
-            sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + extra)
+            sc = default_scenario._replace(ret=default_scenario.ret + extra)
             _, stages, rngs = scenario_mod._start(sc, 7)
             components = ref.path_order(sc)
             ids = sorted(sc.segments)
@@ -319,9 +317,9 @@ class TestPlan:
         transfers = [seg.transfer for seg in sc.segments.values() if seg.kind == "iolw-air"]
         assert transfers
         for obj in (sc, *sc.segments.values(), sc.plc, sc.source, *transfers):
-            for f in dataclasses.fields(obj):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(obj, f.name, getattr(obj, f.name))
+            for name in obj._fields:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name))
         # nor can its containers be edited in place, which would leave the
         # plan and the safety block stale; a fresh load, so a miss cannot
         # touch the fixture
@@ -353,16 +351,16 @@ class TestPlan:
         assert built == sc and (built.plan, built.maxima) == (plan, maxima)
 
     def test_replace_compiles_a_plan_of_its_own(self, default_scenario):
-        sc = dataclasses.replace(default_scenario, ret=default_scenario.ret + ("eth_edge",))
+        sc = default_scenario._replace(ret=default_scenario.ret + ("eth_edge",))
         assert sc.plan[:-1] == default_scenario.plan
         eth_edge = next(step for step in sc.plan if step.name == "eth_edge")
         assert sc.plan[-1] == eth_edge._replace(traversal=2)
         # each replaced scenario derives its own safety block: every maximum
         # is at least its component's bound, also where an added traversal
         # or the PLC jitter pushes that bound past the shipped budget
-        longer = dataclasses.replace(default_scenario, ret=sc.ret + ("nr_up",))
-        jitter = dataclasses.replace(longer.plc, jitter_us=100_000)
-        jittery = dataclasses.replace(longer, plc=jitter)
+        longer = default_scenario._replace(ret=sc.ret + ("nr_up",))
+        jitter = longer.plc._replace(jitter_us=100_000)
+        jittery = longer._replace(plc=jitter)
         for sc in (longer, jittery):
             bounds: dict[str, int] = {}
             for step in sc.plan:
@@ -380,7 +378,7 @@ def lossy_empirical_scenario(sequences: int) -> Scenario:
     """The lossy digest scenario: links crossed twice (a uniform Ethernet
     and two empirical 5G legs) and iolw-air hops at p = 0.3."""
     sc = load_scenario(LOSSY_EMPIRICAL)
-    return dataclasses.replace(sc, source=dataclasses.replace(sc.source, sequences=sequences))
+    return sc._replace(source=sc.source._replace(sequences=sequences))
 
 
 # every sampler that draws; draw_retries also with the largest threshold
@@ -449,7 +447,7 @@ def lossy_small_scenario(sequences: int) -> Scenario:
     losing one transfer in eight."""
     sc = small_scenario(sequences=sequences)
     sc = with_segment(sc, "air", transfer=IolwTransferModel(667, 0.5, max_attempts=3))
-    return dataclasses.replace(sc, ret=["eth", "wire"])
+    return sc._replace(ret=["eth", "wire"])
 
 
 class TestWorkspace:
@@ -469,7 +467,7 @@ class TestWorkspace:
         # the workspace is rebuilt for the other toggle count, then for a
         # third traversal, and kept for the two traversals after that
         lossy = lossy_small_scenario(sequences=7)
-        more_air = dataclasses.replace(default_scenario, ret=default_scenario.ret + ("air_up",))
+        more_air = default_scenario._replace(ret=default_scenario.ret + ("air_up",))
         first = {id(sc): run(sc, seed=2) for sc in (default_scenario, lossy, more_air)}
         assert first[id(lossy)].losses > 0
         for sc in (default_scenario, lossy, default_scenario, lossy, more_air, default_scenario):
@@ -553,7 +551,7 @@ class TestSweep:
 
     def test_results_of_different_scenarios_do_not_merge(self):
         sc = small_scenario(sequences=2)
-        more_air = dataclasses.replace(sc, ret=sc.ret + ("air",))
+        more_air = sc._replace(ret=sc.ret + ("air",))
         with pytest.raises(ValueError, match="different scenarios"):
             run(sc, 1).merge(run(more_air, 1))
 
@@ -628,12 +626,12 @@ class TestDominance:
         # a forward path of the plc alone has no poll wait: one component,
         # whose bound (or budget above it) is the SFRT; no path, no SFRT and
         # no safety block in the report
-        sc = dataclasses.replace(default_scenario, forward=["plc"], ret=[], budgets={})
+        sc = default_scenario._replace(forward=["plc"], ret=[], budgets={})
         plc = sc.plc.task_cycle_us - 1 + sc.plc.task_cycle_us + sc.plc.jitter_us
         assert sc.maxima == (("plc", plc),) and sc.worst_case_sfrt_us == plc
-        budgeted = dataclasses.replace(sc, budgets={"plc": plc + 1})
+        budgeted = sc._replace(budgets={"plc": plc + 1})
         assert budgeted.maxima == (("plc", plc + 1),) and budgeted.worst_case_sfrt_us == plc + 1
-        empty = dataclasses.replace(sc, forward=[])
+        empty = sc._replace(forward=[])
         assert (empty.plan, empty.maxima, empty.worst_case_sfrt_us) == ((), (), 0)
         assert "safety" not in build_report(run(empty, 1), empty, b"")
 
